@@ -1,21 +1,29 @@
-"""Run configuration: JSON parsing, reference-parameter defaults, validation.
+"""Run configuration: JSON sections parsed onto the package's dataclasses.
 
-An empty config resolves to the reference parameters: attenuation 0.2 dB/km,
-electronic noise 0.1 SNU and efficiency 0.5 for the key-rate channel,
-reconciliation efficiency 0.95, V_A = 1, sigma_phi = 0.04, and a 20 ns pulse
-period.  The Monte Carlo experiments default to the measured bench: lasers
-with per-20ns variances 0.035/0.044, receiver-referenced detection
-(transmittance 1) with efficiency 0.5 and 0.83 SNU detector excess noise.
-
-Unknown keys are rejected with their JSON path; physically invalid values are
-rejected naming the offending field.  Every value can be overridden from the
-file or from flat ``section.key = value`` overrides (the CLI's ``--set``).
+Defaults live only on the dataclasses: ``channel`` is ``SecurityParams().channel``,
+the rest of ``security`` (with ``epsilons``) comes from :class:`SecurityParams`
+and :class:`EpsilonBudget`, the lasers from ``default_signal_laser`` /
+``default_lo_laser``, ``experiments.detector`` from ``default_rig_detector``,
+``train`` from :class:`PhaseExperimentConfig` and each experiment section from
+its config class.  Only ``security.n_pulses`` (1e11) differs from its dataclass.
+A section's keys are its dataclass's field names; values are checked against
+the annotations (numbers must be finite, booleans JSON booleans) and applied
+with ``dataclasses.replace``, so physical validation stays in ``__post_init__``.
+Inherited fields are not keys: the experiment sections take the lasers from
+``laser_s`` / ``laser_l``; all but ``laser_noise`` take ``detector`` from
+``experiments.detector`` and the pulse period from ``train``; ``phase_exp`` and
+``weak_ref`` take ``n_pairs`` and the photon numbers from ``train`` and ``weak_ref``
+takes ``bpsk_phases`` from ``phase_exp``.  A bad value raises :class:`ConfigError`
+naming its JSON path (``config.channel.fiber_length_km: ...``); the CLI exits 2.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
-import math
+import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,21 +35,30 @@ from .experiments import (
     PhaseExperimentConfig,
     RemapExperimentConfig,
     WeakReferenceSweepConfig,
+    default_lo_laser,
+    default_rig_detector,
+    default_signal_laser,
 )
 from .link_sim import ChannelDetector, PulseTrainConfig
 from .noise_models import LaserModel
-from .security import PE_RADIUS_SCALE_DEFAULT, EpsilonBudget, SecurityParams
+from .security import SecurityParams
 
 _MAX_SEED = 2**64 - 1
+_MAX_GRID_POINTS = 10_000  # the grids are built at parse time; this bounds their memory
+_EXPERIMENTS = (
+    "detector", "phase_exp", "weak_ref", "remap", "laser_noise", "distance_sweep", "n_sweep",
+)
+_NOISE_SPECS = ("linewidth_hz", "coherence_time_s", "delay_variance")
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
     """Fully resolved configuration for one CLI invocation."""
 
-    seed: int
-    output_dir: str
-    threads: int | None
+    seed: int = 1
+    output_dir: str = "results"
+    threads: int | None = None
     laser_s: LaserModel
     laser_l: LaserModel
     train: PulseTrainConfig
@@ -54,246 +71,136 @@ class RunConfig:
     distance_grid_km: tuple[float, ...]
     n_pulse_grid: tuple[float, ...]
 
-
-class _Section:
-    """One dict section with path-aware key extraction and leftovers check."""
-
-    def __init__(self, data: dict, path: str):
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
-        self._data = dict(data)
-        self._path = path
-
-    def take(self, key: str, default):
-        return self._data.pop(key, default)
-
-    def subsection(self, key: str) -> "_Section":
-        return _Section(self._data.pop(key, {}), f"{self._path}.{key}")
-
-    def has(self, key: str) -> bool:
-        return key in self._data
-
-    def finish(self) -> None:
-        if self._data:
-            unknown = ", ".join(sorted(self._data))
-            raise ConfigError(f"{self._path}: unknown key(s): {unknown}")
-
-    @property
-    def path(self) -> str:
-        return self._path
+    def __post_init__(self) -> None:
+        if not 0 <= self.seed <= _MAX_SEED:
+            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        if self.threads is not None and self.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {self.threads}")
 
 
-def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+@dataclass(frozen=True)
+class _DistanceSweep:
+    min_km: float = 0.0
+    max_km: float = 150.0
+    points: int = 31
 
 
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return value
+@dataclass(frozen=True)
+class _NSweep:
+    log10_min: float = 6.0
+    log10_max: float = 13.0
+    points: int = 29
 
 
-def _build_laser(section: _Section, defaults: dict) -> LaserModel:
-    spec_keys = ("linewidth_hz", "coherence_time_s", "delay_variance")
-    given = [k for k in spec_keys if section.has(k)]
+# typing.get_type_hints for one field, once a config sets it: resolving every annotation
+# (source strings, as the config modules postpone evaluation) would dominate a cold parse.
+@functools.cache
+def _hint(cls, name: str):
+    return eval(cls.__dataclass_fields__[name].type, vars(sys.modules[cls.__module__]))
+
+
+def _object(data, path: str, keys) -> dict:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
+    unknown = sorted(set(data).difference(keys))
+    if unknown:
+        raise ConfigError(f"{path}: unknown key(s): {', '.join(unknown)}")
+    return data
+
+
+def _coerce(hint, value, path: str):
+    """``value`` checked against the field annotation ``hint``."""
+    if dataclasses.is_dataclass(hint):
+        return _walk(hint, value, path)
+    args = typing.get_args(hint)
+    if type(None) in args:  # X | None
+        return None if value is None else _coerce(args[0], value, path)
+    if typing.get_origin(hint) is tuple:  # tuple[X, ...] or tuple[X, X]
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        if args[-1] is not Ellipsis and len(value) != len(args):
+            raise ConfigError(f"{path}: expected {len(args)} items, got {len(value)}")
+        return tuple(_coerce(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if hint is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if ok and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif isinstance(value, hint) and (hint is bool or not isinstance(value, bool)):
+        return value
+    raise ConfigError(f"{path}: expected {_EXPECTED[hint]}, got {value!r}")
+
+
+def _walk(cls, data, path: str, base=None, **fixed):
+    """``base`` (default: ``cls()``) with the JSON object ``data`` applied.
+
+    ``fixed`` fields are inherited from another section, so they are not
+    keys of this one.
+    """
+    _object(data, path, cls.__dataclass_fields__.keys() - fixed.keys())
+    values = {k: _coerce(_hint(cls, k), v, f"{path}.{k}") for k, v in data.items()}
+    try:
+        if base is None:
+            return cls(**fixed, **values)
+        return dataclasses.replace(base, **fixed, **values)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _laser(data, path: str, default: LaserModel) -> LaserModel:
+    """A laser section: ``default`` with its noise set by at most one of
+    ``linewidth_hz``, ``coherence_time_s`` or ``delay_variance``."""
+    _object(data, path, [*LaserModel.__dataclass_fields__, "delay_variance"])
+    given = [k for k in _NOISE_SPECS if k in data]
     if len(given) > 1:
+        raise ConfigError(f"{path}: give exactly one of {', '.join(_NOISE_SPECS)}")
+    noise = {}
+    if given == ["delay_variance"]:
+        dv_path = f"{path}.delay_variance"
+        dv = _object(data["delay_variance"], dv_path, ("variance_rad2", "delay_s"))
+        variance, delay = (
+            _coerce(float, dv.get(k), f"{dv_path}.{k}") for k in ("variance_rad2", "delay_s")
+        )
+        try:
+            tc = LaserModel.from_delay_variance(variance, delay).coherence_time_s
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+        noise = {"linewidth_hz": None, "coherence_time_s": tc}
+    elif given:
+        noise = {"linewidth_hz": None, "coherence_time_s": None}
+        noise[given[0]] = _coerce(float, data[given[0]], f"{path}.{given[0]}")
+    rest = {k: v for k, v in data.items() if k not in _NOISE_SPECS}
+    return _walk(LaserModel, rest, path, default, **noise)
+
+
+def _grid(cls, data, path: str, space) -> tuple[float, ...]:
+    """A sweep section resolved to its ``space(lo, hi, points)`` grid."""
+    lo, hi, n = vars(_walk(cls, data, path)).values()
+    if not hi > lo or not 2 <= n <= _MAX_GRID_POINTS:
+        lo_key, hi_key, n_key = cls.__dataclass_fields__
         raise ConfigError(
-            f"{section.path}: give exactly one of {', '.join(spec_keys)}"
+            f"{path}: need {hi_key} > {lo_key} and 2 <= {n_key} <= {_MAX_GRID_POINTS}"
         )
-    kwargs = {
-        "center_detuning_hz": _number(
-            section.take("center_detuning_hz", defaults["center_detuning_hz"]),
-            f"{section.path}.center_detuning_hz",
-        ),
-        "drift_rate_hz_per_s": _number(
-            section.take("drift_rate_hz_per_s", 0.0),
-            f"{section.path}.drift_rate_hz_per_s",
-        ),
-    }
-    try:
-        if not given:
-            laser = LaserModel.from_delay_variance(
-                defaults["variance_rad2"], defaults["delay_s"], **kwargs
-            )
-        elif given[0] == "linewidth_hz":
-            laser = LaserModel.from_linewidth(
-                _number(section.take("linewidth_hz", None), f"{section.path}.linewidth_hz"),
-                **kwargs,
-            )
-        elif given[0] == "coherence_time_s":
-            laser = LaserModel.from_coherence_time(
-                _number(
-                    section.take("coherence_time_s", None),
-                    f"{section.path}.coherence_time_s",
-                ),
-                **kwargs,
-            )
-        else:
-            dv = section.subsection("delay_variance")
-            variance = _number(dv.take("variance_rad2", None), f"{dv.path}.variance_rad2")
-            delay = _number(dv.take("delay_s", None), f"{dv.path}.delay_s")
-            dv.finish()
-            laser = LaserModel.from_delay_variance(variance, delay, **kwargs)
-    except ConfigError as exc:
-        if str(exc).startswith(section.path):
-            raise
-        raise ConfigError(f"{section.path}: {exc}") from exc
-    section.finish()
-    return laser
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
+        grid = space(lo, hi, n)
+    if not np.isfinite(grid).all():
+        raise ConfigError(f"{path}: grid must be finite")
+    return tuple(grid.tolist())
 
 
-def _build_channel(section: _Section, defaults: dict) -> ChannelDetector:
-    override = section.take(
-        "transmittance_override", defaults.get("transmittance_override")
-    )
-    if override is not None:
-        override = _number(override, f"{section.path}.transmittance_override")
-    kwargs = {
-        "attenuation_db_per_km": _number(
-            section.take("attenuation_db_per_km", defaults["attenuation_db_per_km"]),
-            f"{section.path}.attenuation_db_per_km",
-        ),
-        "fiber_length_km": _number(
-            section.take("fiber_length_km", defaults["fiber_length_km"]),
-            f"{section.path}.fiber_length_km",
-        ),
-        "transmittance_override": override,
-        "detector_efficiency": _number(
-            section.take("detector_efficiency", defaults["detector_efficiency"]),
-            f"{section.path}.detector_efficiency",
-        ),
-        "electronic_noise_snu": _number(
-            section.take("electronic_noise_snu", defaults["electronic_noise_snu"]),
-            f"{section.path}.electronic_noise_snu",
-        ),
-    }
-    section.finish()
-    try:
-        return ChannelDetector(**kwargs)
-    except ConfigError as exc:
-        raise ConfigError(f"{section.path}: {exc}") from exc
-
-
-_KEYRATE_CHANNEL_DEFAULTS = {
-    "attenuation_db_per_km": 0.2,
-    "fiber_length_km": 0.0,
-    "transmittance_override": None,
-    "detector_efficiency": 0.5,
-    "electronic_noise_snu": 0.1,
-}
-
-_RIG_CHANNEL_DEFAULTS = {
-    "attenuation_db_per_km": 0.2,
-    "fiber_length_km": 0.0,
-    "transmittance_override": 1.0,
-    "detector_efficiency": 0.5,
-    "electronic_noise_snu": 0.83,
-}
-
-
-def _build_security(section: _Section, channel: ChannelDetector) -> SecurityParams:
-    eps_section = section.subsection("epsilons")
-    eps_kwargs = {}
-    for name, default in (
-        ("eps", 1e-20),
-        ("eps_bar", 1e-21),
-        ("eps_sm", 1e-21),
-        ("eps_pe", 1e-41),
-        ("eps_cor", 1e-41),
-        ("eps_ent", 1e-41),
-    ):
-        eps_kwargs[name] = _number(
-            eps_section.take(name, default), f"{eps_section.path}.{name}"
-        )
-    eps_section.finish()
-
-    n_pulses = section.take("n_pulses", 10**11)
-    if n_pulses is not None:
-        n_pulses = _integer(n_pulses, f"{section.path}.n_pulses")
-    kwargs = {
-        "modulation_variance": _number(
-            section.take("modulation_variance", 1.0),
-            f"{section.path}.modulation_variance",
-        ),
-        "reconciliation_efficiency": _number(
-            section.take("reconciliation_efficiency", 0.95),
-            f"{section.path}.reconciliation_efficiency",
-        ),
-        "sigma_phi": _number(
-            section.take("sigma_phi", 0.04), f"{section.path}.sigma_phi"
-        ),
-        "discretization": _integer(
-            section.take("discretization", 5), f"{section.path}.discretization"
-        ),
-        "robustness": _number(
-            section.take("robustness", 0.0), f"{section.path}.robustness"
-        ),
-        "pe_fraction": _number(
-            section.take("pe_fraction", 0.5), f"{section.path}.pe_fraction"
-        ),
-        "pe_radius_scale": _number(
-            section.take("pe_radius_scale", PE_RADIUS_SCALE_DEFAULT),
-            f"{section.path}.pe_radius_scale",
-        ),
-        "swap_delta_terms": bool(section.take("swap_delta_terms", False)),
-    }
-    section.finish()
-    try:
-        return SecurityParams(
-            channel=channel,
-            epsilons=EpsilonBudget(**eps_kwargs),
-            n_pulses=n_pulses,
-            **kwargs,
-        )
-    except ConfigError as exc:
-        raise ConfigError(f"{section.path}: {exc}") from exc
-
-
-def _build_train(section: _Section) -> PulseTrainConfig:
-    kwargs = {
-        "repetition_period_s": _number(
-            section.take("repetition_period_s", 20e-9),
-            f"{section.path}.repetition_period_s",
-        ),
-        "n_pairs": _integer(section.take("n_pairs", 25000), f"{section.path}.n_pairs"),
-        "signal_photons": _number(
-            section.take("signal_photons", 1e5), f"{section.path}.signal_photons"
-        ),
-        "reference_photons": _number(
-            section.take("reference_photons", 1e5),
-            f"{section.path}.reference_photons",
-        ),
-    }
-    section.finish()
-    try:
-        return PulseTrainConfig(**kwargs)
-    except ConfigError as exc:
-        raise ConfigError(f"{section.path}: {exc}") from exc
-
-
-def _grid_from(section: _Section, key_min, key_max, key_n, defaults, log: bool):
-    lo = _number(section.take(key_min, defaults[0]), f"{section.path}.{key_min}")
-    hi = _number(section.take(key_max, defaults[1]), f"{section.path}.{key_max}")
-    n = _integer(section.take(key_n, defaults[2]), f"{section.path}.{key_n}")
-    if not hi > lo or n < 2:
-        raise ConfigError(f"{section.path}: need {key_max} > {key_min} and {key_n} >= 2")
-    if log:
-        return tuple(float(v) for v in np.logspace(lo, hi, n))
-    return tuple(float(v) for v in np.linspace(lo, hi, n))
+def _section(parent: dict, path: str, name: str) -> tuple[object, str]:
+    return parent.pop(name, {}), f"{path}.{name}"
 
 
 def _apply_overrides(data: dict, overrides: dict) -> None:
     for dotted, value in overrides.items():
-        parts = dotted.split(".")
+        *parents, leaf = dotted.split(".")
         node = data
-        for part in parts[:-1]:
-            nxt = node.setdefault(part, {})
-            if not isinstance(nxt, dict):
-                raise ConfigError(f"override {dotted}: {part} is not a section")
-            node = nxt
-        node[parts[-1]] = value
+        for depth, part in enumerate(parents, 1):
+            node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                section = ".".join(parents[:depth])
+                raise ConfigError(f"config.{section}: not an object, cannot set {dotted}")
+        node[leaf] = value
 
 
 def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
@@ -320,144 +227,43 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
     if overrides:
         _apply_overrides(data, overrides)
 
-    root = _Section(data, "config")
-
-    seed = _integer(root.take("seed", 1), "config.seed")
-    if not 0 <= seed <= _MAX_SEED:
-        raise ConfigError(f"config.seed: must be an unsigned 64-bit integer, got {seed}")
-    output_dir = str(root.take("output_dir", "results"))
-    threads = root.take("threads", None)
-    if threads is not None:
-        threads = _integer(threads, "config.threads")
-        if threads < 1:
-            raise ConfigError(f"config.threads: must be >= 1, got {threads}")
-
-    laser_defaults_s = {"variance_rad2": 0.035, "delay_s": 20e-9, "center_detuning_hz": 0.0}
-    laser_defaults_l = {"variance_rad2": 0.044, "delay_s": 20e-9, "center_detuning_hz": 2.3e6}
-    laser_s = _build_laser(root.subsection("laser_s"), laser_defaults_s)
-    laser_l = _build_laser(root.subsection("laser_l"), laser_defaults_l)
-
-    train = _build_train(root.subsection("train"))
-    channel = _build_channel(root.subsection("channel"), _KEYRATE_CHANNEL_DEFAULTS)
-    security = _build_security(root.subsection("security"), channel)
-
-    experiments = root.subsection("experiments")
-
-    rig = _build_channel(experiments.subsection("detector"), _RIG_CHANNEL_DEFAULTS)
-
-    phase_section = experiments.subsection("phase_exp")
-    bpsk_phases = phase_section.take("bpsk_phases", [0.0, 1.65])
-    if not (isinstance(bpsk_phases, (list, tuple)) and len(bpsk_phases) == 2):
-        raise ConfigError(f"{phase_section.path}.bpsk_phases: expected two phases")
-    phase_exp = PhaseExperimentConfig(
-        n_pairs=train.n_pairs,
-        repetition_period_s=train.repetition_period_s,
-        bpsk_phases=(float(bpsk_phases[0]), float(bpsk_phases[1])),
-        signal_photons=train.signal_photons,
-        reference_photons=train.reference_photons,
-        laser_s=laser_s,
-        laser_l=laser_l,
-        detector=rig,
-        n_batches=_integer(phase_section.take("n_batches", 10),
-                           f"{phase_section.path}.n_batches"),
-        histogram_bins=_integer(phase_section.take("histogram_bins", 100),
-                                f"{phase_section.path}.histogram_bins"),
-        uniformity_bins=_integer(phase_section.take("uniformity_bins", 10),
-                                 f"{phase_section.path}.uniformity_bins"),
-        uniformity_stride=_integer(phase_section.take("uniformity_stride", 100),
-                                   f"{phase_section.path}.uniformity_stride"),
+    root = functools.partial(_section, data, "config")  # leaves the top-level keys in data
+    laser_s = _laser(*root("laser_s"), default_signal_laser())
+    laser_l = _laser(*root("laser_l"), default_lo_laser())
+    bench = PhaseExperimentConfig()
+    train_base = PulseTrainConfig(
+        bench.repetition_period_s, bench.n_pairs, bench.signal_photons, bench.reference_photons
     )
-    phase_section.finish()
+    train = _walk(PulseTrainConfig, *root("train"), train_base,
+                  modulation=train_base.modulation)
+    # The run default for the finite-size pulse count; the dataclass has none.
+    keyrate = SecurityParams(n_pulses=10**11)
+    channel = _walk(ChannelDetector, *root("channel"), keyrate.channel)
+    security = _walk(SecurityParams, *root("security"), keyrate, channel=channel)
 
-    weak_section = experiments.subsection("weak_ref")
-    photon_numbers = weak_section.take("photon_numbers", [10000.0, 1000.0, 100.0])
-    if not isinstance(photon_numbers, (list, tuple)) or not photon_numbers:
-        raise ConfigError(f"{weak_section.path}.photon_numbers: expected a list")
-    weak_ref = WeakReferenceSweepConfig(
-        photon_numbers=tuple(
-            _number(v, f"{weak_section.path}.photon_numbers") for v in photon_numbers
-        ),
-        n_pairs=train.n_pairs,
-        repetition_period_s=train.repetition_period_s,
-        bpsk_phases=phase_exp.bpsk_phases,
-        signal_photons=train.signal_photons,
-        laser_s=laser_s,
-        laser_l=laser_l,
-        detector=rig,
-        n_batches=_integer(weak_section.take("n_batches", 10),
-                           f"{weak_section.path}.n_batches"),
+    experiments = dict(_object(*root("experiments"), _EXPERIMENTS))
+    experiment = functools.partial(_section, experiments, "config.experiments")
+    rig = _walk(ChannelDetector, *experiment("detector"), default_rig_detector())
+    lasers = {"laser_s": laser_s, "laser_l": laser_l}
+    rig_run = {**lasers, "detector": rig, "repetition_period_s": train.repetition_period_s}
+    phase_exp = _walk(
+        PhaseExperimentConfig, *experiment("phase_exp"), n_pairs=train.n_pairs,
+        signal_photons=train.signal_photons, reference_photons=train.reference_photons,
+        **rig_run,
     )
-    weak_section.finish()
-
-    remap_section = experiments.subsection("remap")
-    remap = RemapExperimentConfig(
-        n_pairs=_integer(remap_section.take("n_pairs", 24000),
-                         f"{remap_section.path}.n_pairs"),
-        repetition_period_s=train.repetition_period_s,
-        signal_photons=_number(remap_section.take("signal_photons", 66.0),
-                               f"{remap_section.path}.signal_photons"),
-        reference_photons=_number(remap_section.take("reference_photons", 1000.0),
-                                  f"{remap_section.path}.reference_photons"),
-        laser_s=laser_s,
-        laser_l=laser_l,
-        detector=rig,
-        n_batches=_integer(remap_section.take("n_batches", 10),
-                           f"{remap_section.path}.n_batches"),
-        scatter_rows=_integer(remap_section.take("scatter_rows", 24000),
-                              f"{remap_section.path}.scatter_rows"),
-        uniformity_bins=_integer(remap_section.take("uniformity_bins", 10),
-                                 f"{remap_section.path}.uniformity_bins"),
-        uniformity_stride=_integer(remap_section.take("uniformity_stride", 100),
-                                   f"{remap_section.path}.uniformity_stride"),
+    weak_ref = _walk(
+        WeakReferenceSweepConfig, *experiment("weak_ref"), n_pairs=train.n_pairs,
+        signal_photons=train.signal_photons, bpsk_phases=phase_exp.bpsk_phases, **rig_run,
     )
-    remap_section.finish()
+    remap = _walk(RemapExperimentConfig, *experiment("remap"), **rig_run)
+    laser_noise = _walk(LaserNoiseSweepConfig, *experiment("laser_noise"), **lasers)
+    distance_grid = _grid(_DistanceSweep, *experiment("distance_sweep"), np.linspace)
+    n_grid = _grid(_NSweep, *experiment("n_sweep"), np.logspace)
+    if n_grid[0] <= 0:  # 10**log10_min underflowed
+        raise ConfigError("config.experiments.n_sweep: grid must be positive")
 
-    noise_section = experiments.subsection("laser_noise")
-    delays = noise_section.take("delays_s", [5e-9, 20e-9, 25e-9])
-    if not isinstance(delays, (list, tuple)) or len(delays) < 2:
-        raise ConfigError(f"{noise_section.path}.delays_s: expected >= 2 delays")
-    laser_noise = LaserNoiseSweepConfig(
-        delays_s=tuple(_number(v, f"{noise_section.path}.delays_s") for v in delays),
-        n_samples=_integer(noise_section.take("n_samples", 100000),
-                           f"{noise_section.path}.n_samples"),
-        laser_s=laser_s,
-        laser_l=laser_l,
-        n_batches=_integer(noise_section.take("n_batches", 10),
-                           f"{noise_section.path}.n_batches"),
-    )
-    noise_section.finish()
-
-    dist_section = experiments.subsection("distance_sweep")
-    distance_grid = _grid_from(
-        dist_section, "min_km", "max_km", "points", (0.0, 150.0, 31), log=False
-    )
-    dist_section.finish()
-
-    n_section = experiments.subsection("n_sweep")
-    n_grid = _grid_from(
-        n_section, "log10_min", "log10_max", "points", (6.0, 13.0, 29), log=True
-    )
-    n_section.finish()
-
-    experiments.finish()
-    root.finish()
-
-    if any(not math.isfinite(v) or v <= 0 for v in n_grid):
-        raise ConfigError("config.experiments.n_sweep: grid must be positive finite")
-
-    return RunConfig(
-        seed=seed,
-        output_dir=output_dir,
-        threads=threads,
-        laser_s=laser_s,
-        laser_l=laser_l,
-        train=train,
-        channel=channel,
-        security=security,
-        phase_exp=phase_exp,
-        weak_ref=weak_ref,
-        remap=remap,
-        laser_noise=laser_noise,
-        distance_grid_km=distance_grid,
-        n_pulse_grid=n_grid,
+    return _walk(
+        RunConfig, data, "config", train=train, channel=channel, security=security,
+        phase_exp=phase_exp, weak_ref=weak_ref, remap=remap, laser_noise=laser_noise,
+        distance_grid_km=distance_grid, n_pulse_grid=n_grid, **lasers,
     )

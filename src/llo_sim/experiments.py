@@ -28,7 +28,7 @@ from scipy.stats import chi2
 
 from . import __version__
 from ._seeding import seed_sequence
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .link_sim import (
     BPSKModulation,
     ChannelDetector,
@@ -194,8 +194,6 @@ def _map_ordered(fn: Callable, args: Sequence, threads: int | None) -> list:
 
 def _batch_sizes(total: int, n_batches: int) -> list[int]:
     base, extra = divmod(total, n_batches)
-    if base < 2:
-        raise DomainError(f"{total} pairs cannot fill {n_batches} batches")
     return [base + (1 if i < extra else 0) for i in range(n_batches)]
 
 
@@ -210,6 +208,20 @@ def _pooled_group_variance(corrected, encoded) -> tuple[dict[float, float], floa
         num += (size - 1) * var
         dof += size - 1
     return groups, num / dof
+
+
+def _check_batches(n_items: int, n_batches: int) -> None:
+    """Every Monte Carlo metric needs >= 2 batches of >= 2 items each."""
+    if n_batches < 2:
+        raise ConfigError(f"n_batches must be >= 2 for a standard error, got {n_batches}")
+    if n_items // n_batches < 2:
+        raise ConfigError(f"n_batches: {n_items} items cannot fill {n_batches} batches")
+
+
+def _check_at_least(minimum: int, **values: int) -> None:
+    for name, value in values.items():
+        if value < minimum:
+            raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +264,15 @@ class PhaseExperimentConfig:
     histogram_bins: int = 100
     uniformity_bins: int = 10
     uniformity_stride: int = 100
+
+    def __post_init__(self) -> None:
+        _check_batches(self.n_pairs, self.n_batches)
+        _check_at_least(
+            1,
+            histogram_bins=self.histogram_bins,
+            uniformity_bins=self.uniformity_bins,
+            uniformity_stride=self.uniformity_stride,
+        )
 
 
 def _shot_noise_prediction(cfg) -> float:
@@ -382,6 +403,11 @@ class WeakReferenceSweepConfig:
     detector: ChannelDetector = field(default_factory=default_rig_detector)
     n_batches: int = 10
 
+    def __post_init__(self) -> None:
+        if not self.photon_numbers:
+            raise ConfigError("photon_numbers must not be empty")
+        _check_batches(self.n_pairs, self.n_batches)
+
 
 def run_weak_reference_sweep(
     config: WeakReferenceSweepConfig = WeakReferenceSweepConfig(),
@@ -467,6 +493,13 @@ class RemapExperimentConfig:
     scatter_rows: int = 24000
     uniformity_bins: int = 10
     uniformity_stride: int = 100
+
+    def __post_init__(self) -> None:
+        _check_batches(self.n_pairs, self.n_batches)
+        _check_at_least(0, scatter_rows=self.scatter_rows)
+        _check_at_least(
+            1, uniformity_bins=self.uniformity_bins, uniformity_stride=self.uniformity_stride
+        )
 
 
 def run_quantum_remap_experiment(
@@ -556,6 +589,11 @@ class LaserNoiseSweepConfig:
     laser_l: LaserModel = field(default_factory=default_lo_laser)
     n_batches: int = 10
 
+    def __post_init__(self) -> None:
+        if len(self.delays_s) < 2:
+            raise ConfigError(f"delays_s needs >= 2 delays, got {len(self.delays_s)}")
+        _check_batches(self.n_samples, self.n_batches)
+
 
 def run_laser_noise_sweep(
     config: LaserNoiseSweepConfig = LaserNoiseSweepConfig(),
@@ -566,8 +604,6 @@ def run_laser_noise_sweep(
     linear fit whose slope estimates 2/tau_c."""
     lasers = {"signal": config.laser_s, "lo": config.laser_l}
     per_batch = config.n_samples // config.n_batches
-    if per_batch < 2:
-        raise DomainError("n_samples too small for the configured batches")
 
     tasks = [
         (label, d_idx, batch)

@@ -183,3 +183,65 @@ class TestDeterminism:
         assert len(files_a) == 16  # 8 commands x (json + csv)
         for name in files_a:
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+
+BAD_CONFIGS = [
+    # (command, config file contents or None, --set overrides, path on stderr)
+    ("phase-exp", None, ["experiments.phase_exp.n_batches=0"],
+     "config.experiments.phase_exp: n_batches"),
+    ("weak-ref", None, ["experiments.weak_ref.n_batches=0"],
+     "config.experiments.weak_ref: n_batches"),
+    ("laser-noise", None, ["experiments.laser_noise.n_batches=0"],
+     "config.experiments.laser_noise: n_batches"),
+    ("phase-exp", None, ["experiments.phase_exp.n_batches=1"],
+     "config.experiments.phase_exp: n_batches"),
+    ("remap-exp", None, ["experiments.remap.n_batches=-1"],
+     "config.experiments.remap: n_batches"),
+    ("remap-exp", None, ["experiments.remap.n_pairs=19"],
+     "config.experiments.remap: n_batches"),
+    ("phase-exp", None, ["experiments.phase_exp.uniformity_stride=0"],
+     "config.experiments.phase_exp: uniformity_stride"),
+    ("remap-exp", None, ["experiments.remap.uniformity_stride=0"],
+     "config.experiments.remap: uniformity_stride"),
+    ("phase-exp", None, ["experiments.phase_exp.histogram_bins=0"],
+     "config.experiments.phase_exp: histogram_bins"),
+    ("phase-exp", None, ["experiments.phase_exp.uniformity_bins=0"],
+     "config.experiments.phase_exp: uniformity_bins"),
+    ("remap-exp", None, ["experiments.remap.uniformity_bins=0"],
+     "config.experiments.remap: uniformity_bins"),
+    ("remap-exp", None, ["experiments.remap.scatter_rows=-1"],
+     "config.experiments.remap: scatter_rows"),
+    ("weak-ref", None, ["experiments.weak_ref.photon_numbers=[]"],
+     "config.experiments.weak_ref: photon_numbers"),
+    ("laser-noise", None, ["experiments.laser_noise.delays_s=[2e-8]"],
+     "config.experiments.laser_noise: delays_s"),
+    ("keyrate-finite", None, ['security.swap_delta_terms="false"'],
+     "config.security.swap_delta_terms:"),
+    ("phase-exp", None, ['experiments.phase_exp.bpsk_phases=["a",1]'],
+     "config.experiments.phase_exp.bpsk_phases[0]:"),
+    ("keyrate-asymptotic", None, ["channel.fiber_length_km=NaN"],
+     "config.channel.fiber_length_km:"),
+    ("keyrate-asymptotic", None, ["channel.detector_efficiency=-Infinity"],
+     "config.channel.detector_efficiency:"),
+    ("laser-noise", None, ["laser_s.coherence_time_s=Infinity"],
+     "config.laser_s.coherence_time_s:"),
+    ("keyrate-asymptotic", {"seed": 3}, ["seed.x=1"], "config.seed:"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,file_config,sets,path", BAD_CONFIGS, ids=[" ".join(c[2]) for c in BAD_CONFIGS]
+)
+def test_bad_config_exits_2_naming_its_path(
+    tmp_path, capsys, command, file_config, sets, path
+):
+    args = [command, "--output-dir", str(tmp_path / "out")]
+    if file_config is not None:
+        config_file = tmp_path / "conf.json"
+        config_file.write_text(json.dumps(file_config))
+        args += ["--config", str(config_file)]
+    for value in sets:
+        args += ["--set", value]
+    assert main(args) == 2
+    assert path in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
