@@ -15,6 +15,7 @@ from .link_sim import (
     ChannelDetector,
     GaussianModulation,
     NoModulation,
+    PulseBlock,
     PulseTrainConfig,
     QuadratureSample,
     RunSeeds,

@@ -84,6 +84,10 @@ class _DistanceSweep:
     max_km: float = 150.0
     points: int = 31
 
+    def __post_init__(self) -> None:
+        if self.min_km < 0:
+            raise ConfigError(f"min_km must be >= 0, got {self.min_km}")
+
 
 @dataclass(frozen=True)
 class _NSweep:

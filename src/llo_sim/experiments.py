@@ -224,6 +224,26 @@ def _check_at_least(minimum: int, **values: int) -> None:
             raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
+def _check_pilot_aliasing(cfg) -> None:
+    """Midpoint interpolation aliases once the beat advances by pi between two
+    references (two pulse periods), so the deterministic beat frequency
+    ``(f_l - f_s) + 2*(r_l - r_s)*t`` must stay below ``1/(4*T)``.  It is
+    linear in ``t``, so its ends, ``t = 0`` and the last pulse of the longest
+    batch, bound it."""
+    period = cfg.repetition_period_s
+    limit = 1.0 / (4.0 * period)
+    longest = -(-cfg.n_pairs // cfg.n_batches)
+    offset = cfg.laser_l.center_detuning_hz - cfg.laser_s.center_detuning_hz
+    chirp = 2.0 * (cfg.laser_l.drift_rate_hz_per_s - cfg.laser_s.drift_rate_hz_per_s)
+    for t in (0.0, (2 * longest - 1) * period):
+        beat = offset + chirp * t
+        if abs(beat) >= limit:
+            raise ConfigError(
+                f"beat frequency {beat:g} Hz at t = {t:g} s reaches the pilot "
+                f"aliasing limit 1/(4*repetition_period_s) = {limit:g} Hz"
+            )
+
+
 # ---------------------------------------------------------------------------
 # Default experimental rig (bench-measured lasers and detector)
 
@@ -273,6 +293,7 @@ class PhaseExperimentConfig:
             uniformity_bins=self.uniformity_bins,
             uniformity_stride=self.uniformity_stride,
         )
+        _check_pilot_aliasing(self)
 
 
 def _shot_noise_prediction(cfg) -> float:
@@ -309,10 +330,10 @@ def run_bpsk_phase_experiment(
 
     def worker(i: int):
         train = replace(train_base, n_pairs=sizes[i])
-        samples = simulate_run(
+        block = simulate_run(
             train, lasers, config.detector, RunSeeds.from_seed(seed, "bpsk", i)
         )
-        rec = recover_run(samples)
+        rec = recover_run(block)
         n_use = rec.corrected_phases.size
         encoded = np.where(
             np.arange(n_use) % 2 == 0, config.bpsk_phases[0], config.bpsk_phases[1]
@@ -407,6 +428,7 @@ class WeakReferenceSweepConfig:
         if not self.photon_numbers:
             raise ConfigError("photon_numbers must not be empty")
         _check_batches(self.n_pairs, self.n_batches)
+        _check_pilot_aliasing(self)
 
 
 def run_weak_reference_sweep(
@@ -440,8 +462,8 @@ def run_weak_reference_sweep(
             modulation=seed_sequence(seed, "weak-ref", i, "modulation"),
             detector=seed_sequence(seed, "weak-ref", i, "detector", point),
         )
-        samples = simulate_run(train, lasers, config.detector, seeds)
-        rec = recover_run(samples)
+        block = simulate_run(train, lasers, config.detector, seeds)
+        rec = recover_run(block)
         encoded = np.where(
             np.arange(rec.corrected_phases.size) % 2 == 0,
             config.bpsk_phases[0],
@@ -500,6 +522,7 @@ class RemapExperimentConfig:
         _check_at_least(
             1, uniformity_bins=self.uniformity_bins, uniformity_stride=self.uniformity_stride
         )
+        _check_pilot_aliasing(self)
 
 
 def run_quantum_remap_experiment(
@@ -525,10 +548,10 @@ def run_quantum_remap_experiment(
 
     def worker(i: int):
         train = replace(train_base, n_pairs=sizes[i])
-        samples = simulate_run(
+        block = simulate_run(
             train, lasers, config.detector, RunSeeds.from_seed(seed, "remap", i)
         )
-        rec = recover_run(samples)
+        rec = recover_run(block)
         var_x = float(np.var(rec.remapped_x, ddof=1))
         var_p = float(np.var(rec.remapped_p, ddof=1))
         sigma = sigma_phi_from_quadratures((rec.remapped_x, rec.remapped_p))

@@ -18,14 +18,17 @@ channel/detection noise decomposition used by the security module.
 Pulse schedule (one run): R_0 S_0 R_1 S_1 ... with one repetition period
 between consecutive pulses, so signal ``i`` sits midway between references
 ``i`` and ``i+1``.  Pulse duration is collapsed to an instant; photon numbers
-are specified at the receiver input.
+are specified at the receiver input.  A run is one :class:`PulseBlock` of
+arrays in that order, the one place the schedule is stated: a pulse's kind
+follows from its position.  The phase sign convention of pilot recovery lives
+in one kernel in :mod:`llo_sim.phase_recovery`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence, Union
+from typing import Iterable, Iterator, Literal, Union
 
 import numpy as np
 
@@ -189,6 +192,36 @@ class QuadratureSample:
             raise DomainError(f"non-finite quadratures ({self.x}, {self.p})")
 
 
+@dataclass(frozen=True, eq=False)
+class PulseBlock:
+    """One run's pulses as arrays in schedule order R S R S ...: position ``k``
+    is a reference when ``k`` is even, a signal when it is odd.
+
+    ``true_phase`` is as in :class:`QuadratureSample`; iterating yields one
+    :class:`QuadratureSample` per pulse.
+    """
+
+    x: np.ndarray
+    p: np.ndarray
+    true_phase: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("x", "p", "true_phase"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.x.ndim != 1 or not (self.x.shape == self.p.shape == self.true_phase.shape):
+            raise ScheduleError("x, p and true_phase must be 1-d arrays of equal length")
+        if not (np.isfinite(self.x).all() and np.isfinite(self.p).all()):
+            raise DomainError("non-finite quadratures in pulse block")
+
+    def __len__(self) -> int:
+        return self.x.size
+
+    def __iter__(self) -> Iterator[QuadratureSample]:
+        columns = zip(self.x.tolist(), self.p.tolist(), self.true_phase.tolist())
+        for k, (x, p, true_phase) in enumerate(columns):
+            yield QuadratureSample(x, p, "signal" if k % 2 else "reference", k, true_phase)
+
+
 @dataclass(frozen=True)
 class ModulatedSymbols:
     """Alice's side of one run: target quadratures and encoded phases."""
@@ -288,12 +321,8 @@ def heterodyne_measure(
     response (useful as ground truth).
     """
     generator = None if rng is None else as_generator(rng)
-    x, p = _measure_arrays(
-        np.asarray(x_in, float), np.asarray(p_in, float), phase_offset, det, generator
-    )
-    return QuadratureSample(
-        x=float(x), p=float(p), kind=kind, index=index, true_phase=phase_offset
-    )
+    x, p = _measure_arrays(x_in, p_in, phase_offset, det, generator)
+    return QuadratureSample(float(x), float(p), kind, index, phase_offset)
 
 
 def simulate_run(
@@ -301,8 +330,8 @@ def simulate_run(
     lasers: tuple[LaserModel, LaserModel],
     det: ChannelDetector,
     seed,
-) -> list[QuadratureSample]:
-    """Simulate one interleaved run; returns samples in schedule order.
+) -> PulseBlock:
+    """Simulate one interleaved run; returns its pulses in schedule order.
 
     ``lasers`` is (signal laser, LO laser).  The per-pulse phase offset is the
     difference of the two lasers' phase trajectories plus a uniform random
@@ -313,23 +342,17 @@ def simulate_run(
     if train.n_pairs < 2:
         raise ScheduleError(f"need n_pairs >= 2, got {train.n_pairs}")
     laser_s, laser_l = lasers
-
     seeds = seed if isinstance(seed, RunSeeds) else RunSeeds.from_seed(int(seed))
-    rng_s = as_generator(seeds.laser_s)
-    rng_l = as_generator(seeds.laser_l)
-    rng_phi0 = as_generator(seeds.phase0)
-    rng_mod = as_generator(seeds.modulation)
-    rng_det = as_generator(seeds.detector)
 
     n = train.n_pairs
     times = np.arange(2 * n, dtype=float) * train.repetition_period_s
-    traj_s = sample_phase_trajectory(laser_s, times, rng_s)
-    traj_l = sample_phase_trajectory(laser_l, times, rng_l)
-    phi0 = float(rng_phi0.uniform(0.0, TWO_PI))
+    traj_s = sample_phase_trajectory(laser_s, times, seeds.laser_s)
+    traj_l = sample_phase_trajectory(laser_l, times, seeds.laser_l)
+    phi0 = float(as_generator(seeds.phase0).uniform(0.0, TWO_PI))
     phi = phi0 + traj_l.phases - traj_s.phases
 
     symbols = _draw_symbols(
-        train.modulation, train.signal_photons, np.arange(n), rng_mod
+        train.modulation, train.signal_photons, np.arange(n), as_generator(seeds.modulation)
     )
     ref_x, ref_p = coherent_amplitude(train.reference_photons)
 
@@ -338,23 +361,11 @@ def simulate_run(
     x_in[0::2], p_in[0::2] = ref_x, ref_p
     x_in[1::2], p_in[1::2] = symbols.x_a, symbols.p_a
 
-    x_out, p_out = _measure_arrays(x_in, p_in, phi, det, rng_det)
-
-    samples: list[QuadratureSample] = []
-    for k in range(2 * n):
-        samples.append(
-            QuadratureSample(
-                x=float(x_out[k]),
-                p=float(p_out[k]),
-                kind="reference" if k % 2 == 0 else "signal",
-                index=k,
-                true_phase=float(phi[k]),
-            )
-        )
-    return samples
+    x_out, p_out = _measure_arrays(x_in, p_in, phi, det, as_generator(seeds.detector))
+    return PulseBlock(x_out, p_out, phi)
 
 
-def export_samples_csv(samples: Sequence[QuadratureSample], path) -> None:
+def export_samples_csv(samples: Iterable[QuadratureSample], path) -> None:
     """Write raw samples as CSV with columns (index, kind, x, p, true_phase)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("index,kind,x,p,true_phase\n")

@@ -5,13 +5,17 @@ Sign conventions, fixed once here and used everywhere:
 * A pulse measured at LO-vs-signal phase offset ``phi`` lands at angle
   ``theta_enc - phi`` in Bob's phase space (``theta_enc`` is the encoded
   phase, 0 for reference pulses).
-* :func:`estimate_phase` therefore returns ``-atan2(p, x)``, which recovers
-  ``+phi`` from a reference pulse.
+* A reference pulse therefore gives ``phi = -atan2(p, x)``, and signal ``i``
+  takes the shorter-arc midpoint of references ``i`` and ``i+1``.  Each rule
+  is written once, in the kernel ``_reference_phases`` / ``_midpoints`` that
+  :func:`estimate_phase`, :func:`interpolate_phase`, :func:`correct_phases`
+  and :func:`recover_run` call.
 * Raw signal phases are the plain ``atan2(p, x)`` (i.e. ``theta_enc - phi``),
   so the correction is an addition: ``corrected = raw + interpolated_phi``.
 * :func:`remap_quadratures` rotates by ``+phi`` and undoes the measurement
   rotation.
 
+The R S R S schedule of a run is stated in :class:`llo_sim.link_sim.PulseBlock`.
 All angles live in the principal range (-pi, pi].
 """
 
@@ -25,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, EstimationError, ScheduleError
+from .link_sim import PulseBlock
 
 TWO_PI = 2.0 * math.pi
 
@@ -57,11 +62,27 @@ class PhaseEstimate:
             )
 
 
+def _reference_phases(x_r, p_r):
+    """LO phase offsets ``-atan2(p, x)`` of reference-pulse measurements."""
+    if np.any((x_r == 0.0) & (p_r == 0.0)):
+        raise EstimationError("phase of the zero vector is undefined")
+    return wrap_phase(-np.arctan2(p_r, x_r))
+
+
+def _midpoints(ref_phases: np.ndarray) -> tuple[np.ndarray, int]:
+    """Shorter-arc midpoint of each pair of consecutive reference phases.
+
+    Also returns how many pairs were exactly antipodal; such a pair is broken
+    towards the positive direction.
+    """
+    deltas = wrap_phase(np.diff(ref_phases))
+    n_ties = int(np.count_nonzero(deltas == math.pi))
+    return wrap_phase(ref_phases[:-1] + 0.5 * deltas), n_ties
+
+
 def estimate_phase(x_r: float, p_r: float) -> float:
     """LO phase offset from one reference-pulse measurement, ``-atan2(p, x)``."""
-    if x_r == 0.0 and p_r == 0.0:
-        raise EstimationError("phase of the zero vector is undefined")
-    return wrap_phase(-math.atan2(p_r, x_r))
+    return _reference_phases(np.asarray(x_r, float), np.asarray(p_r, float))
 
 
 def interpolate_phase(phi_i: float, phi_next: float) -> float:
@@ -76,8 +97,8 @@ def interpolate_phase(phi_i: float, phi_next: float) -> float:
     for name, value in (("phi_i", phi_i), ("phi_next", phi_next)):
         if not (-math.pi < value <= math.pi):
             raise DomainError(f"{name}={value} outside principal range (-pi, pi]")
-    delta = wrap_phase(phi_next - phi_i)
-    return wrap_phase(phi_i + 0.5 * delta)
+    midpoints, _ = _midpoints(np.array([phi_i, phi_next], dtype=float))
+    return float(midpoints[0])
 
 
 def remap_quadratures(x_b, p_b, phi):
@@ -107,13 +128,8 @@ def correct_phases(raw, references: Sequence[PhaseEstimate]) -> np.ndarray:
     ref_values = np.array(
         [r.value if isinstance(r, PhaseEstimate) else float(r) for r in references]
     )
-    midpoints = _circular_midpoints(ref_values)
+    midpoints, _ = _midpoints(ref_values)
     return wrap_phase(raw + midpoints)
-
-
-def _circular_midpoints(ref_values: np.ndarray) -> np.ndarray:
-    deltas = wrap_phase(np.diff(ref_values))
-    return wrap_phase(ref_values[:-1] + 0.5 * deltas)
 
 
 def predicted_sigma_phi(var_s: float, var_l: float) -> float:
@@ -161,12 +177,11 @@ def residual_variance(corrected, encoded) -> dict[float, float]:
 def sigma_phi_from_quadratures(samples) -> float:
     """Phase-noise variance from remapped quadratures of an unmodulated train.
 
-    Implements ``(Var[p'] - Var[x']) / mean[x']^2``.  ``samples`` is either a
-    sequence of objects with ``x``/``p`` attributes or an ``(x, p)`` pair of
-    arrays.  Requires at least 100 samples and a mean X quadrature that is
-    resolvable above its own standard error.
+    Implements ``(Var[p'] - Var[x']) / mean[x']^2``.  ``samples`` is an
+    ``(x, p)`` pair of arrays.  Requires at least 100 samples and a mean X
+    quadrature that is resolvable above its own standard error.
     """
-    x, p = _as_xy_arrays(samples)
+    x, p = (np.asarray(q, dtype=float) for q in samples)
     n = x.size
     if n < 100:
         raise EstimationError(f"need >= 100 samples, got {n}")
@@ -178,14 +193,6 @@ def sigma_phi_from_quadratures(samples) -> float:
             "mean X quadrature indistinguishable from 0; estimator ill-conditioned"
         )
     return (var_p - var_x) / mean_x**2
-
-
-def _as_xy_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(samples, tuple) and len(samples) == 2:
-        return np.asarray(samples[0], float), np.asarray(samples[1], float)
-    xs = np.array([s.x for s in samples], dtype=float)
-    ps = np.array([s.p for s in samples], dtype=float)
-    return xs, ps
 
 
 @dataclass(frozen=True)
@@ -202,7 +209,8 @@ class RecoveredRun:
     """Vectorised result of recovering one simulated run.
 
     Arrays cover the usable signals only (the final signal of a run has no
-    following reference and is dropped; see ``diagnostics``).
+    following reference and is dropped; see ``diagnostics``).  The signal
+    quadratures and true phases are views into the recovered block.
     """
 
     signal_x: np.ndarray
@@ -216,45 +224,23 @@ class RecoveredRun:
     diagnostics: RecoveryDiagnostics
 
 
-def estimate_reference_phases(samples) -> list[PhaseEstimate]:
-    """Phase estimates for every reference pulse in a run, schedule order."""
-    return [
-        PhaseEstimate(value=estimate_phase(s.x, s.p), source_index=s.index)
-        for s in samples
-        if s.kind == "reference"
-    ]
-
-
-def recover_run(samples) -> RecoveredRun:
+def recover_run(block: PulseBlock) -> RecoveredRun:
     """Run the full feedforward pipeline over one simulated pulse train.
 
-    Expects the strict R S R S ... schedule produced by
+    Expects the strict R S R S ... schedule of a :class:`PulseBlock` from
     :func:`llo_sim.link_sim.simulate_run`.  Signal ``i`` is interpolated from
     references ``i`` and ``i+1``; the last signal is dropped for lack of a
     following reference.
     """
-    refs = [s for s in samples if s.kind == "reference"]
-    sigs = [s for s in samples if s.kind == "signal"]
-    if len(refs) != len(sigs):
-        raise ScheduleError(
-            f"expected alternating schedule, got {len(refs)} references "
-            f"and {len(sigs)} signals"
-        )
-    if len(sigs) < 2:
-        raise ScheduleError("need at least 2 signal/reference pairs")
+    n_pulses = len(block)
+    if n_pulses % 2 or n_pulses < 4:
+        raise ScheduleError(f"need >= 2 R S pairs, got {n_pulses} pulses")
 
-    n_usable = len(sigs) - 1
-    sig_x = np.array([s.x for s in sigs[:n_usable]])
-    sig_p = np.array([s.p for s in sigs[:n_usable]])
-    true_phases = np.array(
-        [math.nan if s.true_phase is None else s.true_phase for s in sigs[:n_usable]]
-    )
+    ref_phases = _reference_phases(block.x[0::2], block.p[0::2])
+    interpolated, n_ties = _midpoints(ref_phases)
 
-    ref_values = np.array([estimate_phase(s.x, s.p) for s in refs])
-    deltas = wrap_phase(np.diff(ref_values))
-    n_ties = int(np.count_nonzero(deltas == math.pi))
-    interpolated = wrap_phase(ref_values[:-1] + 0.5 * deltas)
-
+    sig_x = block.x[1:-1:2]
+    sig_p = block.p[1:-1:2]
     raw = np.arctan2(sig_p, sig_x)
     corrected = wrap_phase(raw + interpolated)
     remapped_x, remapped_p = remap_quadratures(sig_x, sig_p, interpolated)
@@ -267,9 +253,9 @@ def recover_run(samples) -> RecoveredRun:
         corrected_phases=corrected,
         remapped_x=remapped_x,
         remapped_p=remapped_p,
-        true_phases=true_phases,
+        true_phases=block.true_phase[1:-1:2],
         diagnostics=RecoveryDiagnostics(
-            n_signals_total=len(sigs),
+            n_signals_total=n_pulses // 2,
             n_dropped_boundary=1,
             n_antipodal_ties=n_ties,
         ),

@@ -226,6 +226,10 @@ BAD_CONFIGS = [
     ("laser-noise", None, ["laser_s.coherence_time_s=Infinity"],
      "config.laser_s.coherence_time_s:"),
     ("keyrate-asymptotic", {"seed": 3}, ["seed.x=1"], "config.seed:"),
+    ("sweep-distance", None, ["experiments.distance_sweep.min_km=-5"],
+     "config.experiments.distance_sweep: min_km"),
+    ("phase-exp", None, ["laser_l.center_detuning_hz=2e7"], "config.experiments."),
+    ("remap-exp", None, ["laser_l.drift_rate_hz_per_s=1e11"], "config.experiments."),
 ]
 
 

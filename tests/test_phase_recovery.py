@@ -5,7 +5,7 @@ import pytest
 
 from llo_sim._seeding import substream
 from llo_sim.errors import DomainError, EstimationError, ScheduleError
-from llo_sim.link_sim import ChannelDetector, PulseTrainConfig, simulate_run
+from llo_sim.link_sim import ChannelDetector, PulseBlock, PulseTrainConfig, simulate_run
 from llo_sim.noise_models import LaserModel
 from llo_sim.phase_recovery import (
     PhaseEstimate,
@@ -240,13 +240,6 @@ class TestSigmaPhiFromQuadratures:
         with pytest.raises(EstimationError):
             sigma_phi_from_quadratures((np.ones(50), np.ones(50)))
 
-    def test_accepts_sample_objects(self):
-        x, p = self._cloud(0.05, 5000, 79)
-        samples = [type("S", (), {"x": xi, "p": pi})() for xi, pi in zip(x, p)]
-        est_objects = sigma_phi_from_quadratures(samples)
-        est_arrays = sigma_phi_from_quadratures((x, p))
-        assert est_objects == pytest.approx(est_arrays, rel=1e-12)
-
 
 class TestMidpointEstimatorOracle:
     def test_wiener_noise_reaches_closed_form(self):
@@ -301,9 +294,19 @@ class TestRecoverRun:
         assert np.var(err) == pytest.approx(0.0395, rel=0.3)
 
     def test_unbalanced_schedule_rejected(self):
-        samples = self._run(n_pairs=10)
+        block = self._run(n_pairs=10)
+        odd = PulseBlock(block.x[:-1], block.p[:-1], block.true_phase[:-1])
         with pytest.raises(ScheduleError):
-            recover_run(samples[:-1])
+            recover_run(odd)
+
+    def test_shares_the_scalar_kernel(self):
+        # The vectorised path and the scalar estimate/interpolate wrappers
+        # apply one sign and midpoint convention.
+        block = self._run(n_pairs=500, seed=95)
+        rec = recover_run(block)
+        refs = [estimate_phase(x, p) for x, p in zip(block.x[0::2], block.p[0::2])]
+        for i, value in enumerate(rec.interpolated_phases):
+            assert abs(wrap_phase(value - interpolate_phase(refs[i], refs[i + 1]))) <= 4e-15
 
     def test_noiseless_lasers_floor(self):
         # With noiseless lasers and strong pulses the residual variance is
