@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import chi2
 
 from . import __version__
 from ._seeding import seed_sequence
@@ -161,14 +160,36 @@ def linear_fit(x, y) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
+def _chi2_sf(stat: float, dof: int) -> float:
+    """``P(chi2_dof > stat)`` for integer ``dof >= 1``: the regularised upper
+    gamma ``Q(dof/2, y)``, ``y = stat/2``, in closed form.  It is ``erfc(sqrt(y))``
+    for odd ``dof`` only, plus ``exp(-y) * y**s / Gamma(s + 1)`` summed over
+    ``s = dof/2 - 1, dof/2 - 2, ... >= 0``; each term is taken in log space so
+    that neither ``exp(-y)`` nor ``y**s`` over- or underflows alone."""
+    y = stat / 2.0
+    if y <= 0.0:
+        return 1.0
+    total = math.erfc(math.sqrt(y)) if dof % 2 else 0.0
+    log_y = math.log(y)
+    s = dof / 2.0 - 1.0
+    while s >= 0.0:
+        total += math.exp(s * log_y - y - math.lgamma(s + 1.0))
+        s -= 1.0
+    return min(total, 1.0)
+
+
 def uniformity_pvalue(phases, *, n_bins: int = 10, stride: int = 100) -> float:
     """Chi-square p-value for uniformity of phases on [0, 2*pi).
 
     Consecutive pulses of a run are serially correlated (the beat phase is a
     random walk), which would inflate a naive chi-square statistic; the test
     therefore thins the sequence to every ``stride``-th phase, which is
-    decorrelated at the default experiment parameters.
+    decorrelated at the default experiment parameters.  The tail probability
+    of the statistic with ``n_bins - 1`` degrees of freedom comes from the
+    closed-form regularised upper gamma of :func:`_chi2_sf`.
     """
+    if n_bins < 2:
+        raise DomainError(f"a chi-square test needs >= 2 bins, got {n_bins}")
     ph = np.mod(np.asarray(phases, dtype=float), TWO_PI)
     thinned = ph[::stride]
     if thinned.size < 5 * n_bins:
@@ -178,7 +199,7 @@ def uniformity_pvalue(phases, *, n_bins: int = 10, stride: int = 100) -> float:
     counts, _ = np.histogram(thinned, bins=n_bins, range=(0.0, TWO_PI))
     expected = thinned.size / n_bins
     stat = float(((counts - expected) ** 2 / expected).sum())
-    return float(chi2.sf(stat, n_bins - 1))
+    return _chi2_sf(stat, n_bins - 1)
 
 
 def _map_ordered(fn: Callable, args: Sequence, threads: int | None) -> list:
@@ -222,6 +243,21 @@ def _check_at_least(minimum: int, **values: int) -> None:
     for name, value in values.items():
         if value < minimum:
             raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _check_uniformity_test(cfg) -> None:
+    """:func:`uniformity_pvalue` needs >= 2 bins and >= 5 thinned raw phases
+    per bin.  Each batch drops its last signal (no closing reference), so a
+    run pools ``n_pairs - n_batches`` raw phases."""
+    _check_at_least(2, uniformity_bins=cfg.uniformity_bins)
+    _check_at_least(1, uniformity_stride=cfg.uniformity_stride)
+    thinned = -(-(cfg.n_pairs - cfg.n_batches) // cfg.uniformity_stride)
+    if thinned < 5 * cfg.uniformity_bins:
+        raise ConfigError(
+            f"uniformity_stride: {cfg.n_pairs - cfg.n_batches} raw phases at stride "
+            f"{cfg.uniformity_stride} leave {thinned} samples, fewer than 5 per bin "
+            f"for uniformity_bins = {cfg.uniformity_bins}"
+        )
 
 
 def _check_pilot_aliasing(cfg) -> None:
@@ -287,12 +323,8 @@ class PhaseExperimentConfig:
 
     def __post_init__(self) -> None:
         _check_batches(self.n_pairs, self.n_batches)
-        _check_at_least(
-            1,
-            histogram_bins=self.histogram_bins,
-            uniformity_bins=self.uniformity_bins,
-            uniformity_stride=self.uniformity_stride,
-        )
+        _check_at_least(1, histogram_bins=self.histogram_bins)
+        _check_uniformity_test(self)
         _check_pilot_aliasing(self)
 
 
@@ -519,9 +551,7 @@ class RemapExperimentConfig:
     def __post_init__(self) -> None:
         _check_batches(self.n_pairs, self.n_batches)
         _check_at_least(0, scatter_rows=self.scatter_rows)
-        _check_at_least(
-            1, uniformity_bins=self.uniformity_bins, uniformity_stride=self.uniformity_stride
-        )
+        _check_uniformity_test(self)
         _check_pilot_aliasing(self)
 
 

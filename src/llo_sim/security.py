@@ -50,8 +50,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from scipy.stats import norm
-
 from .errors import ConfigError, DomainError, NumericalDomainError
 from .link_sim import ChannelDetector
 
@@ -305,9 +303,43 @@ class PessimisticBounds:
     n_estimation_samples: int
 
 
+def _log_erfc(x: float) -> tuple[float, float]:
+    """``(log erfc(x), exp(-x**2) / erfc(x))`` for ``x >= 0``.  Past ``x = 26``
+    ``erfc`` nears the subnormal range, so both come from the asymptotic series
+    ``erfc(x) = exp(-x**2) / (x*sqrt(pi)) * sum_k (-1)**k (2k-1)!! / (2x**2)**k``."""
+    if x < 26.0:
+        q = math.erfc(x)
+        log_q = math.log1p(-math.erf(x)) if x < 0.5 else math.log(q)
+        return log_q, math.exp(-x * x) / q
+    term = series = 1.0
+    for k in range(1, 12):
+        term *= -(2 * k - 1) / (2.0 * x * x)
+        series += term
+    ratio = x * math.sqrt(math.pi) / series
+    return -x * x - math.log(ratio), ratio
+
+
+def _two_sided_normal_quantile(eps: float) -> float:
+    """``z = Phi^-1(1 - eps/2)``: Newton's method on ``log erfc(z/sqrt(2)) =
+    log(eps)``, which stays finite down to ``eps = 5e-324``.  ``log erfc`` is
+    concave and the start lies past the root, so the iterates fall onto it."""
+    target = math.log(eps)
+    x = math.sqrt(-target)  # erfc(x) <= exp(-x**2), so log erfc(x) <= target
+    for _ in range(50):
+        log_q, ratio = _log_erfc(x)
+        step = (log_q - target) * math.sqrt(math.pi) / (2.0 * ratio)
+        x += step
+        if abs(step) <= 1e-15 * x:
+            break
+    return math.sqrt(2.0) * x
+
+
 def pessimistic_parameter_bounds(params: SecurityParams, n: int) -> PessimisticBounds:
     """Gaussian confidence bounds on (T, excess noise) from ``pe_fraction * n``
     estimation samples at level ``eps_pe``, radii scaled by ``pe_radius_scale``.
+
+    Each radius is ``z = Phi^-1(1 - eps_pe/2)`` standard errors, found by
+    :func:`_two_sided_normal_quantile` from ``math.erfc`` in log space.
     """
     m = int(params.pe_fraction * n)
     if m < 2:
@@ -322,7 +354,7 @@ def pessimistic_parameter_bounds(params: SecurityParams, n: int) -> PessimisticB
 
     gain = math.sqrt(t_chan * eta / 2.0)  # amplitude gain Alice -> Bob
     sigma2 = 1.0 + nu + gain * gain * eps  # measured conditional noise
-    z = float(norm.isf(params.epsilons.eps_pe / 2.0)) * params.pe_radius_scale
+    z = _two_sided_normal_quantile(params.epsilons.eps_pe) * params.pe_radius_scale
 
     d_gain = z * math.sqrt(sigma2 / (m * params.modulation_variance))
     d_sigma2 = z * sigma2 * math.sqrt(2.0 / m)

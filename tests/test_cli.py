@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import llo_sim
 from llo_sim.cli import main
 from llo_sim.config import parse_config
 from llo_sim.errors import ConfigError
@@ -185,6 +190,40 @@ class TestDeterminism:
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
 
+def _run_child(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this ``llo_sim``."""
+    src = str(Path(llo_sim.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+class TestWithoutScipy:
+    def test_all_runs_with_scipy_blocked(self, tmp_path):
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None  # any import of scipy now raises\n"
+            "from llo_sim.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        child = _run_child(code, "all", "--output-dir", str(tmp_path), *SMALL_ALL_ARGS)
+        assert child.returncode == 0, child.stderr
+        assert len(list(tmp_path.iterdir())) == 16
+
+    def test_cli_import_loads_no_scipy(self):
+        code = (
+            "import sys\n"
+            "import llo_sim.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        child = _run_child(code)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "[]"
+
+
 BAD_CONFIGS = [
     # (command, config file contents or None, --set overrides, path on stderr)
     ("phase-exp", None, ["experiments.phase_exp.n_batches=0"],
@@ -209,6 +248,14 @@ BAD_CONFIGS = [
      "config.experiments.phase_exp: uniformity_bins"),
     ("remap-exp", None, ["experiments.remap.uniformity_bins=0"],
      "config.experiments.remap: uniformity_bins"),
+    ("phase-exp", None, ["experiments.phase_exp.uniformity_bins=1"],
+     "config.experiments.phase_exp: uniformity_bins"),
+    ("remap-exp", None, ["experiments.remap.uniformity_bins=1"],
+     "config.experiments.remap: uniformity_bins"),
+    ("phase-exp", None, ["train.n_pairs=2000"],
+     "config.experiments.phase_exp: uniformity_stride"),
+    ("remap-exp", None, ["experiments.remap.n_pairs=2000"],
+     "config.experiments.remap: uniformity_stride"),
     ("remap-exp", None, ["experiments.remap.scatter_rows=-1"],
      "config.experiments.remap: scatter_rows"),
     ("weak-ref", None, ["experiments.weak_ref.photon_numbers=[]"],

@@ -8,6 +8,7 @@ from llo_sim._seeding import substream
 from llo_sim.errors import DomainError
 from llo_sim.experiments import (
     LaserNoiseSweepConfig,
+    _chi2_sf,
     PhaseExperimentConfig,
     RemapExperimentConfig,
     WeakReferenceSweepConfig,
@@ -73,6 +74,20 @@ class TestHelpers:
     def test_uniformity_needs_samples(self):
         with pytest.raises(DomainError):
             uniformity_pvalue(np.zeros(100), n_bins=10, stride=100)
+        with pytest.raises(DomainError):
+            uniformity_pvalue(np.zeros(100), n_bins=1, stride=1)
+
+    def test_chi2_tail_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        grid = [0.0, 1e-12, 3.4382769211433e-6, 1e-3, 0.5, 1.0,
+                *np.linspace(2.0, 300.0, 150).tolist()]
+        for dof in range(1, 41):
+            for stat in grid:
+                p = _chi2_sf(stat, dof)
+                assert 0.0 <= p <= 1.0, (dof, stat)  # the summed terms can round past 1
+                assert p == pytest.approx(
+                    float(stats.chi2.sf(stat, dof)), rel=1e-12, abs=0.0
+                ), (dof, stat)
 
 
 class TestBpskExperiment:

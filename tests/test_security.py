@@ -8,6 +8,7 @@ from llo_sim.errors import ConfigError, DomainError
 from llo_sim.link_sim import ChannelDetector
 from llo_sim.security import (
     EpsilonBudget,
+    _two_sided_normal_quantile,
     NoiseBudget,
     SecurityParams,
     asymptotic_key_rate,
@@ -234,7 +235,32 @@ class TestPessimisticBounds:
         assert worst_case_holevo(params, 10**6) >= worst_case_holevo(params, 10**12)
 
 
+class TestNormalQuantile:
+    GRID = [0.9, 0.5, 1e-3, 1e-20, 1e-41, 1e-100, 1e-300, 1e-320,
+            *np.logspace(-300, -0.05, 200).tolist()]
+
+    def test_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        for eps in self.GRID:
+            assert _two_sided_normal_quantile(eps) == pytest.approx(
+                float(stats.norm.isf(eps / 2.0)), rel=1e-12
+            ), eps
+
+    def test_smallest_double_matches_log_space_reference(self):
+        # eps/2 underflows to 0 here, where norm.isf(0) is inf.
+        special = pytest.importorskip("scipy.special")
+        eps = 5e-324
+        reference = -float(special.ndtri_exp(math.log(eps) - math.log(2.0)))
+        assert _two_sided_normal_quantile(eps) == pytest.approx(reference, rel=1e-12)
+
+
 class TestFiniteSizeRate:
+    def test_finite_at_smallest_eps_pe(self):
+        params = replace(
+            reference_params(10.0), epsilons=EpsilonBudget(eps_pe=5e-324)
+        )
+        assert math.isfinite(finite_size_key_rate(params, 10**12))
+
     def test_negative_at_small_n(self):
         assert finite_size_key_rate(perfect_detector_params(), 10**6) <= 0.0
 
