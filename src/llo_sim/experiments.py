@@ -15,6 +15,7 @@ named ``<experiment>-<seed>.{json,csv}``.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -34,6 +35,7 @@ from .link_sim import (
     NoModulation,
     PulseTrainConfig,
     RunSeeds,
+    alice_symbols,
     simulate_run,
 )
 from .noise_models import LaserModel, phase_noise_variance, simulate_self_interference
@@ -107,16 +109,20 @@ def result_to_json(result: ExperimentResult) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
-
-
 def result_to_csv(result: ExperimentResult) -> str:
+    """The series as CSV: a header of ``series_columns``, then one line per row.
+
+    Each column takes one ``%`` format from its cell in the first row:
+    ``%.17g`` (round-trip precision; ``nan``, ``inf``, ``-0``) for a Python or
+    numpy float, ``%s`` for anything else.  No rows give the header only.
+    """
     lines = [",".join(result.series_columns)]
-    for row in result.series_rows:
-        lines.append(",".join(_format_cell(v) for v in row))
+    if result.series_rows:
+        row_format = ",".join(
+            "%.17g" if isinstance(cell, (float, np.floating)) else "%s"
+            for cell in result.series_rows[0]
+        )
+        lines += [row_format % row for row in result.series_rows]
     return "\n".join(lines) + "\n"
 
 
@@ -245,6 +251,16 @@ def _check_at_least(minimum: int, **values: int) -> None:
             raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
+def _check_sweep_points(name: str, points, label: Callable[[float], str]) -> None:
+    """Sweep points are >= 0 and their metric labels distinct, so no point
+    overwrites another in the result."""
+    if not all(point >= 0 for point in points):
+        raise ConfigError(f"{name} must all be >= 0, got {list(points)}")
+    labels = [label(point) for point in points]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"{name} must label distinct result metrics, got {labels}")
+
+
 def _check_uniformity_test(cfg) -> None:
     """:func:`uniformity_pvalue` needs >= 2 bins and >= 5 thinned raw phases
     per bin.  Each batch drops its last signal (no closing reference), so a
@@ -339,6 +355,21 @@ def _shot_noise_prediction(cfg) -> float:
     return per_signal + 0.5 * per_reference
 
 
+def _recovered_batch(config, modulation, reference_photons: float, n_pairs: int, seeds):
+    """Simulate and recover one sub-batch: its :class:`RecoveredRun` and the
+    encoded phase of each usable signal, regenerated from the same seeds."""
+    train = PulseTrainConfig(
+        repetition_period_s=config.repetition_period_s,
+        n_pairs=n_pairs,
+        signal_photons=config.signal_photons,
+        reference_photons=reference_photons,
+        modulation=modulation,
+    )
+    block = simulate_run(train, (config.laser_s, config.laser_l), config.detector, seeds)
+    rec = recover_run(block)
+    return rec, alice_symbols(train, seeds).encoded_phase[: rec.corrected_phases.size]
+
+
 def run_bpsk_phase_experiment(
     config: PhaseExperimentConfig = PhaseExperimentConfig(),
     seed: int = 0,
@@ -350,93 +381,59 @@ def run_bpsk_phase_experiment(
     variances, the closed-form prediction they should match, and the
     uniformity p-value of the raw phases.
     """
-    train_base = PulseTrainConfig(
-        repetition_period_s=config.repetition_period_s,
-        n_pairs=2,  # per-batch size set below
-        signal_photons=config.signal_photons,
-        reference_photons=config.reference_photons,
-        modulation=BPSKModulation(*config.bpsk_phases),
-    )
-    lasers = (config.laser_s, config.laser_l)
+    modulation = BPSKModulation(*config.bpsk_phases)
     sizes = _batch_sizes(config.n_pairs, config.n_batches)
+    recs, encoded = zip(*_map_ordered(
+        lambda i: _recovered_batch(
+            config, modulation, config.reference_photons, sizes[i],
+            RunSeeds.from_seed(seed, "bpsk", i),
+        ),
+        range(config.n_batches), threads,
+    ))
+    corrected = [rec.corrected_phases for rec in recs]
+    groups, pooled = zip(*map(_pooled_group_variance, corrected, encoded))
 
-    def worker(i: int):
-        train = replace(train_base, n_pairs=sizes[i])
-        block = simulate_run(
-            train, lasers, config.detector, RunSeeds.from_seed(seed, "bpsk", i)
-        )
-        rec = recover_run(block)
-        n_use = rec.corrected_phases.size
-        encoded = np.where(
-            np.arange(n_use) % 2 == 0, config.bpsk_phases[0], config.bpsk_phases[1]
-        )
-        groups, pooled = _pooled_group_variance(rec.corrected_phases, encoded)
-        return groups, pooled, rec.raw_phases, rec.corrected_phases, encoded, rec.diagnostics
-
-    outputs = _map_ordered(worker, list(range(config.n_batches)), threads)
-
-    bit0, bit1 = config.bpsk_phases
-    var_bit0 = batch_metric([out[0][bit0] for out in outputs])
-    var_bit1 = batch_metric([out[0][bit1] for out in outputs])
-    var_pooled = batch_metric([out[1] for out in outputs])
-
-    raw_all = np.concatenate([out[2] for out in outputs])
-    corrected_all = np.concatenate([out[3] for out in outputs])
-    encoded_all = np.concatenate([out[4] for out in outputs])
+    raw_all = np.concatenate([rec.raw_phases for rec in recs])
+    corrected_all = np.concatenate(corrected)
+    encoded_all = np.concatenate(encoded)
 
     p_uniform = uniformity_pvalue(
         raw_all, n_bins=config.uniformity_bins, stride=config.uniformity_stride
     )
-
     laser_var = predicted_sigma_phi(
         phase_noise_variance(config.repetition_period_s, config.laser_s),
         phase_noise_variance(config.repetition_period_s, config.laser_l),
     )
-    predicted_total = laser_var + _shot_noise_prediction(config)
 
+    bit0, bit1 = config.bpsk_phases
     edges = np.linspace(0.0, TWO_PI, config.histogram_bins + 1)
-    rows = []
-    hists = {}
-    for label, phases, mask in (
-        ("raw_bit0", raw_all, encoded_all == bit0),
-        ("raw_bit1", raw_all, encoded_all == bit1),
-        ("corrected_bit0", corrected_all, encoded_all == bit0),
-        ("corrected_bit1", corrected_all, encoded_all == bit1),
-    ):
-        hists[label], _ = np.histogram(np.mod(phases[mask], TWO_PI), bins=edges)
-    for b in range(config.histogram_bins):
-        rows.append(
-            (
-                float(edges[b]),
-                int(hists["raw_bit0"][b]),
-                int(hists["raw_bit1"][b]),
-                int(hists["corrected_bit0"][b]),
-                int(hists["corrected_bit1"][b]),
-            )
-        )
+    columns = [edges[:-1]] + [
+        np.histogram(np.mod(phases[encoded_all == bit], TWO_PI), bins=edges)[0]
+        for phases in (raw_all, corrected_all)
+        for bit in (bit0, bit1)
+    ]
 
-    n_dropped = sum(out[5].n_dropped_boundary for out in outputs)
-    n_ties = sum(out[5].n_antipodal_ties for out in outputs)
     return ExperimentResult(
         name="phase-exp",
         scalar_metrics={
-            "residual_variance_bit0": var_bit0,
-            "residual_variance_bit1": var_bit1,
-            "residual_variance_pooled": var_pooled,
+            "residual_variance_bit0": batch_metric([g[bit0] for g in groups]),
+            "residual_variance_bit1": batch_metric([g[bit1] for g in groups]),
+            "residual_variance_pooled": batch_metric(pooled),
             "predicted_sigma_phi_lasers": Metric(laser_var, exact=True),
-            "predicted_residual_variance": Metric(predicted_total, exact=True),
+            "predicted_residual_variance": Metric(
+                laser_var + _shot_noise_prediction(config), exact=True
+            ),
             "raw_phase_uniformity_pvalue": Metric(p_uniform, exact=True),
         },
         series_columns=(
-            "bin_left_rad",
-            "raw_bit0",
-            "raw_bit1",
-            "corrected_bit0",
-            "corrected_bit1",
+            "bin_left_rad", "raw_bit0", "raw_bit1", "corrected_bit0", "corrected_bit1"
         ),
-        series_rows=rows,
-        metadata=_metadata("phase-exp", seed, config,
-                           dropped_boundary_pulses=n_dropped, antipodal_ties=n_ties),
+        series_rows=list(zip(*(c.tolist() for c in columns))),
+        metadata=_metadata(
+            "phase-exp", seed, config,
+            dropped_boundary_pulses=sum(r.diagnostics.n_dropped_boundary for r in recs),
+            antipodal_ties=sum(r.diagnostics.n_antipodal_ties for r in recs),
+        ),
     )
 
 
@@ -459,6 +456,7 @@ class WeakReferenceSweepConfig:
     def __post_init__(self) -> None:
         if not self.photon_numbers:
             raise ConfigError("photon_numbers must not be empty")
+        _check_sweep_points("photon_numbers", self.photon_numbers, lambda n: f"{n:g}")
         _check_batches(self.n_pairs, self.n_batches)
         _check_pilot_aliasing(self)
 
@@ -475,57 +473,39 @@ def run_weak_reference_sweep(
     That mirrors re-detecting one run at different reference powers and keeps
     the sweep's monotonicity free of trajectory-to-trajectory noise.
     """
-    lasers = (config.laser_s, config.laser_l)
+    modulation = BPSKModulation(*config.bpsk_phases)
     sizes = _batch_sizes(config.n_pairs, config.n_batches)
 
-    def worker(task):
-        i, point, n_ref = task
-        train = PulseTrainConfig(
-            repetition_period_s=config.repetition_period_s,
-            n_pairs=sizes[i],
-            signal_photons=config.signal_photons,
-            reference_photons=n_ref,
-            modulation=BPSKModulation(*config.bpsk_phases),
-        )
-        seeds = RunSeeds(
-            laser_s=seed_sequence(seed, "weak-ref", i, "laser-s"),
-            laser_l=seed_sequence(seed, "weak-ref", i, "laser-l"),
-            phase0=seed_sequence(seed, "weak-ref", i, "phase0"),
-            modulation=seed_sequence(seed, "weak-ref", i, "modulation"),
+    def pooled_variance(task) -> float:
+        point, i = task
+        seeds = replace(
+            RunSeeds.from_seed(seed, "weak-ref", i),
             detector=seed_sequence(seed, "weak-ref", i, "detector", point),
         )
-        block = simulate_run(train, lasers, config.detector, seeds)
-        rec = recover_run(block)
-        encoded = np.where(
-            np.arange(rec.corrected_phases.size) % 2 == 0,
-            config.bpsk_phases[0],
-            config.bpsk_phases[1],
+        rec, encoded = _recovered_batch(
+            config, modulation, config.photon_numbers[point], sizes[i], seeds
         )
-        _, pooled = _pooled_group_variance(rec.corrected_phases, encoded)
-        return pooled
+        return _pooled_group_variance(rec.corrected_phases, encoded)[1]
 
-    tasks = [
-        (i, point, n_ref)
-        for point, n_ref in enumerate(config.photon_numbers)
-        for i in range(config.n_batches)
-    ]
-    pooled = _map_ordered(worker, tasks, threads)
-
-    metrics: dict[str, Metric] = {}
-    rows = []
-    for point, n_ref in enumerate(config.photon_numbers):
-        values = [
-            pooled[k] for k, t in enumerate(tasks) if t[1] == point
-        ]
-        metric = batch_metric(values)
-        metrics[f"residual_variance_nref_{n_ref:g}"] = metric
-        rows.append((float(n_ref), metric.value, metric.stderr))
+    n_points = len(config.photon_numbers)
+    tasks = list(itertools.product(range(n_points), range(config.n_batches)))
+    pooled = np.reshape(
+        _map_ordered(pooled_variance, tasks, threads), (n_points, config.n_batches)
+    )
+    per_point = [batch_metric(values) for values in pooled]
 
     return ExperimentResult(
         name="weak-ref",
-        scalar_metrics=metrics,
+        scalar_metrics={
+            f"residual_variance_nref_{n_ref:g}": metric
+            for n_ref, metric in zip(config.photon_numbers, per_point)
+        },
         series_columns=("reference_photons", "residual_variance", "stderr"),
-        series_rows=rows,
+        series_rows=list(zip(
+            np.asarray(config.photon_numbers, dtype=float).tolist(),
+            [m.value for m in per_point],
+            [m.stderr for m in per_point],
+        )),
         metadata=_metadata("weak-ref", seed, config),
     )
 
@@ -566,67 +546,37 @@ def run_quantum_remap_experiment(
     variances in shot-noise units, and the phase-noise variance estimated
     from the P/X variance asymmetry.
     """
-    train_base = PulseTrainConfig(
-        repetition_period_s=config.repetition_period_s,
-        n_pairs=2,
-        signal_photons=config.signal_photons,
-        reference_photons=config.reference_photons,
-        modulation=NoModulation(),
-    )
-    lasers = (config.laser_s, config.laser_l)
     sizes = _batch_sizes(config.n_pairs, config.n_batches)
-
-    def worker(i: int):
-        train = replace(train_base, n_pairs=sizes[i])
-        block = simulate_run(
-            train, lasers, config.detector, RunSeeds.from_seed(seed, "remap", i)
-        )
-        rec = recover_run(block)
-        var_x = float(np.var(rec.remapped_x, ddof=1))
-        var_p = float(np.var(rec.remapped_p, ddof=1))
-        sigma = sigma_phi_from_quadratures((rec.remapped_x, rec.remapped_p))
-        return var_x, var_p, sigma, rec
-
-    outputs = _map_ordered(worker, list(range(config.n_batches)), threads)
-
-    var_x = batch_metric([o[0] for o in outputs])
-    var_p = batch_metric([o[1] for o in outputs])
-    sigma_phi = batch_metric([o[2] for o in outputs])
-    raw_all = np.concatenate([o[3].raw_phases for o in outputs])
+    recs, _ = zip(*_map_ordered(
+        lambda i: _recovered_batch(
+            config, NoModulation(), config.reference_photons, sizes[i],
+            RunSeeds.from_seed(seed, "remap", i),
+        ),
+        range(config.n_batches), threads,
+    ))
     p_uniform = uniformity_pvalue(
-        raw_all, n_bins=config.uniformity_bins, stride=config.uniformity_stride
+        np.concatenate([rec.raw_phases for rec in recs]),
+        n_bins=config.uniformity_bins, stride=config.uniformity_stride,
     )
-
-    rows = []
-    count = 0
-    for o in outputs:
-        rec = o[3]
-        for k in range(rec.remapped_x.size):
-            if count >= config.scatter_rows:
-                break
-            rows.append(
-                (
-                    count,
-                    float(rec.signal_x[k]),
-                    float(rec.signal_p[k]),
-                    float(rec.remapped_x[k]),
-                    float(rec.remapped_p[k]),
-                )
-            )
-            count += 1
-
-    n_dropped = sum(o[3].diagnostics.n_dropped_boundary for o in outputs)
+    scatter = np.concatenate(
+        [(rec.signal_x, rec.signal_p, rec.remapped_x, rec.remapped_p) for rec in recs], axis=1
+    )[:, : config.scatter_rows].tolist()
     return ExperimentResult(
         name="remap-exp",
         scalar_metrics={
-            "x_noise_variance_snu": var_x,
-            "p_noise_variance_snu": var_p,
-            "sigma_phi_estimate": sigma_phi,
+            "x_noise_variance_snu": batch_metric([np.var(r.remapped_x, ddof=1) for r in recs]),
+            "p_noise_variance_snu": batch_metric([np.var(r.remapped_p, ddof=1) for r in recs]),
+            "sigma_phi_estimate": batch_metric(
+                [sigma_phi_from_quadratures((r.remapped_x, r.remapped_p)) for r in recs]
+            ),
             "raw_phase_uniformity_pvalue": Metric(p_uniform, exact=True),
         },
         series_columns=("index", "x_raw", "p_raw", "x_remapped", "p_remapped"),
-        series_rows=rows,
-        metadata=_metadata("remap-exp", seed, config, dropped_boundary_pulses=n_dropped),
+        series_rows=list(zip(range(len(scatter[0])), *scatter)),
+        metadata=_metadata(
+            "remap-exp", seed, config,
+            dropped_boundary_pulses=sum(r.diagnostics.n_dropped_boundary for r in recs),
+        ),
     )
 
 
@@ -645,6 +595,7 @@ class LaserNoiseSweepConfig:
     def __post_init__(self) -> None:
         if len(self.delays_s) < 2:
             raise ConfigError(f"delays_s needs >= 2 delays, got {len(self.delays_s)}")
+        _check_sweep_points("delays_s", self.delays_s, lambda d: f"{d * 1e9:g}")
         _check_batches(self.n_samples, self.n_batches)
 
 
@@ -657,40 +608,28 @@ def run_laser_noise_sweep(
     linear fit whose slope estimates 2/tau_c."""
     lasers = {"signal": config.laser_s, "lo": config.laser_l}
     per_batch = config.n_samples // config.n_batches
-
-    tasks = [
-        (label, d_idx, batch)
-        for label in lasers
-        for d_idx in range(len(config.delays_s))
-        for batch in range(config.n_batches)
-    ]
+    n_delays = len(config.delays_s)
+    tasks = list(itertools.product(lasers, range(n_delays), range(config.n_batches)))
 
     def worker(task):
-        label, d_idx, batch = task
+        label, d_idx, _ = task
         return simulate_self_interference(
-            lasers[label],
-            config.delays_s[d_idx],
-            per_batch,
-            seed_sequence(seed, "laser-noise", label, d_idx, batch),
+            lasers[label], config.delays_s[d_idx], per_batch,
+            seed_sequence(seed, "laser-noise", *task),
         )
 
-    variances = _map_ordered(worker, tasks, threads)
+    variances = np.reshape(
+        _map_ordered(worker, tasks, threads), (len(lasers), n_delays, config.n_batches)
+    )
 
     metrics: dict[str, Metric] = {}
-    rows = []
-    for label, laser in lasers.items():
-        pooled_by_delay = []
-        for d_idx, delay in enumerate(config.delays_s):
-            values = [
-                variances[k]
-                for k, t in enumerate(tasks)
-                if t[0] == label and t[1] == d_idx
-            ]
-            metric = batch_metric(values)
-            pooled_by_delay.append(metric.value)
+    series: list[Metric] = []
+    for (label, laser), per_delay in zip(lasers.items(), variances):
+        by_delay = [batch_metric(values) for values in per_delay]
+        series += by_delay
+        for delay, metric in zip(config.delays_s, by_delay):
             metrics[f"variance_{label}_{delay * 1e9:g}ns"] = metric
-            rows.append((label, float(delay), metric.value, metric.stderr))
-        slope, intercept, r2 = linear_fit(config.delays_s, pooled_by_delay)
+        slope, intercept, r2 = linear_fit(config.delays_s, [m.value for m in by_delay])
         metrics[f"slope_{label}"] = Metric(slope, exact=True)
         metrics[f"intercept_{label}"] = Metric(intercept, exact=True)
         metrics[f"r_squared_{label}"] = Metric(r2, exact=True)
@@ -702,7 +641,12 @@ def run_laser_noise_sweep(
         name="laser-noise",
         scalar_metrics=metrics,
         series_columns=("laser", "delay_s", "variance", "stderr"),
-        series_rows=rows,
+        series_rows=list(zip(
+            [label for label in lasers for _ in config.delays_s],
+            np.tile(np.asarray(config.delays_s, dtype=float), len(lasers)).tolist(),
+            [m.value for m in series],
+            [m.stderr for m in series],
+        )),
         metadata=_metadata("laser-noise", seed, config),
     )
 
@@ -732,7 +676,6 @@ def run_keyrate_distance_sweep(
         return asymptotic_key_rate(replace(params, channel=channel))
 
     rates = np.array([rate_at(length) for length in l_grid])
-    rows = [(float(l), float(r)) for l, r in zip(l_grid, rates)]
 
     crossing = math.nan
     for k in range(len(l_grid) - 1):
@@ -754,9 +697,8 @@ def run_keyrate_distance_sweep(
             "rate_at_first_grid_point": Metric(float(rates[0]), exact=True),
         },
         series_columns=("fiber_length_km", "rate_bits_per_pulse"),
-        series_rows=rows,
-        metadata=_metadata("sweep-distance", seed, params,
-                           l_grid=[float(v) for v in l_grid]),
+        series_rows=list(zip(l_grid.tolist(), rates.tolist())),
+        metadata=_metadata("sweep-distance", seed, params, l_grid=l_grid.tolist()),
     )
 
 
@@ -775,7 +717,6 @@ def run_finite_size_sweep(
         return finite_size_key_rate(params, int(n))
 
     rates = np.array([rate_at(n) for n in n_grid])
-    rows = [(float(n), float(r)) for n, r in zip(n_grid, rates)]
 
     threshold = math.nan
     for k in range(len(n_grid)):
@@ -799,9 +740,8 @@ def run_finite_size_sweep(
             "n_threshold": Metric(threshold, exact=True),
         },
         series_columns=("n_pulses", "rate_bits_per_pulse"),
-        series_rows=rows,
-        metadata=_metadata("sweep-n", seed, params,
-                           n_grid=[float(v) for v in n_grid]),
+        series_rows=list(zip(n_grid.tolist(), rates.tolist())),
+        metadata=_metadata("sweep-n", seed, params, n_grid=n_grid.tolist()),
     )
 
 

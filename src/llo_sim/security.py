@@ -194,12 +194,19 @@ def excess_noise_from_phase(v_a: float, sigma_phi: float) -> float:
 
 
 def g_function(x: float) -> float:
-    """Bosonic entropy function G(x) = (x+1)log2(x+1) - x log2 x, G(0) = 0."""
+    """Bosonic entropy function G(x) = (x+1)log2(x+1) - x log2 x, G(0) = 0.
+
+    The two terms nearly cancel for large ``x``, so ``x >= 1`` takes the
+    rearranged ``log2(x+1) + x*log1p(1/x)/ln 2``; below 1 ``1/x`` loses
+    accuracy (and overflows near 0), so there ``log1p(x)`` carries the sum.
+    """
     if x < 0:
         raise DomainError(f"G is undefined for negative argument, got {x}")
     if x == 0.0:
         return 0.0
-    return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
+    if x >= 1.0:
+        return math.log2(x + 1.0) + x * math.log1p(1.0 / x) / math.log(2.0)
+    return ((x + 1.0) * math.log1p(x) - x * math.log(x)) / math.log(2.0)
 
 
 def _budget_for(params: SecurityParams) -> NoiseBudget:

@@ -262,6 +262,14 @@ BAD_CONFIGS = [
      "config.experiments.weak_ref: photon_numbers"),
     ("laser-noise", None, ["experiments.laser_noise.delays_s=[2e-8]"],
      "config.experiments.laser_noise: delays_s"),
+    ("weak-ref", None, ["experiments.weak_ref.photon_numbers=[100,100]"],
+     "config.experiments.weak_ref: photon_numbers"),
+    ("weak-ref", None, ["experiments.weak_ref.photon_numbers=[-1,100]"],
+     "config.experiments.weak_ref: photon_numbers"),
+    ("laser-noise", None, ["experiments.laser_noise.delays_s=[2e-8,2e-8]"],
+     "config.experiments.laser_noise: delays_s"),
+    ("laser-noise", None, ["experiments.laser_noise.delays_s=[-2e-8,2e-8]"],
+     "config.experiments.laser_noise: delays_s"),
     ("keyrate-finite", None, ['security.swap_delta_terms="false"'],
      "config.security.swap_delta_terms:"),
     ("phase-exp", None, ['experiments.phase_exp.bpsk_phases=["a",1]'],

@@ -7,6 +7,7 @@ import pytest
 from llo_sim._seeding import substream
 from llo_sim.errors import DomainError
 from llo_sim.experiments import (
+    ExperimentResult,
     LaserNoiseSweepConfig,
     _chi2_sf,
     PhaseExperimentConfig,
@@ -157,10 +158,21 @@ class TestRemapExperiment:
         # P broadened beyond X by the residual phase noise.
         assert res.scalar_metrics["p_noise_variance_snu"].value > x_noise.value
 
-    def test_scatter_row_cap(self):
-        config = replace(SMALL_REMAP, scatter_rows=100)
+    @pytest.mark.parametrize(
+        "scatter_rows,expected",
+        [
+            (100, 100),
+            (0, 0),
+            # Above the run: every usable signal, one per pair less one per batch.
+            (SMALL_REMAP.n_pairs, SMALL_REMAP.n_pairs - SMALL_REMAP.n_batches),
+        ],
+        ids=["100", "zero", "above-run"],
+    )
+    def test_scatter_row_cap(self, scatter_rows, expected):
+        config = replace(SMALL_REMAP, scatter_rows=scatter_rows)
         res = run_quantum_remap_experiment(config, seed=19, threads=1)
-        assert len(res.series_rows) == 100
+        assert len(res.series_rows) == expected
+        assert [row[0] for row in res.series_rows] == list(range(expected))
 
 
 class TestLaserNoiseSweep:
@@ -221,6 +233,30 @@ class TestKeyRateSweeps:
 
 
 class TestResultIO:
+    @pytest.mark.parametrize(
+        "rows,expected",
+        [
+            (
+                [
+                    (3, "lo", 0.1, np.float64(1.0 / 3.0)),
+                    (-7, "signal", math.nan, np.float64(-0.0)),
+                    (0, "x", math.inf, np.float64(-math.inf)),
+                ],
+                "n,label,f,g\n"
+                "3,lo,0.10000000000000001,0.33333333333333331\n"
+                "-7,signal,nan,-0\n"
+                "0,x,inf,-inf\n",
+            ),
+            ([], "n,label,f,g\n"),
+        ],
+    )
+    def test_csv_format(self, rows, expected):
+        result = ExperimentResult(
+            name="csv", scalar_metrics={}, series_columns=("n", "label", "f", "g"),
+            series_rows=rows, metadata={"seed": 0},
+        )
+        assert result_to_csv(result) == expected
+
     def test_write_result_files(self, tmp_path):
         res = run_laser_noise_sweep(SMALL_NOISE, seed=29, threads=1)
         json_path, csv_path = write_result(res, tmp_path)

@@ -1,3 +1,4 @@
+import decimal
 import math
 from dataclasses import replace
 
@@ -70,6 +71,16 @@ class TestGFunction:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             g_function(-1e-6)
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-17, 0.5, 1.0, 1e3, 1.1e13, 1e300])
+    def test_matches_decimal_reference(self, x):
+        # 700 digits hold x + 1 exactly at 1e300 and survive the cancellation
+        # of the two ~7e302 terms there.
+        with decimal.localcontext() as ctx:
+            ctx.prec = 700
+            d = decimal.Decimal(x)
+            reference = ((d + 1) * (d + 1).ln() - d * d.ln()) / decimal.Decimal(2).ln()
+        assert g_function(x) == pytest.approx(float(reference), rel=1e-14, abs=0.0)
 
 
 class TestExcessNoise:
