@@ -19,7 +19,6 @@ from .link_sim import (
     PulseTrainConfig,
     QuadratureSample,
     RunSeeds,
-    heterodyne_measure,
     simulate_run,
 )
 from .noise_models import (
@@ -31,10 +30,6 @@ from .noise_models import (
     simulate_self_interference,
 )
 from .phase_recovery import (
-    PhaseEstimate,
-    correct_phases,
-    estimate_phase,
-    interpolate_phase,
     predicted_sigma_phi,
     recover_run,
     remap_quadratures,

@@ -58,8 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-dir", type=str, default=None,
                        help="directory for result files")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: available parallelism; "
-                            "fallback env LLO_SIM_THREADS)")
+                       help="worker threads (default: 1; fallback env LLO_SIM_THREADS)")
         p.add_argument("--fiber-length", type=float, default=None,
                        help="channel fiber length in km")
         p.add_argument("--n-pulses", type=int, default=None,

@@ -41,7 +41,7 @@ from .experiments import (
 )
 from .link_sim import ChannelDetector, PulseTrainConfig
 from .noise_models import LaserModel
-from .security import SecurityParams
+from .security import MIN_FINITE_SIZE_PULSES, SecurityParams
 
 _MAX_SEED = 2**64 - 1
 _MAX_GRID_POINTS = 10_000  # the grids are built at parse time; this bounds their memory
@@ -58,7 +58,7 @@ class RunConfig:
 
     seed: int = 1
     output_dir: str = "results"
-    threads: int | None = None
+    threads: int = 1
     laser_s: LaserModel
     laser_l: LaserModel
     train: PulseTrainConfig
@@ -74,7 +74,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.seed <= _MAX_SEED:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if self.threads is not None and self.threads < 1:
+        if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
 
 
@@ -263,8 +263,11 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
     laser_noise = _walk(LaserNoiseSweepConfig, *experiment("laser_noise"), **lasers)
     distance_grid = _grid(_DistanceSweep, *experiment("distance_sweep"), np.linspace)
     n_grid = _grid(_NSweep, *experiment("n_sweep"), np.logspace)
-    if n_grid[0] <= 0:  # 10**log10_min underflowed
-        raise ConfigError("config.experiments.n_sweep: grid must be positive")
+    if n_grid[0] < MIN_FINITE_SIZE_PULSES:
+        raise ConfigError(
+            f"config.experiments.n_sweep: log10_min must give n >= {MIN_FINITE_SIZE_PULSES}, "
+            f"got n = {n_grid[0]:g}"
+        )
 
     return _walk(
         RunConfig, data, "config", train=train, channel=channel, security=security,

@@ -18,7 +18,6 @@ import dataclasses
 import itertools
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -208,11 +207,9 @@ def uniformity_pvalue(phases, *, n_bins: int = 10, stride: int = 100) -> float:
     return _chi2_sf(stat, n_bins - 1)
 
 
-def _map_ordered(fn: Callable, args: Sequence, threads: int | None) -> list:
-    """Apply ``fn`` over ``args`` preserving order; ``threads=None`` uses the
-    available parallelism.  Results are identical at any thread count."""
-    if threads is None:
-        threads = os.cpu_count() or 1
+def _map_ordered(fn: Callable, args: Sequence, threads: int) -> list:
+    """Apply ``fn`` over ``args`` preserving order on up to ``threads``
+    threads.  Results are identical at any thread count."""
     if threads <= 1 or len(args) <= 1:
         return [fn(a) for a in args]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -373,7 +370,7 @@ def _recovered_batch(config, modulation, reference_photons: float, n_pairs: int,
 def run_bpsk_phase_experiment(
     config: PhaseExperimentConfig = PhaseExperimentConfig(),
     seed: int = 0,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> ExperimentResult:
     """Feedforward correction of a binary-phase-encoded run.
 
@@ -464,7 +461,7 @@ class WeakReferenceSweepConfig:
 def run_weak_reference_sweep(
     config: WeakReferenceSweepConfig = WeakReferenceSweepConfig(),
     seed: int = 0,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> ExperimentResult:
     """Residual phase variance vs reference photon number.
 
@@ -538,7 +535,7 @@ class RemapExperimentConfig:
 def run_quantum_remap_experiment(
     config: RemapExperimentConfig = RemapExperimentConfig(),
     seed: int = 0,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> ExperimentResult:
     """Quadrature remapping of an unmodulated weak-signal train.
 
@@ -602,7 +599,7 @@ class LaserNoiseSweepConfig:
 def run_laser_noise_sweep(
     config: LaserNoiseSweepConfig = LaserNoiseSweepConfig(),
     seed: int = 0,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> ExperimentResult:
     """Delayed self-interference variance vs delay, per laser, with the
     linear fit whose slope estimates 2/tau_c."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal, Union
+from typing import Iterator, Literal, Union
 
 import numpy as np
 
@@ -216,6 +216,7 @@ class PulseBlock:
     def __len__(self) -> int:
         return self.x.size
 
+    # Kept for the acceptance gate, which iterates a block and reads .kind/.x/.p/.true_phase.
     def __iter__(self) -> Iterator[QuadratureSample]:
         columns = zip(self.x.tolist(), self.p.tolist(), self.true_phase.tolist())
         for k, (x, p, true_phase) in enumerate(columns):
@@ -237,19 +238,6 @@ def coherent_amplitude(photons: float, phase: float = 0.0) -> tuple[float, float
         raise DomainError(f"photon number must be >= 0, got {photons}")
     r = 2.0 * math.sqrt(photons)
     return r * math.cos(phase), r * math.sin(phase)
-
-
-def modulate_signal(
-    modulation: Modulation, photons: float, index: int, rng
-) -> tuple[float, float, float]:
-    """Draw one signal symbol: returns (x_a, p_a, encoded_phase).
-
-    ``photons`` sets the amplitude for BPSK / unmodulated pulses and is
-    ignored for Gaussian modulation; ``index`` drives the deterministic BPSK
-    pattern; ``rng`` is consumed only by Gaussian modulation.
-    """
-    symbols = _draw_symbols(modulation, photons, np.array([index]), as_generator(rng))
-    return float(symbols.x_a[0]), float(symbols.p_a[0]), float(symbols.encoded_phase[0])
 
 
 def _draw_symbols(
@@ -303,28 +291,6 @@ def _measure_arrays(x_in, p_in, phi, det: ChannelDetector, rng):
     return x, p
 
 
-def heterodyne_measure(
-    x_in: float,
-    p_in: float,
-    phase_offset: float,
-    det: ChannelDetector,
-    rng=None,
-    *,
-    kind: PulseKind = "signal",
-    index: int = 0,
-) -> QuadratureSample:
-    """Measure one coherent pulse of amplitude ``(x_in, p_in)``.
-
-    Applies the measurement-frame rotation by ``phase_offset``, the amplitude
-    scaling ``sqrt(T*eta/2)``, and per-quadrature Gaussian noise of variance
-    ``1 + nu_el``.  Pass ``rng=None`` for the deterministic noise-free
-    response (useful as ground truth).
-    """
-    generator = None if rng is None else as_generator(rng)
-    x, p = _measure_arrays(x_in, p_in, phase_offset, det, generator)
-    return QuadratureSample(float(x), float(p), kind, index, phase_offset)
-
-
 def simulate_run(
     train: PulseTrainConfig,
     lasers: tuple[LaserModel, LaserModel],
@@ -364,11 +330,3 @@ def simulate_run(
     x_out, p_out = _measure_arrays(x_in, p_in, phi, det, as_generator(seeds.detector))
     return PulseBlock(x_out, p_out, phi)
 
-
-def export_samples_csv(samples: Iterable[QuadratureSample], path) -> None:
-    """Write raw samples as CSV with columns (index, kind, x, p, true_phase)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("index,kind,x,p,true_phase\n")
-        for s in samples:
-            true_phase = "" if s.true_phase is None else f"{s.true_phase:.17g}"
-            fh.write(f"{s.index},{s.kind},{s.x:.17g},{s.p:.17g},{true_phase}\n")

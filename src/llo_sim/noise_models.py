@@ -88,14 +88,6 @@ class LaserModel:
             object.__setattr__(self, "linewidth_hz", lw)
 
     @classmethod
-    def from_linewidth(cls, linewidth_hz: float, **kwargs) -> "LaserModel":
-        return cls(linewidth_hz=linewidth_hz, **kwargs)
-
-    @classmethod
-    def from_coherence_time(cls, coherence_time_s: float, **kwargs) -> "LaserModel":
-        return cls(coherence_time_s=coherence_time_s, **kwargs)
-
-    @classmethod
     def from_delay_variance(
         cls, variance_rad2: float, delay_s: float, **kwargs
     ) -> "LaserModel":

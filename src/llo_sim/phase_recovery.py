@@ -7,9 +7,8 @@ Sign conventions, fixed once here and used everywhere:
   phase, 0 for reference pulses).
 * A reference pulse therefore gives ``phi = -atan2(p, x)``, and signal ``i``
   takes the shorter-arc midpoint of references ``i`` and ``i+1``.  Each rule
-  is written once, in the kernel ``_reference_phases`` / ``_midpoints`` that
-  :func:`estimate_phase`, :func:`interpolate_phase`, :func:`correct_phases`
-  and :func:`recover_run` call.
+  is written once, in the array kernel ``_reference_phases`` / ``_midpoints``
+  that :func:`recover_run` calls.
 * Raw signal phases are the plain ``atan2(p, x)`` (i.e. ``theta_enc - phi``),
   so the correction is an addition: ``corrected = raw + interpolated_phi``.
 * :func:`remap_quadratures` rotates by ``+phi`` and undoes the measurement
@@ -24,7 +23,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -48,20 +46,6 @@ def wrap_phase(phi):
     return wrapped
 
 
-@dataclass(frozen=True)
-class PhaseEstimate:
-    """Phase recovered from one reference pulse."""
-
-    value: float
-    source_index: int
-
-    def __post_init__(self) -> None:
-        if not (-math.pi < self.value <= math.pi) or not math.isfinite(self.value):
-            raise DomainError(
-                f"phase estimate {self.value} outside principal range (-pi, pi]"
-            )
-
-
 def _reference_phases(x_r, p_r):
     """LO phase offsets ``-atan2(p, x)`` of reference-pulse measurements."""
     if np.any((x_r == 0.0) & (p_r == 0.0)):
@@ -72,33 +56,14 @@ def _reference_phases(x_r, p_r):
 def _midpoints(ref_phases: np.ndarray) -> tuple[np.ndarray, int]:
     """Shorter-arc midpoint of each pair of consecutive reference phases.
 
-    Also returns how many pairs were exactly antipodal; such a pair is broken
-    towards the positive direction.
+    This adds half the unwrapped reference-to-reference advance, valid while
+    the true advance per reference gap stays below pi (beat frequency below
+    ``1/(4*T_d)``).  Also returns how many pairs were exactly antipodal; such
+    a pair is broken towards the positive direction.
     """
     deltas = wrap_phase(np.diff(ref_phases))
     n_ties = int(np.count_nonzero(deltas == math.pi))
     return wrap_phase(ref_phases[:-1] + 0.5 * deltas), n_ties
-
-
-def estimate_phase(x_r: float, p_r: float) -> float:
-    """LO phase offset from one reference-pulse measurement, ``-atan2(p, x)``."""
-    return _reference_phases(np.asarray(x_r, float), np.asarray(p_r, float))
-
-
-def interpolate_phase(phi_i: float, phi_next: float) -> float:
-    """Midpoint of the shorter circular arc from ``phi_i`` to ``phi_next``.
-
-    Equivalent to adding half the unwrapped reference-to-reference advance,
-    i.e. the constant-detuning interpolation with the mean beat frequency
-    read off the two neighbouring references.  Valid while the true advance
-    per reference gap stays below pi (beat frequency below ``1/(4*T_d)``).
-    An exactly antipodal pair is broken towards the positive direction.
-    """
-    for name, value in (("phi_i", phi_i), ("phi_next", phi_next)):
-        if not (-math.pi < value <= math.pi):
-            raise DomainError(f"{name}={value} outside principal range (-pi, pi]")
-    midpoints, _ = _midpoints(np.array([phi_i, phi_next], dtype=float))
-    return float(midpoints[0])
 
 
 def remap_quadratures(x_b, p_b, phi):
@@ -109,27 +74,6 @@ def remap_quadratures(x_b, p_b, phi):
     if np.ndim(x) == 0:
         return float(x), float(p)
     return x, p
-
-
-def correct_phases(raw, references: Sequence[PhaseEstimate]) -> np.ndarray:
-    """Apply the feedforward correction to raw signal phases.
-
-    ``references`` must hold one more entry than ``raw``: signal ``i`` sits
-    midway between references ``i`` and ``i+1``, and its corrected phase is
-    ``raw[i] + midpoint(ref[i], ref[i+1])`` reduced to the principal range.
-    """
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 1:
-        raise ScheduleError("raw phases must be a 1-d sequence")
-    if len(references) != raw.size + 1:
-        raise ScheduleError(
-            f"need len(raw)+1 references, got {len(references)} for {raw.size} signals"
-        )
-    ref_values = np.array(
-        [r.value if isinstance(r, PhaseEstimate) else float(r) for r in references]
-    )
-    midpoints, _ = _midpoints(ref_values)
-    return wrap_phase(raw + midpoints)
 
 
 def predicted_sigma_phi(var_s: float, var_l: float) -> float:

@@ -59,6 +59,9 @@ SYMPLECTIC_TOL = 1e-9
 #: Floor for the pessimistic transmittance bound.
 _T_FLOOR = 1e-12
 
+#: Smallest pulse count the finite-size rate accepts.
+MIN_FINITE_SIZE_PULSES = 1000
+
 #: Calibrated default for the confidence-radius scale of the chi_worst plug
 #: point (see module docstring); 1.0 recovers plain Gaussian intervals.
 PE_RADIUS_SCALE_DEFAULT = 190.0
@@ -137,6 +140,10 @@ class SecurityParams:
         if not self.pe_radius_scale > 0:
             raise ConfigError(
                 f"pe_radius_scale must be > 0, got {self.pe_radius_scale}"
+            )
+        if self.n_pulses is not None and self.n_pulses < MIN_FINITE_SIZE_PULSES:
+            raise ConfigError(
+                f"n_pulses must be >= {MIN_FINITE_SIZE_PULSES}, got {self.n_pulses}"
             )
 
     @property
@@ -408,8 +415,8 @@ def finite_size_key_rate(
     if n is None:
         raise ConfigError("n_pulses is required for the finite-size rate")
     n = int(n)
-    if n < 1000:
-        raise DomainError(f"finite-size rate needs n >= 1e3, got {n}")
+    if n < MIN_FINITE_SIZE_PULSES:
+        raise DomainError(f"finite-size rate needs n >= {MIN_FINITE_SIZE_PULSES}, got {n}")
 
     eb = params.epsilons
     d = params.discretization

@@ -285,6 +285,10 @@ BAD_CONFIGS = [
      "config.experiments.distance_sweep: min_km"),
     ("phase-exp", None, ["laser_l.center_detuning_hz=2e7"], "config.experiments."),
     ("remap-exp", None, ["laser_l.drift_rate_hz_per_s=1e11"], "config.experiments."),
+    ("keyrate-finite", None, ["security.n_pulses=10"], "config.security: n_pulses"),
+    ("keyrate-asymptotic", None, ["security.n_pulses=999"], "config.security: n_pulses"),
+    ("sweep-n", None, ["experiments.n_sweep.log10_min=2"],
+     "config.experiments.n_sweep: log10_min"),
 ]
 
 

@@ -34,7 +34,7 @@ def _channel(prefix, transmittance_override, electronic_noise_snu):
 DEFAULTS = {
     "seed": 1,
     "output_dir": "results",
-    "threads": None,
+    "threads": 1,
     "laser_s.center_detuning_hz": 0.0,
     "laser_s.drift_rate_hz_per_s": 0.0,
     "laser_l.center_detuning_hz": 2.3e6,

@@ -15,10 +15,8 @@ from llo_sim.link_sim import (
     RunSeeds,
     alice_symbols,
     coherent_amplitude,
-    export_samples_csv,
-    heterodyne_measure,
-    modulate_signal,
     simulate_run,
+    _draw_symbols,
     _measure_arrays,
 )
 from llo_sim.noise_models import LaserModel
@@ -57,15 +55,16 @@ class TestChannelDetector:
 
 class TestModulation:
     def test_none_gives_coherent_amplitude(self):
-        x, p, phase = modulate_signal(NoModulation(), 9.0, 0, substream(1))
-        assert (x, p) == (2.0 * 3.0, 0.0)
-        assert phase == 0.0
+        symbols = _draw_symbols(NoModulation(), 9.0, np.arange(1), substream(1))
+        assert (symbols.x_a[0], symbols.p_a[0]) == (2.0 * 3.0, 0.0)
+        assert symbols.encoded_phase[0] == 0.0
         assert coherent_amplitude(9.0) == (6.0, 0.0)
 
     def test_bpsk_pattern_and_angle(self):
         mod = BPSKModulation(phase0=0.0, phase1=1.65)
-        x0, p0, ph0 = modulate_signal(mod, 4.0, 0, substream(1))
-        x1, p1, ph1 = modulate_signal(mod, 4.0, 1, substream(1))
+        symbols = _draw_symbols(mod, 4.0, np.arange(2), substream(1))
+        ph0, ph1 = symbols.encoded_phase
+        x1, p1 = symbols.x_a[1], symbols.p_a[1]
         assert ph0 == 0.0 and ph1 == 1.65
         assert math.atan2(p1, x1) == pytest.approx(1.65, rel=1e-12)
         assert math.hypot(x1, p1) == pytest.approx(4.0, rel=1e-12)
@@ -135,10 +134,10 @@ class TestHeterodyneMeasure:
         det = ChannelDetector(
             attenuation_db_per_km=0.2, fiber_length_km=25.0, detector_efficiency=0.6
         )
-        sample = heterodyne_measure(3.0, -2.0, 0.0, det, rng=None)
+        x, p = _measure_arrays(3.0, -2.0, 0.0, det, rng=None)
         scale = math.sqrt(det.transmittance * 0.6 / 2.0)
-        assert sample.x == pytest.approx(3.0 * scale, rel=1e-12)
-        assert sample.p == pytest.approx(-2.0 * scale, rel=1e-12)
+        assert x == pytest.approx(3.0 * scale, rel=1e-12)
+        assert p == pytest.approx(-2.0 * scale, rel=1e-12)
 
     def test_rotation_convention(self):
         # A pulse encoded at angle theta measured at LO offset phi lands at
@@ -146,8 +145,8 @@ class TestHeterodyneMeasure:
         det = ChannelDetector(transmittance_override=1.0, detector_efficiency=1.0)
         theta, phi = 0.9, 0.4
         x_in, p_in = coherent_amplitude(100.0, theta)
-        sample = heterodyne_measure(x_in, p_in, phi, det, rng=None)
-        assert math.atan2(sample.p, sample.x) == pytest.approx(theta - phi, rel=1e-9)
+        x, p = _measure_arrays(x_in, p_in, phi, det, rng=None)
+        assert math.atan2(p, x) == pytest.approx(theta - phi, rel=1e-9)
 
 
 class TestSimulateRun:
@@ -285,18 +284,3 @@ class TestPulseBlock:
         with pytest.raises(DomainError):
             PulseBlock(**columns)
 
-
-class TestCsvExport:
-    def test_round_trip(self, tmp_path):
-        train = PulseTrainConfig(20e-9, 3, 10.0, 10.0)
-        samples = simulate_run(
-            train, (BENCH_LASER_S, BENCH_LASER_L), ChannelDetector(), seed=43
-        )
-        path = tmp_path / "samples.csv"
-        export_samples_csv(samples, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "index,kind,x,p,true_phase"
-        assert len(lines) == 1 + len(samples)
-        first = lines[1].split(",")
-        assert first[0] == "0" and first[1] == "reference"
-        assert float(first[2]) == pytest.approx(samples.x[0], rel=1e-15)

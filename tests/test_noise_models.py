@@ -52,7 +52,7 @@ class TestLaserModel:
             LaserModel()
 
     def test_derives_coherence_time(self):
-        laser = LaserModel.from_linewidth(2.785e5)
+        laser = LaserModel(linewidth_hz=2.785e5)
         assert laser.coherence_time_s * laser.linewidth_hz == pytest.approx(
             1.0 / math.pi, rel=1e-12
         )
@@ -78,39 +78,39 @@ class TestLaserModel:
 
 class TestPhaseNoiseVariance:
     def test_zero_time(self):
-        assert phase_noise_variance(0.0, LaserModel.from_coherence_time(TAU_C)) == 0.0
+        assert phase_noise_variance(0.0, LaserModel(coherence_time_s=TAU_C)) == 0.0
 
     def test_measured_value_at_20ns(self):
-        laser = LaserModel.from_coherence_time(TAU_C)
+        laser = LaserModel(coherence_time_s=TAU_C)
         assert phase_noise_variance(20e-9, laser) == pytest.approx(0.035, rel=1e-12)
 
     def test_linear_in_time(self):
-        laser = LaserModel.from_coherence_time(TAU_C)
+        laser = LaserModel(coherence_time_s=TAU_C)
         assert phase_noise_variance(40e-9, laser) == pytest.approx(
             2.0 * phase_noise_variance(20e-9, laser), rel=1e-12
         )
 
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
-            phase_noise_variance(-1e-9, LaserModel.from_coherence_time(TAU_C))
+            phase_noise_variance(-1e-9, LaserModel(coherence_time_s=TAU_C))
 
 
 class TestPhaseTrajectory:
     def test_single_time_is_zero(self):
         traj = sample_phase_trajectory(
-            LaserModel.from_coherence_time(TAU_C), [0.0], seed=substream(1)
+            LaserModel(coherence_time_s=TAU_C), [0.0], seed=substream(1)
         )
         assert traj.phases.tolist() == [0.0]
 
     def test_determinism(self):
-        laser = LaserModel.from_coherence_time(TAU_C)
+        laser = LaserModel(coherence_time_s=TAU_C)
         times = np.linspace(0.0, 1e-6, 64)
         a = sample_phase_trajectory(laser, times, seed=substream(7, "traj"))
         b = sample_phase_trajectory(laser, times, seed=substream(7, "traj"))
         assert np.array_equal(a.phases, b.phases)
 
     def test_unordered_times_rejected(self):
-        laser = LaserModel.from_coherence_time(TAU_C)
+        laser = LaserModel(coherence_time_s=TAU_C)
         with pytest.raises(DomainError):
             sample_phase_trajectory(laser, [0.0, 2e-9, 1e-9], seed=substream(1))
         with pytest.raises(DomainError):
@@ -119,7 +119,7 @@ class TestPhaseTrajectory:
     def test_increment_variance_monte_carlo(self):
         # Increments of one long trajectory over equal windows are iid copies
         # of the phase deviation after one window.
-        laser = LaserModel.from_coherence_time(TAU_C)
+        laser = LaserModel(coherence_time_s=TAU_C)
         n = 100_000
         times = np.arange(n + 1) * 20e-9
         traj = sample_phase_trajectory(laser, times, seed=substream(11))
@@ -130,7 +130,7 @@ class TestPhaseTrajectory:
         assert abs(sample_var - expected) < 3.0 * se
 
     def test_trajectory_calls_match_closed_form(self):
-        laser = LaserModel.from_coherence_time(TAU_C)
+        laser = LaserModel(coherence_time_s=TAU_C)
         n = 2000
         finals = np.array(
             [
@@ -144,7 +144,7 @@ class TestPhaseTrajectory:
 
     def test_wiener_additivity(self):
         # Var over t1 + t2 windows adds; checked on alternating spacings.
-        laser = LaserModel.from_coherence_time(TAU_C)
+        laser = LaserModel(coherence_time_s=TAU_C)
         t1, t2 = 10e-9, 30e-9
         n = 50_000
         steps = np.empty(2 * n)
@@ -159,7 +159,7 @@ class TestPhaseTrajectory:
         assert abs(var_sum - (var1 + var2)) < 3.0 * se
 
     def test_gaussian_increments(self):
-        laser = LaserModel.from_coherence_time(TAU_C)
+        laser = LaserModel(coherence_time_s=TAU_C)
         n = 100_000
         times = np.arange(n + 1) * 20e-9
         inc = np.diff(sample_phase_trajectory(laser, times, substream(17)).phases)
@@ -192,7 +192,7 @@ class TestPhaseTrajectory:
 
 class TestSelfInterference:
     def test_zero_delay_exact(self):
-        laser = LaserModel.from_coherence_time(TAU_C)
+        laser = LaserModel(coherence_time_s=TAU_C)
         assert simulate_self_interference(laser, 0.0, 1000, substream(1)) == 0.0
 
     def test_measured_value_at_20ns(self):
@@ -221,7 +221,7 @@ class TestSelfInterference:
         assert r2 > 0.99
 
     def test_preconditions(self):
-        laser = LaserModel.from_coherence_time(TAU_C)
+        laser = LaserModel(coherence_time_s=TAU_C)
         with pytest.raises(DomainError):
             simulate_self_interference(laser, -1e-9, 100, substream(1))
         with pytest.raises(DomainError):

@@ -8,10 +8,8 @@ from llo_sim.errors import DomainError, EstimationError, ScheduleError
 from llo_sim.link_sim import ChannelDetector, PulseBlock, PulseTrainConfig, simulate_run
 from llo_sim.noise_models import LaserModel
 from llo_sim.phase_recovery import (
-    PhaseEstimate,
-    correct_phases,
-    estimate_phase,
-    interpolate_phase,
+    _midpoints,
+    _reference_phases,
     predicted_sigma_phi,
     recover_run,
     remap_quadratures,
@@ -21,6 +19,27 @@ from llo_sim.phase_recovery import (
 )
 
 PI = math.pi
+
+
+def estimate(x, p):
+    """The reference kernel on one measurement."""
+    return _reference_phases(np.array([x]), np.array([p]))[0]
+
+
+def midpoint(phi_i, phi_next):
+    """The midpoint kernel on one pair of reference phases."""
+    midpoints, _ = _midpoints(np.array([phi_i, phi_next]))
+    return midpoints[0]
+
+
+def block_with(ref_phases, raw_phases):
+    """A noise-free block whose references estimate to ``ref_phases`` and whose
+    signals have the raw phases ``raw_phases``; the last signal, which
+    recovery drops, is appended at phase 0."""
+    angles = np.zeros(2 * len(ref_phases))
+    angles[0::2] = -np.asarray(ref_phases)
+    angles[1:-1:2] = raw_phases
+    return PulseBlock(np.cos(angles), np.sin(angles), np.zeros_like(angles))
 
 
 class TestWrapPhase:
@@ -38,32 +57,42 @@ class TestWrapPhase:
 
 class TestEstimatePhase:
     def test_reference_axis(self):
-        assert estimate_phase(1.0, 0.0) == 0.0
+        assert estimate(1.0, 0.0) == 0.0
 
     def test_quadrant_sign(self):
-        assert estimate_phase(0.0, 1.0) == pytest.approx(-PI / 2, rel=1e-12)
+        assert estimate(0.0, 1.0) == pytest.approx(-PI / 2, rel=1e-12)
 
     def test_principal_range_convention(self):
-        assert estimate_phase(-1.0, 0.0) == pytest.approx(PI, rel=1e-12)
+        assert estimate(-1.0, 0.0) == pytest.approx(PI, rel=1e-12)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(EstimationError):
-            estimate_phase(0.0, 0.0)
+            _reference_phases(np.array([1.0, 0.0, 2.0]), np.array([0.0, 0.0, 1.0]))
 
     @pytest.mark.parametrize("theta", [-3.0, -1.2, 0.0, 0.7, 2.9])
     def test_coherent_point_gives_minus_angle(self, theta):
         # Noiseless coherent point at angle theta estimates to -theta.
         x, p = 5.0 * math.cos(theta), 5.0 * math.sin(theta)
-        assert estimate_phase(x, p) == pytest.approx(wrap_phase(-theta), abs=1e-12)
+        assert estimate(x, p) == pytest.approx(wrap_phase(-theta), abs=1e-12)
+
+    def test_output_in_principal_range(self):
+        # x = -1 lies on the branch cut: p = +0.0 and p = -0.0 both give pi.
+        for p in (0.0, -0.0):
+            assert estimate(-1.0, p) == PI
+        theta = np.concatenate([np.linspace(-4 * PI, 4 * PI, 4001), [PI, -PI, 3 * PI]])
+        x = np.concatenate([np.cos(theta), [-1.0, -1.0, -1.0, -1.0]])
+        p = np.concatenate([np.sin(theta), [0.0, -0.0, 1e-300, -1e-300]])
+        phases = _reference_phases(x, p)
+        assert np.all((phases > -PI) & (phases <= PI))
 
 
 class TestInterpolatePhase:
     def test_small_angle_midpoint(self):
-        assert interpolate_phase(0.1, 0.3) == pytest.approx(0.2, rel=1e-12)
+        assert midpoint(0.1, 0.3) == pytest.approx(0.2, rel=1e-12)
 
     def test_wraparound_midpoint(self):
         # Shorter arc from 3.1 to -3.1 crosses the +-pi cut; midpoint is pi.
-        assert interpolate_phase(3.1, -3.1) == pytest.approx(PI, abs=1e-12)
+        assert midpoint(3.1, -3.1) == pytest.approx(PI, abs=1e-12)
 
     @pytest.mark.parametrize("phi0", [-2.0, 0.0, 1.5])
     @pytest.mark.parametrize("advance", [0.05, 0.578, -0.9])
@@ -71,14 +100,13 @@ class TestInterpolatePhase:
         # Two references a constant 2*advance apart interpolate to +advance.
         phi1 = wrap_phase(phi0 + 2.0 * advance)
         expected = wrap_phase(phi0 + advance)
-        assert interpolate_phase(phi0, phi1) == pytest.approx(expected, abs=1e-12)
+        assert midpoint(phi0, phi1) == pytest.approx(expected, abs=1e-12)
 
     def test_antipodal_tie_positive_direction(self):
-        assert interpolate_phase(0.0, PI) == pytest.approx(PI / 2, rel=1e-12)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(DomainError):
-            interpolate_phase(4.0, 0.0)
+        # One exact tie; the 3.1 rad advance after it is short of pi.
+        midpoints, n_ties = _midpoints(np.array([0.0, PI, -1.5, 1.6]))
+        assert midpoints[0] == pytest.approx(PI / 2, rel=1e-12)
+        assert n_ties == 1
 
 
 class TestRemapQuadratures:
@@ -134,27 +162,17 @@ class TestRemapQuadratures:
 
 class TestCorrectPhases:
     def test_constant_references(self):
-        refs = [PhaseEstimate(0.4, i) for i in range(4)]
-        out = correct_phases(np.zeros(3), refs)
+        out = recover_run(block_with([0.4] * 4, np.zeros(3))).corrected_phases
         np.testing.assert_allclose(out, 0.4, rtol=1e-12)
-
-    def test_length_mismatch(self):
-        refs = [PhaseEstimate(0.0, i) for i in range(3)]
-        with pytest.raises(ScheduleError):
-            correct_phases(np.zeros(3), refs)
 
     def test_detuning_interpolation(self):
         # References advancing 2*delta per gap correct a raw phase by
         # ref[i] + delta.
         delta = 0.3
-        refs = [PhaseEstimate(wrap_phase(i * 2 * delta), i) for i in range(5)]
-        out = correct_phases(np.zeros(4), refs)
+        refs = [wrap_phase(i * 2 * delta) for i in range(5)]
+        out = recover_run(block_with(refs, np.zeros(4))).corrected_phases
         expected = [wrap_phase(i * 2 * delta + delta) for i in range(4)]
         np.testing.assert_allclose(out, expected, atol=1e-12)
-
-    def test_accepts_bare_floats(self):
-        out = correct_phases([0.1], [0.2, 0.4])
-        assert out[0] == pytest.approx(0.4, rel=1e-12)
 
 
 class TestPredictedSigmaPhi:
@@ -300,13 +318,18 @@ class TestRecoverRun:
             recover_run(odd)
 
     def test_shares_the_scalar_kernel(self):
-        # The vectorised path and the scalar estimate/interpolate wrappers
-        # apply one sign and midpoint convention.
+        # The array kernel against a per-reference scalar oracle written
+        # from the stated conventions: phi = -atan2(p, x), then the midpoint
+        # of the shorter arc from one reference to the next.
         block = self._run(n_pairs=500, seed=95)
         rec = recover_run(block)
-        refs = [estimate_phase(x, p) for x, p in zip(block.x[0::2], block.p[0::2])]
-        for i, value in enumerate(rec.interpolated_phases):
-            assert abs(wrap_phase(value - interpolate_phase(refs[i], refs[i + 1]))) <= 4e-15
+        refs = [-math.atan2(p, x) for x, p in zip(block.x[0::2].tolist(), block.p[0::2].tolist())]
+        for i, value in enumerate(rec.interpolated_phases.tolist()):
+            advance = (refs[i + 1] - refs[i]) % (2 * PI)
+            if advance > PI:
+                advance -= 2 * PI
+            expected = refs[i] + advance / 2
+            assert abs(math.remainder(value - expected, 2 * PI)) <= 4e-15
 
     def test_noiseless_lasers_floor(self):
         # With noiseless lasers and strong pulses the residual variance is
