@@ -31,7 +31,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .experiments import (
+    DistanceSweepConfig,
     LaserNoiseSweepConfig,
+    NSweepConfig,
     PhaseExperimentConfig,
     RemapExperimentConfig,
     WeakReferenceSweepConfig,
@@ -76,24 +78,6 @@ class RunConfig:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
-
-
-@dataclass(frozen=True)
-class _DistanceSweep:
-    min_km: float = 0.0
-    max_km: float = 150.0
-    points: int = 31
-
-    def __post_init__(self) -> None:
-        if self.min_km < 0:
-            raise ConfigError(f"min_km must be >= 0, got {self.min_km}")
-
-
-@dataclass(frozen=True)
-class _NSweep:
-    log10_min: float = 6.0
-    log10_max: float = 13.0
-    points: int = 29
 
 
 # typing.get_type_hints for one field, once a config sets it: resolving every annotation
@@ -176,16 +160,17 @@ def _laser(data, path: str, default: LaserModel) -> LaserModel:
     return _walk(LaserModel, rest, path, default, **noise)
 
 
-def _grid(cls, data, path: str, space) -> tuple[float, ...]:
-    """A sweep section resolved to its ``space(lo, hi, points)`` grid."""
-    lo, hi, n = vars(_walk(cls, data, path)).values()
+def _grid(cls, data, path: str) -> tuple[float, ...]:
+    """A sweep section resolved to its grid."""
+    sweep = _walk(cls, data, path)
+    lo, hi, n = vars(sweep).values()
     if not hi > lo or not 2 <= n <= _MAX_GRID_POINTS:
         lo_key, hi_key, n_key = cls.__dataclass_fields__
         raise ConfigError(
             f"{path}: need {hi_key} > {lo_key} and 2 <= {n_key} <= {_MAX_GRID_POINTS}"
         )
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
-        grid = space(lo, hi, n)
+        grid = sweep.grid()
     if not np.isfinite(grid).all():
         raise ConfigError(f"{path}: grid must be finite")
     return tuple(grid.tolist())
@@ -261,8 +246,8 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
     )
     remap = _walk(RemapExperimentConfig, *experiment("remap"), **rig_run)
     laser_noise = _walk(LaserNoiseSweepConfig, *experiment("laser_noise"), **lasers)
-    distance_grid = _grid(_DistanceSweep, *experiment("distance_sweep"), np.linspace)
-    n_grid = _grid(_NSweep, *experiment("n_sweep"), np.logspace)
+    distance_grid = _grid(DistanceSweepConfig, *experiment("distance_sweep"))
+    n_grid = _grid(NSweepConfig, *experiment("n_sweep"))
     if n_grid[0] < MIN_FINITE_SIZE_PULSES:
         raise ConfigError(
             f"config.experiments.n_sweep: log10_min must give n >= {MIN_FINITE_SIZE_PULSES}, "

@@ -652,6 +652,30 @@ def run_laser_noise_sweep(
 # Key-rate sweeps (deterministic formula evaluations)
 
 
+@dataclass(frozen=True)
+class DistanceSweepConfig:
+    min_km: float = 0.0
+    max_km: float = 150.0
+    points: int = 31
+
+    def __post_init__(self) -> None:
+        if self.min_km < 0:
+            raise ConfigError(f"min_km must be >= 0, got {self.min_km}")
+
+    def grid(self) -> np.ndarray:
+        return np.linspace(self.min_km, self.max_km, self.points)
+
+
+@dataclass(frozen=True)
+class NSweepConfig:
+    log10_min: float = 6.0
+    log10_max: float = 13.0
+    points: int = 29
+
+    def grid(self) -> np.ndarray:
+        return np.logspace(self.log10_min, self.log10_max, self.points)
+
+
 def run_keyrate_distance_sweep(
     params: SecurityParams,
     l_grid=None,
@@ -663,7 +687,7 @@ def run_keyrate_distance_sweep(
     actually varies the transmittance.  Negative rates are reported as-is.
     """
     if l_grid is None:
-        l_grid = np.arange(0.0, 150.0 + 1e-9, 5.0)
+        l_grid = DistanceSweepConfig().grid()
     l_grid = np.asarray(l_grid, dtype=float)
 
     def rate_at(length: float) -> float:
@@ -707,7 +731,7 @@ def run_finite_size_sweep(
     """Composable finite-size rate vs pulse count; reports the smallest
     ``n`` with a positive rate (bisected to a factor 1.05)."""
     if n_grid is None:
-        n_grid = np.logspace(6, 13, 29)
+        n_grid = NSweepConfig().grid()
     n_grid = np.asarray(n_grid, dtype=float)
 
     def rate_at(n: float) -> float:

@@ -232,12 +232,11 @@ class ModulatedSymbols:
     encoded_phase: np.ndarray
 
 
-def coherent_amplitude(photons: float, phase: float = 0.0) -> tuple[float, float]:
-    """Mean quadrature vector of a coherent state of ``photons`` at ``phase``."""
+def coherent_amplitude(photons: float) -> tuple[float, float]:
+    """Mean quadrature vector of a coherent state of ``photons`` at phase 0."""
     if photons < 0:
         raise DomainError(f"photon number must be >= 0, got {photons}")
-    r = 2.0 * math.sqrt(photons)
-    return r * math.cos(phase), r * math.sin(phase)
+    return 2.0 * math.sqrt(photons), 0.0
 
 
 def _draw_symbols(

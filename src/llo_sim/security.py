@@ -27,28 +27,27 @@ opposite assignment for sensitivity analysis; it makes the finite-size
 correction negative (a rate above the asymptotic one), which is why it is
 not the default.
 
-chi_worst plug point
---------------------
+Worst-case Holevo bound
+-----------------------
 The composable proof evaluates Eve's information at worst-case covariance
-bounds rather than at the observed parameters.  Their exact construction is
-not reproduced here; :func:`worst_case_holevo` is a pluggable stand-in that
-evaluates the Holevo bound at the worst corner of a (transmittance,
-excess-noise) confidence rectangle built from Gaussian confidence intervals
-at level ``eps_pe`` over ``pe_fraction * n`` estimation samples, with the
-interval radii scaled by ``pe_radius_scale``.  A scale of 1.0 gives plain
-textbook intervals, under which the AEP terms alone set the positivity
-threshold (around 1e9 pulses at the reference configuration); the default
-:data:`PE_RADIUS_SCALE_DEFAULT` is deliberately more pessimistic, calibrated
-so the threshold at the reference configuration (10 km fibre, perfect
-detectors, V_A = 1, sigma_phi = 0.04, beta = 0.95) sits near 1e11 pulses.
-Callers needing a different bound pass any ``chi_worst(params, n)``
-callable to :func:`finite_size_key_rate`.
+bounds, whose exact construction is not reproduced here.  chi_worst is
+:func:`worst_case_holevo`: the largest Holevo bound over the corners of a
+(transmittance, excess-noise) rectangle of Gaussian confidence intervals at
+level ``eps_pe`` over ``pe_fraction * n`` estimation samples, radii scaled by
+``pe_radius_scale``, its one dial.  A scale of 1.0 gives textbook intervals,
+under which the AEP terms alone set the positivity threshold (around 1e9
+pulses at the reference configuration: 10 km fibre, perfect detectors,
+V_A = 1, sigma_phi = 0.04, beta = 0.95); the default
+:data:`PE_RADIUS_SCALE_DEFAULT` is calibrated to put it near 1e11 pulses.
+The nominal terms and each corner are one evaluation at a (T, excess noise)
+point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ConfigError, DomainError, NumericalDomainError
 from .link_sim import ChannelDetector
@@ -62,8 +61,9 @@ _T_FLOOR = 1e-12
 #: Smallest pulse count the finite-size rate accepts.
 MIN_FINITE_SIZE_PULSES = 1000
 
-#: Calibrated default for the confidence-radius scale of the chi_worst plug
-#: point (see module docstring); 1.0 recovers plain Gaussian intervals.
+#: Calibrated default for the confidence-radius scale of
+#: :func:`worst_case_holevo` (see module docstring); 1.0 recovers plain
+#: Gaussian intervals.
 PE_RADIUS_SCALE_DEFAULT = 190.0
 
 
@@ -160,6 +160,7 @@ class SecurityParams:
 class NoiseBudget:
     """Channel/detection noise decomposition referred to the channel input."""
 
+    transmittance: float
     excess_noise: float
     chi_line: float
     chi_het: float
@@ -175,22 +176,18 @@ class NoiseBudget:
             )
 
     @classmethod
-    def from_channel(
-        cls, channel: ChannelDetector, excess_noise: float
+    def from_parameters(
+        cls, t: float, eta: float, nu: float, excess_noise: float
     ) -> "NoiseBudget":
+        """The budget at transmittance ``t``, detector efficiency ``eta``,
+        electronic noise ``nu`` (SNU) and channel-input ``excess_noise``."""
+        if not 0 < t <= 1:
+            raise DomainError(f"transmittance must be in (0, 1], got {t}")
         if excess_noise < 0:
             raise DomainError(f"excess noise must be >= 0, got {excess_noise}")
-        t = channel.transmittance
-        eta = channel.detector_efficiency
-        nu = channel.electronic_noise_snu
         chi_line = 1.0 / t - 1.0 + excess_noise
         chi_het = (1.0 + (1.0 - eta) + 2.0 * nu) / eta
-        return cls(
-            excess_noise=excess_noise,
-            chi_line=chi_line,
-            chi_het=chi_het,
-            chi_tot=chi_line + chi_het / t,
-        )
+        return cls(t, excess_noise, chi_line, chi_het, chi_line + chi_het / t)
 
 
 def excess_noise_from_phase(v_a: float, sigma_phi: float) -> float:
@@ -216,33 +213,25 @@ def g_function(x: float) -> float:
     return ((x + 1.0) * math.log1p(x) - x * math.log(x)) / math.log(2.0)
 
 
-def _budget_for(params: SecurityParams) -> NoiseBudget:
-    return NoiseBudget.from_channel(params.channel, params.excess_noise)
+class _Terms(NamedTuple):
+    """One key-rate evaluation at a (transmittance, excess noise) point."""
+
+    budget: NoiseBudget
+    mutual_information: float
+    symplectic_eigenvalues: tuple[float, float, float, float, float]
+    holevo_bound: float
 
 
-def mutual_information(
-    params: SecurityParams, budget: NoiseBudget | None = None
-) -> float:
-    """Alice-Bob mutual information (bits/pulse) over both quadratures."""
-    budget = budget or _budget_for(params)
+def _evaluate(params: SecurityParams, t: float, excess_noise: float) -> _Terms:
+    """I_AB (bits/pulse, both quadratures), the five symplectic eigenvalues of
+    the collective-attack analysis and the Holevo bound chi_BE at ``(t,
+    excess_noise)``, with the detector of ``params.channel``."""
+    channel = params.channel
+    budget = NoiseBudget.from_parameters(
+        t, channel.detector_efficiency, channel.electronic_noise_snu, excess_noise
+    )
     v = params.V
-    return math.log2((v + budget.chi_tot) / (1.0 + budget.chi_tot))
-
-
-def symplectic_eigenvalues(
-    params: SecurityParams, budget: NoiseBudget | None = None
-) -> tuple[float, float, float, float, float]:
-    """The five symplectic eigenvalues of the collective-attack analysis."""
-    budget = budget or _budget_for(params)
-    t = 1.0 / (budget.chi_line + 1.0 - budget.excess_noise)
-    if 1.0 < t < 1.0 + 1e-9:  # guard the round trip through chi_line
-        t = 1.0
-    return _spectrum(params.V, t, budget.chi_line, budget.chi_het, budget.chi_tot)
-
-
-def _spectrum(v, t, chi_line, chi_het, chi_tot):
-    if not 0 < t <= 1:
-        raise DomainError(f"transmittance must be in (0, 1], got {t}")
+    chi_line, chi_het, chi_tot = budget.chi_line, budget.chi_het, budget.chi_tot
     a = v * v * (1.0 - 2.0 * t) + 2.0 * t + (t * (v + chi_line)) ** 2
     b = (t * (v * chi_line + 1.0)) ** 2
     lam1, lam2 = _eigenpair(a, b, "lambda_1/2")
@@ -258,7 +247,28 @@ def _spectrum(v, t, chi_line, chi_het, chi_tot):
     ) / denom
     d = ((v + sqrt_b * chi_het) ** 2) / denom
     lam3, lam4 = _eigenpair(c, d, "lambda_3/4")
-    return lam1, lam2, lam3, lam4, 1.0
+    chi = (  # lambda_5 = 1 adds -G(0) = 0
+        g_function((lam1 - 1.0) / 2.0)
+        + g_function((lam2 - 1.0) / 2.0)
+        - g_function((lam3 - 1.0) / 2.0)
+        - g_function((lam4 - 1.0) / 2.0)
+    )
+    i_ab = math.log2((v + chi_tot) / (1.0 + chi_tot))
+    return _Terms(budget, i_ab, (lam1, lam2, lam3, lam4, 1.0), chi)
+
+
+def _nominal(params: SecurityParams) -> _Terms:
+    return _evaluate(params, params.channel.transmittance, params.excess_noise)
+
+
+def mutual_information(params: SecurityParams) -> float:
+    """Alice-Bob mutual information (bits/pulse) over both quadratures."""
+    return _nominal(params).mutual_information
+
+
+def symplectic_eigenvalues(params: SecurityParams) -> tuple[float, float, float, float, float]:
+    """The five symplectic eigenvalues of the collective-attack analysis."""
+    return _nominal(params).symplectic_eigenvalues
 
 
 def _eigenpair(s, prod, label):
@@ -283,16 +293,9 @@ def _eigenpair(s, prod, label):
     return lams[0], lams[1]
 
 
-def holevo_bound(params: SecurityParams, budget: NoiseBudget | None = None) -> float:
+def holevo_bound(params: SecurityParams) -> float:
     """Holevo bound chi_BE (bits/pulse) on Eve's information about Bob."""
-    lam1, lam2, lam3, lam4, lam5 = symplectic_eigenvalues(params, budget)
-    return (
-        g_function((lam1 - 1.0) / 2.0)
-        + g_function((lam2 - 1.0) / 2.0)
-        - g_function((lam3 - 1.0) / 2.0)
-        - g_function((lam4 - 1.0) / 2.0)
-        - g_function((lam5 - 1.0) / 2.0)
-    )
+    return _nominal(params).holevo_bound
 
 
 def asymptotic_key_rate(params: SecurityParams) -> float:
@@ -300,10 +303,18 @@ def asymptotic_key_rate(params: SecurityParams) -> float:
 
     May be negative; callers decide whether to clamp.
     """
-    budget = _budget_for(params)
-    return params.reconciliation_efficiency * mutual_information(
-        params, budget
-    ) - holevo_bound(params, budget)
+    return key_rate_components(params)["asymptotic_rate"]
+
+
+def key_rate_components(params: SecurityParams) -> dict[str, float]:
+    """I_AB, chi_BE and the asymptotic rate in one call (for reporting)."""
+    terms = _nominal(params)
+    return {
+        "mutual_information": terms.mutual_information,
+        "holevo_bound": terms.holevo_bound,
+        "asymptotic_rate": params.reconciliation_efficiency * terms.mutual_information
+        - terms.holevo_bound,
+    }
 
 
 @dataclass(frozen=True)
@@ -390,26 +401,19 @@ def pessimistic_parameter_bounds(params: SecurityParams, n: int) -> PessimisticB
 
 
 def worst_case_holevo(params: SecurityParams, n: int) -> float:
-    """Default chi_worst plug point: max Holevo bound over the confidence
-    rectangle corners (see module docstring for calibration caveats)."""
+    """chi_worst: the largest Holevo bound over the confidence rectangle's
+    corners (see module docstring for calibration caveats)."""
     bounds = pessimistic_parameter_bounds(params, n)
-    worst = -math.inf
-    for t in (bounds.transmittance_low, bounds.transmittance_high):
-        for eps in (bounds.excess_noise_low, bounds.excess_noise_high):
-            corner_channel = replace(params.channel, transmittance_override=t)
-            budget = NoiseBudget.from_channel(corner_channel, eps)
-            worst = max(worst, holevo_bound(params, budget))
-    return worst
+    return max(
+        _evaluate(params, t, eps).holevo_bound
+        for t in (bounds.transmittance_low, bounds.transmittance_high)
+        for eps in (bounds.excess_noise_low, bounds.excess_noise_high)
+    )
 
 
-def finite_size_key_rate(
-    params: SecurityParams, n: int | None = None, *, chi_worst=None
-) -> float:
-    """Composable finite-size key rate for ``n`` transmitted pulses.
-
-    ``chi_worst`` is a callable ``(params, n) -> bits`` replacing the default
-    :func:`worst_case_holevo`.  May return negative rates.
-    """
+def finite_size_key_rate(params: SecurityParams, n: int | None = None) -> float:
+    """Composable finite-size key rate for ``n`` transmitted pulses, with
+    chi_worst from :func:`worst_case_holevo`.  May return negative rates."""
     if n is None:
         n = params.n_pulses
     if n is None:
@@ -439,21 +443,8 @@ def finite_size_key_rate(
         delta_aep - delta_ent - 2.0 * math.log2(1.0 / (2.0 * eb.eps_bar))
     ) / (2.0 * n)
 
-    chi_fn = chi_worst if chi_worst is not None else worst_case_holevo
-    chi = chi_fn(params, n)
+    chi = worst_case_holevo(params, n)
     i_ab = mutual_information(params)
     return (1.0 - params.robustness) * (
         params.reconciliation_efficiency * i_ab - chi - correction
     )
-
-
-def key_rate_components(params: SecurityParams) -> dict[str, float]:
-    """I_AB, chi_BE and the asymptotic rate in one call (for reporting)."""
-    budget = _budget_for(params)
-    i_ab = mutual_information(params, budget)
-    chi = holevo_bound(params, budget)
-    return {
-        "mutual_information": i_ab,
-        "holevo_bound": chi,
-        "asymptotic_rate": params.reconciliation_efficiency * i_ab - chi,
-    }

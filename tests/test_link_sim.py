@@ -144,7 +144,7 @@ class TestHeterodyneMeasure:
         # angle theta - phi.
         det = ChannelDetector(transmittance_override=1.0, detector_efficiency=1.0)
         theta, phi = 0.9, 0.4
-        x_in, p_in = coherent_amplitude(100.0, theta)
+        x_in, p_in = 20.0 * math.cos(theta), 20.0 * math.sin(theta)  # 100 photons at theta
         x, p = _measure_arrays(x_in, p_in, phi, det, rng=None)
         assert math.atan2(p, x) == pytest.approx(theta - phi, rel=1e-9)
 
@@ -227,7 +227,9 @@ class TestSimulateRun:
         )
         samples = simulate_run(train, (BENCH_LASER_S, BENCH_LASER_L), det, seed=31)
         xs = np.array([s.x for s in samples if s.kind == "signal"])
-        budget = NoiseBudget.from_channel(det, 0.0)
+        budget = NoiseBudget.from_parameters(
+            det.transmittance, det.detector_efficiency, det.electronic_noise_snu, 0.0
+        )
         expected = (
             det.detector_efficiency * det.transmittance / 2.0
         ) * (v_a + 1.0 + budget.chi_tot)

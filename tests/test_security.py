@@ -12,6 +12,7 @@ from llo_sim.security import (
     _two_sided_normal_quantile,
     NoiseBudget,
     SecurityParams,
+    _evaluate,
     asymptotic_key_rate,
     excess_noise_from_phase,
     finite_size_key_rate,
@@ -100,9 +101,10 @@ class TestExcessNoise:
 
 class TestNoiseBudget:
     def test_formulas(self):
-        channel = reference_channel(50.0)
-        budget = NoiseBudget.from_channel(channel, 0.04)
         t = 10 ** (-0.2 * 50.0 / 10.0)
+        budget = NoiseBudget.from_parameters(t, 0.5, 0.1, 0.04)
+        assert budget.transmittance == t
+        assert budget.excess_noise == 0.04
         assert budget.chi_line == pytest.approx(1.0 / t - 1.0 + 0.04, rel=1e-12)
         assert budget.chi_het == pytest.approx((1.0 + 0.5 + 0.2) / 0.5, rel=1e-12)
         assert budget.chi_tot == pytest.approx(
@@ -110,12 +112,23 @@ class TestNoiseBudget:
         )
 
     def test_chi_het_value(self):
-        budget = NoiseBudget.from_channel(reference_channel(0.0), 0.0)
+        budget = NoiseBudget.from_parameters(1.0, 0.5, 0.1, 0.0)
         assert budget.chi_het == pytest.approx(3.4, rel=1e-12)
 
     def test_consistency_enforced(self):
         with pytest.raises(ConfigError):
-            NoiseBudget(excess_noise=0.04, chi_line=1.0, chi_het=1.0, chi_tot=99.0)
+            NoiseBudget(
+                transmittance=1.0, excess_noise=0.04, chi_line=1.0, chi_het=1.0, chi_tot=99.0
+            )
+
+    @pytest.mark.parametrize("t", [0.0, -0.5, 1.0 + 1e-12, math.nan])
+    def test_transmittance_outside_unit_interval_rejected(self, t):
+        with pytest.raises(DomainError):
+            NoiseBudget.from_parameters(t, 0.5, 0.1, 0.04)
+
+    def test_negative_excess_noise_rejected(self):
+        with pytest.raises(DomainError):
+            NoiseBudget.from_parameters(0.5, 0.5, 0.1, -1e-9)
 
 
 class TestMutualInformation:
@@ -124,10 +137,17 @@ class TestMutualInformation:
         assert mutual_information(params) == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_formula_point(self):
-        # V = 2, chi_tot = 0 gives exactly 1 bit.
-        params = reference_params(0.0)
-        budget = NoiseBudget(excess_noise=0.0, chi_line=0.0, chi_het=0.0, chi_tot=0.0)
-        assert mutual_information(params, budget) == pytest.approx(1.0, rel=1e-12)
+        # V = 3 with chi_tot = 1 (T = 1, eps = 0, eta = 1, nu_el = 0) gives
+        # log2(4 / 2) = exactly 1 bit.
+        params = SecurityParams(
+            modulation_variance=2.0,
+            sigma_phi=0.0,
+            channel=ChannelDetector(
+                transmittance_override=1.0, detector_efficiency=1.0, electronic_noise_snu=0.0
+            ),
+        )
+        assert _evaluate(params, 1.0, 0.0).budget.chi_tot == 1.0
+        assert mutual_information(params) == 1.0
 
     def test_desk_check_at_50km(self):
         # Independent re-evaluation of the closed form at L = 50 km.
@@ -200,11 +220,21 @@ class TestAsymptoticRate:
         ]
         assert all(b >= a - 1e-12 for a, b in zip(chis, chis[1:]))
 
-    def test_components_consistent(self):
-        comp = key_rate_components(reference_params(50.0))
-        assert comp["asymptotic_rate"] == pytest.approx(
-            0.95 * comp["mutual_information"] - comp["holevo_bound"], rel=1e-12
-        )
+    @pytest.mark.parametrize("length_km", [0.0, 50.0, 150.0])
+    def test_components_consistent(self, length_km):
+        params = reference_params(length_km)
+        terms = _evaluate(params, params.channel.transmittance, params.excess_noise)
+        comp = key_rate_components(params)
+        rate = 0.95 * terms.mutual_information - terms.holevo_bound
+        assert comp == {
+            "mutual_information": terms.mutual_information,
+            "holevo_bound": terms.holevo_bound,
+            "asymptotic_rate": rate,
+        }
+        assert mutual_information(params) == terms.mutual_information
+        assert holevo_bound(params) == terms.holevo_bound
+        assert symplectic_eigenvalues(params) == terms.symplectic_eigenvalues
+        assert asymptotic_key_rate(params) == rate
 
 
 class TestEpsilonBudget:
@@ -244,6 +274,23 @@ class TestPessimisticBounds:
         chi_nominal = holevo_bound(params)
         assert worst_case_holevo(params, 10**12) >= chi_nominal - 1e-12
         assert worst_case_holevo(params, 10**6) >= worst_case_holevo(params, 10**12)
+
+    @pytest.mark.parametrize("n", [10**6, 10**9, 10**12])
+    def test_worst_case_is_largest_corner(self, n):
+        # Each corner read through the public nominal path: a channel fixed at
+        # the corner's T and, with V_A = 1, sigma_phi equal to its excess noise.
+        params = perfect_detector_params()
+        bounds = pessimistic_parameter_bounds(params, n)
+        corners = [
+            holevo_bound(replace(
+                params,
+                sigma_phi=eps,
+                channel=replace(params.channel, transmittance_override=t),
+            ))
+            for t in (bounds.transmittance_low, bounds.transmittance_high)
+            for eps in (bounds.excess_noise_low, bounds.excess_noise_high)
+        ]
+        assert worst_case_holevo(params, n) == max(corners)
 
 
 class TestNormalQuantile:
@@ -322,13 +369,6 @@ class TestFiniteSizeRate:
         assert finite_size_key_rate(params) == pytest.approx(
             finite_size_key_rate(params, 10**12), rel=1e-15
         )
-
-    def test_custom_chi_worst_callable(self):
-        params = perfect_detector_params()
-        rate_tight = finite_size_key_rate(
-            params, 10**12, chi_worst=lambda p, n: holevo_bound(p)
-        )
-        assert rate_tight >= finite_size_key_rate(params, 10**12)
 
     def test_pe_radius_scale_of_one_is_tight(self):
         # Plain Gaussian intervals turn positive far earlier than the
