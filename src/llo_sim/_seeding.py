@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
+from ._lazy_numpy import np
 
 SeedLike = "int | np.random.Generator | np.random.SeedSequence"
 

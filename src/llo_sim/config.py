@@ -22,12 +22,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import sys
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ConfigError
 from .experiments import (
@@ -169,11 +168,13 @@ def _grid(cls, data, path: str) -> tuple[float, ...]:
         raise ConfigError(
             f"{path}: need {hi_key} > {lo_key} and 2 <= {n_key} <= {_MAX_GRID_POINTS}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
-        grid = sweep.grid()
-    if not np.isfinite(grid).all():
+    try:
+        grid = tuple(sweep.grid())
+    except OverflowError as exc:  # a log-grid point beyond the float range
+        raise ConfigError(f"{path}: grid must be finite") from exc
+    if not all(map(math.isfinite, grid)):
         raise ConfigError(f"{path}: grid must be finite")
-    return tuple(grid.tolist())
+    return grid
 
 
 def _section(parent: dict, path: str, name: str) -> tuple[object, str]:
@@ -247,6 +248,12 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
     remap = _walk(RemapExperimentConfig, *experiment("remap"), **rig_run)
     laser_noise = _walk(LaserNoiseSweepConfig, *experiment("laser_noise"), **lasers)
     distance_grid = _grid(DistanceSweepConfig, *experiment("distance_sweep"))
+    try:  # the sweep clears any transmittance override, as run_keyrate_distance_sweep does
+        dataclasses.replace(
+            channel, fiber_length_km=distance_grid[-1], transmittance_override=None
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"config.experiments.distance_sweep: max_km: {exc}") from exc
     n_grid = _grid(NSweepConfig, *experiment("n_sweep"))
     if n_grid[0] < MIN_FINITE_SIZE_PULSES:
         raise ConfigError(

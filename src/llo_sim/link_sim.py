@@ -30,8 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Literal, Union
 
-import numpy as np
-
+from ._lazy_numpy import np
 from ._seeding import as_generator, seed_sequence, substream
 from .errors import ConfigError, DomainError, ScheduleError
 from .noise_models import LaserModel, sample_phase_trajectory
@@ -161,6 +160,11 @@ class ChannelDetector:
         ):
             raise ConfigError(
                 f"transmittance must be in (0, 1], got {self.transmittance_override}"
+            )
+        if self.transmittance == 0.0:
+            raise ConfigError(
+                f"fiber length {self.fiber_length_km:g} km at "
+                f"{self.attenuation_db_per_km:g} dB/km underflows the transmittance to 0"
             )
 
     @property

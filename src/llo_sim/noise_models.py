@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy_numpy import np
 from ._seeding import as_generator
 from .errors import DomainError
 

@@ -24,8 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy_numpy import np
 from .errors import DomainError, EstimationError, ScheduleError
 from .link_sim import PulseBlock
 

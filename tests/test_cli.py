@@ -201,6 +201,48 @@ def _run_child(code: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
+CLOSED_FORM_COMMANDS = ("keyrate-asymptotic", "keyrate-finite", "sweep-distance", "sweep-n")
+RUN_MAIN = "from llo_sim.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+BLOCK_NUMPY = "sys.modules['numpy'] = None  # any import of numpy now raises\n"
+NUMPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')"
+
+
+class TestWithoutNumpy:
+    @pytest.mark.parametrize("command", CLOSED_FORM_COMMANDS)
+    def test_closed_form_command_runs_with_numpy_blocked(self, tmp_path, command):
+        blocked = _run_child(
+            "import sys\n" + BLOCK_NUMPY + RUN_MAIN, command, "--output-dir", str(tmp_path / "a")
+        )
+        assert blocked.returncode == 0, blocked.stderr
+        loaded = _run_child("import sys\n" + RUN_MAIN, command, "--output-dir", str(tmp_path / "b"))
+        assert loaded.returncode == 0, loaded.stderr
+        assert blocked.stdout == loaded.stdout
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        assert len(names) == 2
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_cli_import_executes_no_numpy(self):
+        child = _run_child(f"import sys\nimport llo_sim.cli\nprint({NUMPY_MODULES})\n")
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "[]"
+
+    def test_writing_a_result_imports_no_numpy(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from llo_sim.experiments import ExperimentResult, Metric, write_result\n"
+            "result = ExperimentResult('w', {'m': Metric(0.5, 0.1)}, ('a', 'b'),\n"
+            "                          [(1.5, 2), (float('nan'), 3)], {'seed': 0, 'g': [1.0]})\n"
+            "write_result(result, sys.argv[1])\n"
+            f"print({NUMPY_MODULES})\n"
+        )
+        child = _run_child(code, str(tmp_path))
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "[]"
+        assert (tmp_path / "w-0.csv").read_text() == "a,b\n1.5,2\nnan,3\n"
+
+
 class TestWithoutScipy:
     def test_all_runs_with_scipy_blocked(self, tmp_path):
         code = (
@@ -289,6 +331,13 @@ BAD_CONFIGS = [
     ("keyrate-asymptotic", None, ["security.n_pulses=999"], "config.security: n_pulses"),
     ("sweep-n", None, ["experiments.n_sweep.log10_min=2"],
      "config.experiments.n_sweep: log10_min"),
+    ("sweep-n", None, ["experiments.n_sweep.log10_max=400"],
+     "config.experiments.n_sweep: grid must be finite"),
+    ("keyrate-asymptotic", None, ["channel.fiber_length_km=1e5"],
+     "config.channel: fiber length"),
+    ("phase-exp", None, ["channel.fiber_length_km=1e5"], "config.channel: fiber length"),
+    ("sweep-distance", None, ["experiments.distance_sweep.max_km=1.7e308"],
+     "config.experiments.distance_sweep: max_km"),
 ]
 
 

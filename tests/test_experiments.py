@@ -1,5 +1,7 @@
+import json
 import math
 from dataclasses import replace
+from decimal import Context, Decimal
 
 import numpy as np
 import pytest
@@ -7,8 +9,11 @@ import pytest
 from llo_sim._seeding import substream
 from llo_sim.errors import DomainError
 from llo_sim.experiments import (
+    DistanceSweepConfig,
     ExperimentResult,
     LaserNoiseSweepConfig,
+    Metric,
+    NSweepConfig,
     _chi2_sf,
     PhaseExperimentConfig,
     RemapExperimentConfig,
@@ -232,7 +237,77 @@ class TestKeyRateSweeps:
         assert all(r <= 0.0 for r in below_million)
 
 
+class TestSweepGrids:
+    @pytest.mark.parametrize(
+        "lo,hi,n",
+        [(0.0, 150.0, 31), (0.0, 150.0, 3001), (0.0, 5e-324, 3), (0.0, 1e-320, 5000),
+         (1.0, 1.0 + 2**-52, 7)],
+    )
+    def test_distance_grid_is_np_linspace_bit_for_bit(self, lo, hi, n):
+        grid = DistanceSweepConfig(lo, hi, n).grid()
+        assert np.array(grid).tobytes() == np.linspace(lo, hi, n).tobytes()
+
+    def test_random_distance_grids_are_np_linspace_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            lo = float(rng.choice([0.0, 10.0 ** rng.uniform(-320, 300)]))
+            hi = lo + float(10.0 ** rng.uniform(-320, 300))
+            n = int(rng.integers(2, 5000))
+            grid = DistanceSweepConfig(lo, hi, n).grid()
+            assert np.array(grid).tobytes() == np.linspace(lo, hi, n).tobytes(), (lo, hi, n)
+
+    @pytest.mark.parametrize("points", [29, 4000])
+    def test_n_grid_within_an_ulp_of_exact_powers(self, points):
+        config = NSweepConfig(points=points)
+        exact = Context(prec=60)
+        ys = np.linspace(config.log10_min, config.log10_max, points).tolist()
+        for n, y in zip(config.grid(), ys):
+            reference = float(exact.power(Decimal(10), Decimal(y)))
+            assert abs(n - reference) <= math.ulp(reference), (y, n, reference)
+
+
 class TestResultIO:
+    def test_numpy_cells_and_metadata(self):
+        result = ExperimentResult(
+            name="np",
+            scalar_metrics={
+                "a": Metric(np.float32(0.1), np.float64(0.5)),
+                "b": Metric(np.int64(7), exact=True),
+            },
+            series_columns=("f32", "i64", "arr", "f64"),
+            series_rows=[
+                (np.float32(0.1), np.int64(-3), np.array([1, 2]), np.float64(2.5)),
+                (np.float32(-np.inf), np.int64(2**40), np.array([0.5]), np.float64(np.nan)),
+            ],
+            metadata={
+                "seed": np.int64(0),
+                "f32": np.float32(1e-3),
+                "arr": np.array([[1.5, np.nan], [np.inf, -0.0]]),
+                "ints": np.arange(3),
+                "mixed": [np.float32(2.0), (np.int64(1), "s")],
+            },
+        )
+        assert result_to_csv(result) == (
+            "f32,i64,arr,f64\n"
+            "0.10000000149011612,-3,[1 2],2.5\n"
+            "-inf,1099511627776,[0.5],nan\n"
+        )
+        payload = {
+            "name": "np",
+            "metrics": {
+                "a": {"value": 0.10000000149011612, "stderr": 0.5, "exact": False},
+                "b": {"value": 7, "stderr": None, "exact": True},
+            },
+            "metadata": {
+                "seed": 0,
+                "f32": 0.0010000000474974513,
+                "arr": [[1.5, "nan"], ["inf", -0.0]],
+                "ints": [0, 1, 2],
+                "mixed": [2.0, [1, "s"]],
+            },
+        }
+        assert result_to_json(result) == json.dumps(payload, indent=2) + "\n"
+
     @pytest.mark.parametrize(
         "rows,expected",
         [
