@@ -129,7 +129,7 @@ def _keyrate_asymptotic_result(config: RunConfig) -> ExperimentResult:
         name="keyrate-asymptotic",
         scalar_metrics=metrics,
         series_columns=("fiber_length_km", "rate_bits_per_pulse"),
-        series_rows=[(config.channel.fiber_length_km, comp["asymptotic_rate"])],
+        series=([config.channel.fiber_length_km], [comp["asymptotic_rate"]]),
         metadata={"experiment": "keyrate-asymptotic", "seed": config.seed,
                   "fiber_length_km": config.channel.fiber_length_km},
     )
@@ -141,7 +141,7 @@ def _keyrate_finite_result(config: RunConfig) -> ExperimentResult:
         name="keyrate-finite",
         scalar_metrics={"finite_size_rate": Metric(rate, exact=True)},
         series_columns=("n_pulses", "rate_bits_per_pulse"),
-        series_rows=[(config.security.n_pulses, rate)],
+        series=([config.security.n_pulses], [rate]),
         metadata={"experiment": "keyrate-finite", "seed": config.seed,
                   "n_pulses": config.security.n_pulses},
     )

@@ -22,7 +22,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import __version__
 from ._lazy_numpy import np
@@ -35,6 +35,7 @@ from .link_sim import (
     PulseTrainConfig,
     RunSeeds,
     alice_symbols,
+    fiber_transmittance,
     simulate_run,
 )
 from .noise_models import LaserModel, phase_noise_variance, simulate_self_interference
@@ -66,11 +67,30 @@ class Metric:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """One experiment's scalar metrics, series and metadata.
+
+    ``series`` holds one column per name in ``series_columns``: a list, a
+    ``range`` or a 1-d numpy array, all of one length.  Columns are kept as
+    built, never copied into rows, so the writer can stream them to disk.
+    """
+
     name: str
     scalar_metrics: dict[str, Metric]
     series_columns: tuple[str, ...]
-    series_rows: list[tuple]
+    series: Sequence[Sequence]
     metadata: dict
+
+    def __post_init__(self) -> None:
+        lengths = {len(column) for column in self.series}
+        if len(self.series) != len(self.series_columns) or len(lengths) > 1:
+            raise ValueError(
+                f"series needs one column of one length per name in {self.series_columns}"
+            )
+
+    @property
+    def series_rows(self) -> list[tuple]:
+        """The series as row tuples (the columns zipped)."""
+        return list(zip(*self.series))
 
 
 def _float_types() -> tuple[type, ...]:
@@ -116,34 +136,53 @@ def result_to_json(result: ExperimentResult) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def result_to_csv(result: ExperimentResult) -> str:
-    """The series as CSV: a header of ``series_columns``, then one line per row.
+#: Rows formatted per chunk when writing a series; bounds the writer's memory.
+CSV_CHUNK_ROWS = 4096
 
-    Each column takes one ``%`` format from its cell in the first row:
-    ``%.17g`` (round-trip precision; ``nan``, ``inf``, ``-0``) for a Python
-    float, or a numpy float when numpy is loaded (without it no numpy cell can
-    exist, so writing never imports numpy), ``%s`` for anything else.  No rows
-    give the header only.
+
+def _csv_chunks(result: ExperimentResult) -> Iterator[str]:
+    """The series as CSV text: the header line, then up to
+    :data:`CSV_CHUNK_ROWS` lines per chunk, each ending in a newline.
+
+    A chunk takes its slice of each column, as Python objects through
+    ``tolist`` where the column has one (a numpy array).  Each column takes
+    one ``%`` format from its cell in the first row: ``%.17g`` (round-trip
+    precision; ``nan``, ``inf``, ``-0``) for a Python float, or a numpy float
+    when numpy is loaded (without it no numpy cell can exist, so writing never
+    imports numpy), ``%s`` for anything else.
     """
-    lines = [",".join(result.series_columns)]
-    if result.series_rows:
-        floats = _float_types()
-        row_format = ",".join(
-            "%.17g" if isinstance(cell, floats) else "%s" for cell in result.series_rows[0]
-        )
-        lines += [row_format % row for row in result.series_rows]
-    return "\n".join(lines) + "\n"
+    yield ",".join(result.series_columns) + "\n"
+    n_rows = len(result.series[0]) if result.series else 0
+    for start in range(0, n_rows, CSV_CHUNK_ROWS):
+        chunk = [column[start : start + CSV_CHUNK_ROWS] for column in result.series]
+        chunk = [c.tolist() if hasattr(c, "tolist") else c for c in chunk]
+        if start == 0:
+            floats = _float_types()
+            row_format = ",".join("%.17g" if isinstance(c[0], floats) else "%s" for c in chunk)
+        yield "\n".join([row_format % row for row in zip(*chunk)]) + "\n"
+
+
+def result_to_csv(result: ExperimentResult) -> str:
+    """The series as CSV: a header of ``series_columns``, then one line per
+    row, formatted as :func:`write_result` writes it.  No rows give the header
+    only."""
+    return "".join(_csv_chunks(result))
 
 
 def write_result(result: ExperimentResult, output_dir) -> tuple[Path, Path]:
-    """Write ``<name>-<seed>.json`` and ``.csv`` under ``output_dir``."""
+    """Write ``<name>-<seed>.json``, then ``.csv``, under ``output_dir``.
+
+    The CSV is streamed in chunks of :data:`CSV_CHUNK_ROWS` rows, so the
+    whole file is never held in memory.
+    """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = f"{result.name}-{result.metadata['seed']}"
     json_path = out / f"{stem}.json"
     csv_path = out / f"{stem}.csv"
     json_path.write_text(result_to_json(result), encoding="utf-8")
-    csv_path.write_text(result_to_csv(result), encoding="utf-8")
+    with csv_path.open("w", encoding="utf-8") as csv_file:
+        csv_file.writelines(_csv_chunks(result))
     return json_path, csv_path
 
 
@@ -435,7 +474,7 @@ def run_bpsk_phase_experiment(
         series_columns=(
             "bin_left_rad", "raw_bit0", "raw_bit1", "corrected_bit0", "corrected_bit1"
         ),
-        series_rows=list(zip(*(c.tolist() for c in columns))),
+        series=columns,
         metadata=_metadata(
             "phase-exp", seed, config,
             dropped_boundary_pulses=sum(r.diagnostics.n_dropped_boundary for r in recs),
@@ -508,11 +547,11 @@ def run_weak_reference_sweep(
             for n_ref, metric in zip(config.photon_numbers, per_point)
         },
         series_columns=("reference_photons", "residual_variance", "stderr"),
-        series_rows=list(zip(
-            np.asarray(config.photon_numbers, dtype=float).tolist(),
+        series=(
+            np.asarray(config.photon_numbers, dtype=float),
             [m.value for m in per_point],
             [m.stderr for m in per_point],
-        )),
+        ),
         metadata=_metadata("weak-ref", seed, config),
     )
 
@@ -567,7 +606,7 @@ def run_quantum_remap_experiment(
     )
     scatter = np.concatenate(
         [(rec.signal_x, rec.signal_p, rec.remapped_x, rec.remapped_p) for rec in recs], axis=1
-    )[:, : config.scatter_rows].tolist()
+    )[:, : config.scatter_rows]
     return ExperimentResult(
         name="remap-exp",
         scalar_metrics={
@@ -579,7 +618,7 @@ def run_quantum_remap_experiment(
             "raw_phase_uniformity_pvalue": Metric(p_uniform, exact=True),
         },
         series_columns=("index", "x_raw", "p_raw", "x_remapped", "p_remapped"),
-        series_rows=list(zip(range(len(scatter[0])), *scatter)),
+        series=(range(scatter.shape[1]), *scatter),
         metadata=_metadata(
             "remap-exp", seed, config,
             dropped_boundary_pulses=sum(r.diagnostics.n_dropped_boundary for r in recs),
@@ -648,12 +687,12 @@ def run_laser_noise_sweep(
         name="laser-noise",
         scalar_metrics=metrics,
         series_columns=("laser", "delay_s", "variance", "stderr"),
-        series_rows=list(zip(
+        series=(
             [label for label in lasers for _ in config.delays_s],
-            np.tile(np.asarray(config.delays_s, dtype=float), len(lasers)).tolist(),
+            np.tile(np.asarray(config.delays_s, dtype=float), len(lasers)),
             [m.value for m in series],
             [m.stderr for m in series],
-        )),
+        ),
         metadata=_metadata("laser-noise", seed, config),
     )
 
@@ -717,16 +756,19 @@ def run_keyrate_distance_sweep(
 ) -> ExperimentResult:
     """Asymptotic rate over a fibre-length grid with bisected zero crossing.
 
-    Any ``transmittance_override`` on the channel is cleared so the length
-    actually varies the transmittance.  Negative rates are reported as-is.
+    Each length is evaluated at its fibre transmittance, so any
+    ``transmittance_override`` on the channel is ignored.  Negative rates are
+    reported as-is.
     """
     l_grid = [float(x) for x in (DistanceSweepConfig().grid() if l_grid is None else l_grid)]
+    # The channel check rejects a negative length or an underflowing
+    # transmittance; bisection midpoints lie between grid points.
+    for length in (min(l_grid), max(l_grid)):
+        replace(params.channel, fiber_length_km=length, transmittance_override=None)
+    alpha = params.channel.attenuation_db_per_km
 
     def rate_at(length: float) -> float:
-        channel = replace(
-            params.channel, fiber_length_km=length, transmittance_override=None
-        )
-        return asymptotic_key_rate(replace(params, channel=channel))
+        return asymptotic_key_rate(params, fiber_transmittance(alpha, length))
 
     rates = [rate_at(length) for length in l_grid]
 
@@ -750,7 +792,7 @@ def run_keyrate_distance_sweep(
             "rate_at_first_grid_point": Metric(rates[0], exact=True),
         },
         series_columns=("fiber_length_km", "rate_bits_per_pulse"),
-        series_rows=list(zip(l_grid, rates)),
+        series=(l_grid, rates),
         metadata=_metadata("sweep-distance", seed, params, l_grid=l_grid),
     )
 
@@ -791,7 +833,7 @@ def run_finite_size_sweep(
             "n_threshold": Metric(threshold, exact=True),
         },
         series_columns=("n_pulses", "rate_bits_per_pulse"),
-        series_rows=list(zip(n_grid, rates)),
+        series=(n_grid, rates),
         metadata=_metadata("sweep-n", seed, params, n_grid=n_grid),
     )
 

@@ -127,7 +127,7 @@ class PulseTrainConfig:
 class ChannelDetector:
     """Fibre channel plus heterodyne detector parameters.
 
-    Transmittance follows ``10**(-alpha*L/10)`` unless overridden.  Detector
+    Transmittance follows :func:`fiber_transmittance` unless overridden.  Detector
     efficiency ``eta`` and electronic noise ``nu_el`` (shot-noise units) are
     trusted (not attributed to the eavesdropper).
     """
@@ -171,7 +171,12 @@ class ChannelDetector:
     def transmittance(self) -> float:
         if self.transmittance_override is not None:
             return self.transmittance_override
-        return 10.0 ** (-self.attenuation_db_per_km * self.fiber_length_km / 10.0)
+        return fiber_transmittance(self.attenuation_db_per_km, self.fiber_length_km)
+
+
+def fiber_transmittance(attenuation_db_per_km: float, length_km: float) -> float:
+    """``10**(-alpha*L/10)``: the transmittance of ``length_km`` of fibre."""
+    return 10.0 ** (-attenuation_db_per_km * length_km / 10.0)
 
 
 PulseKind = Literal["signal", "reference"]

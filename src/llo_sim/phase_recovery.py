@@ -98,7 +98,8 @@ def residual_variance(corrected, encoded) -> dict[float, float]:
         raise EstimationError("cannot estimate variance of an empty sequence")
 
     variances: dict[float, float] = {}
-    for symbol in np.unique(encoded):
+    # sorted(set(...)) rather than np.unique, whose numpy 2.x path imports numpy.ma
+    for symbol in sorted(set(encoded.tolist())):
         deviations = wrap_phase(corrected[encoded == symbol] - symbol)
         if deviations.size < 2:
             raise EstimationError(
@@ -113,7 +114,7 @@ def residual_variance(corrected, encoded) -> dict[float, float]:
                 "approximation range",
                 stacklevel=2,
             )
-        variances[float(symbol)] = var
+        variances[symbol] = var
     return variances
 
 

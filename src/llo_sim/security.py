@@ -257,8 +257,11 @@ def _evaluate(params: SecurityParams, t: float, excess_noise: float) -> _Terms:
     return _Terms(budget, i_ab, (lam1, lam2, lam3, lam4, 1.0), chi)
 
 
-def _nominal(params: SecurityParams) -> _Terms:
-    return _evaluate(params, params.channel.transmittance, params.excess_noise)
+def _nominal(params: SecurityParams, transmittance: float | None = None) -> _Terms:
+    """The evaluation at ``transmittance`` (default: the channel's)."""
+    if transmittance is None:
+        transmittance = params.channel.transmittance
+    return _evaluate(params, transmittance, params.excess_noise)
 
 
 def mutual_information(params: SecurityParams) -> float:
@@ -298,17 +301,21 @@ def holevo_bound(params: SecurityParams) -> float:
     return _nominal(params).holevo_bound
 
 
-def asymptotic_key_rate(params: SecurityParams) -> float:
-    """Reverse-reconciliation collective-attack rate f*I_AB - chi_BE.
+def asymptotic_key_rate(params: SecurityParams, transmittance: float | None = None) -> float:
+    """Reverse-reconciliation collective-attack rate f*I_AB - chi_BE at
+    ``transmittance`` (default: the channel's).
 
     May be negative; callers decide whether to clamp.
     """
-    return key_rate_components(params)["asymptotic_rate"]
+    return key_rate_components(params, transmittance)["asymptotic_rate"]
 
 
-def key_rate_components(params: SecurityParams) -> dict[str, float]:
-    """I_AB, chi_BE and the asymptotic rate in one call (for reporting)."""
-    terms = _nominal(params)
+def key_rate_components(
+    params: SecurityParams, transmittance: float | None = None
+) -> dict[str, float]:
+    """I_AB, chi_BE and the asymptotic rate in one call (for reporting), at
+    ``transmittance`` (default: the channel's)."""
+    terms = _nominal(params, transmittance)
     return {
         "mutual_information": terms.mutual_information,
         "holevo_bound": terms.holevo_bound,

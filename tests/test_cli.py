@@ -190,14 +190,18 @@ class TestDeterminism:
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
 
-def _run_child(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports this ``llo_sim``."""
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports this ``llo_sim``."""
     src = str(Path(llo_sim.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def _run_child(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this ``llo_sim``."""
     return subprocess.run(
         [sys.executable, "-c", code, *args],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=_child_env(), capture_output=True, text=True, timeout=300,
     )
 
 
@@ -233,7 +237,7 @@ class TestWithoutNumpy:
             "import sys\n"
             "from llo_sim.experiments import ExperimentResult, Metric, write_result\n"
             "result = ExperimentResult('w', {'m': Metric(0.5, 0.1)}, ('a', 'b'),\n"
-            "                          [(1.5, 2), (float('nan'), 3)], {'seed': 0, 'g': [1.0]})\n"
+            "                          ([1.5, float('nan')], [2, 3]), {'seed': 0, 'g': [1.0]})\n"
             "write_result(result, sys.argv[1])\n"
             f"print({NUMPY_MODULES})\n"
         )
@@ -241,6 +245,40 @@ class TestWithoutNumpy:
         assert child.returncode == 0, child.stderr
         assert child.stdout.strip() == "[]"
         assert (tmp_path / "w-0.csv").read_text() == "a,b\n1.5,2\nnan,3\n"
+
+
+class TestChildFootprint:
+    def test_phase_experiment_imports_no_numpy_ma(self):
+        code = (
+            "import sys\n"
+            "from llo_sim.experiments import PhaseExperimentConfig, run_bpsk_phase_experiment\n"
+            "run_bpsk_phase_experiment(PhaseExperimentConfig(n_pairs=2000, uniformity_stride=20))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        child = _run_child(code)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "False"
+
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for ru_maxrss")
+    def test_scatter_rows_do_not_raise_peak_memory(self, tmp_path):
+        """The remap scatter CSV is streamed, so writing 100k rows peaks at
+        about the memory of writing none (it was +44 MB when the whole CSV
+        was built as one string)."""
+        kib = 1 if sys.platform == "darwin" else 1024  # ru_maxrss unit: bytes / KiB
+        peaks = []
+        for rows in (100_000, 0):
+            child = subprocess.Popen(
+                [sys.executable, "-c", "import sys\n" + RUN_MAIN, "remap-exp",
+                 "--output-dir", str(tmp_path / str(rows)),
+                 "--set", "experiments.remap.n_pairs=100000",
+                 "--set", f"experiments.remap.scatter_rows={rows}"],
+                env=_child_env(), stdout=subprocess.DEVNULL,
+            )
+            _, status, usage = os.wait4(child.pid, 0)
+            child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+            assert child.returncode == 0
+            peaks.append(usage.ru_maxrss * kib / 2**20)
+        assert peaks[0] <= peaks[1] + 8.0, peaks
 
 
 class TestWithoutScipy:

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from llo_sim._seeding import substream
-from llo_sim.errors import DomainError
+from llo_sim.errors import ConfigError, DomainError
 from llo_sim.experiments import (
+    CSV_CHUNK_ROWS,
     DistanceSweepConfig,
     ExperimentResult,
     LaserNoiseSweepConfig,
@@ -32,7 +33,7 @@ from llo_sim.experiments import (
     write_result,
 )
 from llo_sim.link_sim import ChannelDetector
-from llo_sim.security import SecurityParams
+from llo_sim.security import SecurityParams, asymptotic_key_rate
 
 SMALL_PHASE = PhaseExperimentConfig(n_pairs=4000, uniformity_stride=25)
 SMALL_REMAP = RemapExperimentConfig(n_pairs=4000, uniformity_stride=25)
@@ -219,6 +220,26 @@ class TestKeyRateSweeps:
         base_range = base.scalar_metrics["secure_range_km"].value
         assert math.isnan(ideal_range) or ideal_range > base_range
 
+    def test_distance_rates_equal_a_rebuilt_channel(self):
+        params = replace(
+            reference_security(), channel=replace(reference_security().channel,
+                                                  transmittance_override=0.5),
+        )
+        grid = [0.0, 12.5, 80.0, 133.3]
+        res = run_keyrate_distance_sweep(params, grid, seed=1)
+        rebuilt = [
+            asymptotic_key_rate(replace(params, channel=replace(
+                params.channel, fiber_length_km=length, transmittance_override=None
+            )))
+            for length in grid
+        ]
+        assert [rate for _, rate in res.series_rows] == rebuilt
+
+    @pytest.mark.parametrize("grid", [[0.0, -5.0, 10.0], [0.0, 1e5]])
+    def test_distance_grid_checked_once(self, grid):
+        with pytest.raises(ConfigError, match="fiber length"):
+            run_keyrate_distance_sweep(reference_security(), grid, seed=1)
+
     def test_finite_size_threshold_and_monotone(self):
         params = SecurityParams(
             channel=ChannelDetector(
@@ -275,10 +296,12 @@ class TestResultIO:
                 "b": Metric(np.int64(7), exact=True),
             },
             series_columns=("f32", "i64", "arr", "f64"),
-            series_rows=[
-                (np.float32(0.1), np.int64(-3), np.array([1, 2]), np.float64(2.5)),
-                (np.float32(-np.inf), np.int64(2**40), np.array([0.5]), np.float64(np.nan)),
-            ],
+            series=(
+                [np.float32(0.1), np.float32(-np.inf)],
+                [np.int64(-3), np.int64(2**40)],
+                [np.array([1, 2]), np.array([0.5])],
+                [np.float64(2.5), np.float64(np.nan)],
+            ),
             metadata={
                 "seed": np.int64(0),
                 "f32": np.float32(1e-3),
@@ -328,9 +351,43 @@ class TestResultIO:
     def test_csv_format(self, rows, expected):
         result = ExperimentResult(
             name="csv", scalar_metrics={}, series_columns=("n", "label", "f", "g"),
-            series_rows=rows, metadata={"seed": 0},
+            series=tuple(zip(*rows)) or ((),) * 4, metadata={"seed": 0},
         )
         assert result_to_csv(result) == expected
+        assert result.series_rows == rows
+
+    def test_chunked_csv_matches_row_wise_format(self, tmp_path):
+        n = 2 * CSV_CHUNK_ROWS + 7  # three chunks, the last one ragged
+        specials = [math.nan, math.inf, -0.0, -math.inf]
+        floats = [specials[i % 4] if i % 5 == 0 else i / 7.0 for i in range(n)]
+        columns = (
+            range(n),
+            floats,
+            np.arange(n, dtype=float) * 1e-3 - 1.0,
+            np.arange(n) - 3,
+            [np.float64(x) for x in floats],
+            [f"s{i % 3}" for i in range(n)],
+        )
+        result = ExperimentResult(
+            name="chunks", scalar_metrics={},
+            series_columns=("i", "f", "arr", "ints", "npf", "label"),
+            series=columns, metadata={"seed": 0},
+        )
+        rows = result.series_rows
+        assert rows[5] == (5, floats[5], columns[2][5], columns[3][5], floats[5], "s2")
+        assert len(rows) == n and all(len(row) == 6 for row in rows)
+        row_wise = "".join(
+            "%s,%.17g,%.17g,%s,%.17g,%s\n" % (i, f, float(a), int(k), g, s)
+            for i, f, a, k, g, s in rows
+        )
+        _, csv_path = write_result(result, tmp_path)
+        assert csv_path.read_text() == result_to_csv(result) == "i,f,arr,ints,npf,label\n" + row_wise
+
+    def test_series_columns_must_match_names_and_length(self):
+        with pytest.raises(ValueError):
+            ExperimentResult("bad", {}, ("a", "b"), ([1.0], [2.0, 3.0]), {"seed": 0})
+        with pytest.raises(ValueError):
+            ExperimentResult("bad", {}, ("a", "b"), ([1.0],), {"seed": 0})
 
     def test_write_result_files(self, tmp_path):
         res = run_laser_noise_sweep(SMALL_NOISE, seed=29, threads=1)
