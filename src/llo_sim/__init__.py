@@ -23,7 +23,6 @@ from .link_sim import (
 )
 from .noise_models import (
     LaserModel,
-    PhaseTrajectory,
     coherence_time_from_linewidth,
     phase_noise_variance,
     sample_phase_trajectory,

@@ -27,19 +27,19 @@ from typing import Callable, Iterator, Sequence
 from . import __version__
 from ._lazy_numpy import np
 from ._seeding import seed_sequence
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, EstimationError
 from .link_sim import (
     BPSKModulation,
     ChannelDetector,
     NoModulation,
     PulseTrainConfig,
     RunSeeds,
-    alice_symbols,
     fiber_transmittance,
     simulate_run,
 )
 from .noise_models import LaserModel, phase_noise_variance, simulate_self_interference
 from .phase_recovery import (
+    RecoveredRun,
     predicted_sigma_phi,
     recover_run,
     residual_variance,
@@ -202,12 +202,22 @@ def batch_metric(values: Sequence[float]) -> Metric:
 
 
 def linear_fit(x, y) -> tuple[float, float, float]:
-    """Ordinary least squares line: returns (slope, intercept, r_squared)."""
+    """Ordinary least squares line: returns (slope, intercept, r_squared).
+
+    Non-finite data, or a fit that overflows, divides by zero or does not
+    converge, raises :class:`EstimationError`.
+    """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     if x.size != y.size or x.size < 2:
         raise DomainError("need >= 2 points of equal length")
-    slope, intercept = np.polyfit(x, y, 1)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise EstimationError("cannot fit a line through non-finite points")
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            slope, intercept = np.polyfit(x, y, 1)
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise EstimationError(f"line fit failed: {exc}") from exc
     residuals = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(residuals**2)) / ss_tot if ss_tot > 0 else 1.0
@@ -270,10 +280,11 @@ def _batch_sizes(total: int, n_batches: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(n_batches)]
 
 
-def _pooled_group_variance(corrected, encoded) -> tuple[dict[float, float], float]:
-    """Per-symbol circular residual variances plus their pooled value."""
-    groups = residual_variance(corrected, encoded)
-    encoded = np.asarray(encoded)
+def _pooled_group_variance(rec: RecoveredRun) -> tuple[dict[float, float], float]:
+    """Per-symbol circular residual variances of one recovered run plus their
+    pooled value."""
+    encoded = rec.encoded_phases
+    groups = residual_variance(rec.corrected_phases, encoded)
     num = 0.0
     dof = 0
     for symbol, var in groups.items():
@@ -401,9 +412,11 @@ def _shot_noise_prediction(cfg) -> float:
     return per_signal + 0.5 * per_reference
 
 
-def _recovered_batch(config, modulation, reference_photons: float, n_pairs: int, seeds):
-    """Simulate and recover one sub-batch: its :class:`RecoveredRun` and the
-    encoded phase of each usable signal, regenerated from the same seeds."""
+def _recovered_batch(
+    config, modulation, reference_photons: float, n_pairs: int, seeds
+) -> RecoveredRun:
+    """Simulate and recover one sub-batch; the :class:`RecoveredRun` carries
+    the encoded phase of each usable signal from the simulated block."""
     train = PulseTrainConfig(
         repetition_period_s=config.repetition_period_s,
         n_pairs=n_pairs,
@@ -412,8 +425,7 @@ def _recovered_batch(config, modulation, reference_photons: float, n_pairs: int,
         modulation=modulation,
     )
     block = simulate_run(train, (config.laser_s, config.laser_l), config.detector, seeds)
-    rec = recover_run(block)
-    return rec, alice_symbols(train, seeds).encoded_phase[: rec.corrected_phases.size]
+    return recover_run(block)
 
 
 def run_bpsk_phase_experiment(
@@ -429,19 +441,18 @@ def run_bpsk_phase_experiment(
     """
     modulation = BPSKModulation(*config.bpsk_phases)
     sizes = _batch_sizes(config.n_pairs, config.n_batches)
-    recs, encoded = zip(*_map_ordered(
+    recs = _map_ordered(
         lambda i: _recovered_batch(
             config, modulation, config.reference_photons, sizes[i],
             RunSeeds.from_seed(seed, "bpsk", i),
         ),
         range(config.n_batches), threads,
-    ))
-    corrected = [rec.corrected_phases for rec in recs]
-    groups, pooled = zip(*map(_pooled_group_variance, corrected, encoded))
+    )
+    groups, pooled = zip(*map(_pooled_group_variance, recs))
 
     raw_all = np.concatenate([rec.raw_phases for rec in recs])
-    corrected_all = np.concatenate(corrected)
-    encoded_all = np.concatenate(encoded)
+    corrected_all = np.concatenate([rec.corrected_phases for rec in recs])
+    encoded_all = np.concatenate([rec.encoded_phases for rec in recs])
 
     p_uniform = uniformity_pvalue(
         raw_all, n_bins=config.uniformity_bins, stride=config.uniformity_stride
@@ -477,8 +488,8 @@ def run_bpsk_phase_experiment(
         series=columns,
         metadata=_metadata(
             "phase-exp", seed, config,
-            dropped_boundary_pulses=sum(r.diagnostics.n_dropped_boundary for r in recs),
-            antipodal_ties=sum(r.diagnostics.n_antipodal_ties for r in recs),
+            dropped_boundary_pulses=config.n_batches,
+            antipodal_ties=sum(r.n_antipodal_ties for r in recs),
         ),
     )
 
@@ -528,10 +539,8 @@ def run_weak_reference_sweep(
             RunSeeds.from_seed(seed, "weak-ref", i),
             detector=seed_sequence(seed, "weak-ref", i, "detector", point),
         )
-        rec, encoded = _recovered_batch(
-            config, modulation, config.photon_numbers[point], sizes[i], seeds
-        )
-        return _pooled_group_variance(rec.corrected_phases, encoded)[1]
+        rec = _recovered_batch(config, modulation, config.photon_numbers[point], sizes[i], seeds)
+        return _pooled_group_variance(rec)[1]
 
     n_points = len(config.photon_numbers)
     tasks = list(itertools.product(range(n_points), range(config.n_batches)))
@@ -593,13 +602,13 @@ def run_quantum_remap_experiment(
     from the P/X variance asymmetry.
     """
     sizes = _batch_sizes(config.n_pairs, config.n_batches)
-    recs, _ = zip(*_map_ordered(
+    recs = _map_ordered(
         lambda i: _recovered_batch(
             config, NoModulation(), config.reference_photons, sizes[i],
             RunSeeds.from_seed(seed, "remap", i),
         ),
         range(config.n_batches), threads,
-    ))
+    )
     p_uniform = uniformity_pvalue(
         np.concatenate([rec.raw_phases for rec in recs]),
         n_bins=config.uniformity_bins, stride=config.uniformity_stride,
@@ -621,7 +630,7 @@ def run_quantum_remap_experiment(
         series=(range(scatter.shape[1]), *scatter),
         metadata=_metadata(
             "remap-exp", seed, config,
-            dropped_boundary_pulses=sum(r.diagnostics.n_dropped_boundary for r in recs),
+            dropped_boundary_pulses=config.n_batches,
         ),
     )
 

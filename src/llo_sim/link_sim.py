@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterator, Literal, Union
 
 from ._lazy_numpy import np
-from ._seeding import as_generator, seed_sequence, substream
+from ._seeding import as_generator, seed_sequence
 from .errors import ConfigError, DomainError, ScheduleError
 from .noise_models import LaserModel, sample_phase_trajectory
 
@@ -204,21 +204,30 @@ class QuadratureSample:
 @dataclass(frozen=True, eq=False)
 class PulseBlock:
     """One run's pulses as arrays in schedule order R S R S ...: position ``k``
-    is a reference when ``k`` is even, a signal when it is odd.
+    is a reference when ``k`` is even, a signal when it is odd, so a block
+    holds an even number of pulses.
 
-    ``true_phase`` is as in :class:`QuadratureSample`; iterating yields one
-    :class:`QuadratureSample` per pulse.
+    ``x``, ``p`` and ``true_phase`` have one entry per pulse; ``true_phase``
+    is as in :class:`QuadratureSample`.  ``encoded_phase`` has one entry per
+    R S pair: Alice's encoded phase of signal ``i`` (pulse ``2*i + 1``).
+    Iterating yields one :class:`QuadratureSample` per pulse.
     """
 
     x: np.ndarray
     p: np.ndarray
     true_phase: np.ndarray
+    encoded_phase: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("x", "p", "true_phase"):
+        for name in ("x", "p", "true_phase", "encoded_phase"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.x.ndim != 1 or not (self.x.shape == self.p.shape == self.true_phase.shape):
             raise ScheduleError("x, p and true_phase must be 1-d arrays of equal length")
+        if self.x.size % 2 or self.encoded_phase.shape != (self.x.size // 2,):
+            raise ScheduleError(
+                f"an R S schedule of {self.x.size} pulses needs an even pulse count and "
+                f"one encoded phase per pair, got {self.encoded_phase.shape}"
+            )
         if not (np.isfinite(self.x).all() and np.isfinite(self.p).all()):
             raise DomainError("non-finite quadratures in pulse block")
 
@@ -232,15 +241,6 @@ class PulseBlock:
             yield QuadratureSample(x, p, "signal" if k % 2 else "reference", k, true_phase)
 
 
-@dataclass(frozen=True)
-class ModulatedSymbols:
-    """Alice's side of one run: target quadratures and encoded phases."""
-
-    x_a: np.ndarray
-    p_a: np.ndarray
-    encoded_phase: np.ndarray
-
-
 def coherent_amplitude(photons: float) -> tuple[float, float]:
     """Mean quadrature vector of a coherent state of ``photons`` at phase 0."""
     if photons < 0:
@@ -248,15 +248,14 @@ def coherent_amplitude(photons: float) -> tuple[float, float]:
     return 2.0 * math.sqrt(photons), 0.0
 
 
-def _draw_symbols(
-    modulation: Modulation, photons: float, indices: np.ndarray, rng
-) -> ModulatedSymbols:
+def _draw_symbols(modulation: Modulation, photons: float, indices: np.ndarray, rng):
+    """Alice's target quadratures and encoded phases: ``(x_a, p_a, phase)``."""
     n = indices.size
     if isinstance(modulation, GaussianModulation):
         sigma = math.sqrt(modulation.variance_snu)
         x_a = rng.normal(0.0, sigma, size=n)
         p_a = rng.normal(0.0, sigma, size=n)
-        return ModulatedSymbols(x_a, p_a, np.arctan2(p_a, x_a))
+        return x_a, p_a, np.arctan2(p_a, x_a)
     if isinstance(modulation, BPSKModulation):
         phases = np.where(indices % 2 == 0, modulation.phase0, modulation.phase1)
     elif isinstance(modulation, NoModulation):
@@ -264,26 +263,7 @@ def _draw_symbols(
     else:
         raise ConfigError(f"unknown modulation {modulation!r}")
     r = 2.0 * math.sqrt(photons)
-    return ModulatedSymbols(r * np.cos(phases), r * np.sin(phases), phases)
-
-
-def alice_symbols(train: PulseTrainConfig, seed) -> ModulatedSymbols:
-    """Regenerate Alice's modulation draws for a run without simulating it.
-
-    Uses the same sub-stream as :func:`simulate_run`, so the returned symbols
-    are exactly the ones encoded in that run.
-    """
-    indices = np.arange(train.n_pairs)
-    rng = _modulation_rng(seed)
-    return _draw_symbols(train.modulation, train.signal_photons, indices, rng)
-
-
-def _modulation_rng(seed):
-    if isinstance(seed, RunSeeds):
-        return as_generator(seed.modulation)
-    if isinstance(seed, (int, np.integer)):
-        return substream(int(seed), "modulation")
-    return as_generator(seed)
+    return r * np.cos(phases), r * np.sin(phases), phases
 
 
 def _measure_arrays(x_in, p_in, phi, det: ChannelDetector, rng):
@@ -305,7 +285,8 @@ def simulate_run(
     det: ChannelDetector,
     seed,
 ) -> PulseBlock:
-    """Simulate one interleaved run; returns its pulses in schedule order.
+    """Simulate one interleaved run; returns its pulses in schedule order,
+    with Alice's encoded phase of each signal.
 
     ``lasers`` is (signal laser, LO laser).  The per-pulse phase offset is the
     difference of the two lasers' phase trajectories plus a uniform random
@@ -323,9 +304,9 @@ def simulate_run(
     traj_s = sample_phase_trajectory(laser_s, times, seeds.laser_s)
     traj_l = sample_phase_trajectory(laser_l, times, seeds.laser_l)
     phi0 = float(as_generator(seeds.phase0).uniform(0.0, TWO_PI))
-    phi = phi0 + traj_l.phases - traj_s.phases
+    phi = phi0 + traj_l - traj_s
 
-    symbols = _draw_symbols(
+    x_a, p_a, encoded = _draw_symbols(
         train.modulation, train.signal_photons, np.arange(n), as_generator(seeds.modulation)
     )
     ref_x, ref_p = coherent_amplitude(train.reference_photons)
@@ -333,8 +314,8 @@ def simulate_run(
     x_in = np.empty(2 * n)
     p_in = np.empty(2 * n)
     x_in[0::2], p_in[0::2] = ref_x, ref_p
-    x_in[1::2], p_in[1::2] = symbols.x_a, symbols.p_a
+    x_in[1::2], p_in[1::2] = x_a, p_a
 
     x_out, p_out = _measure_arrays(x_in, p_in, phi, det, as_generator(seeds.detector))
-    return PulseBlock(x_out, p_out, phi)
+    return PulseBlock(x_out, p_out, phi, encoded)
 

@@ -112,28 +112,6 @@ class LaserModel:
         return math.isinf(self.coherence_time_s)
 
 
-@dataclass(frozen=True)
-class PhaseTrajectory:
-    """Accumulated phase deviation of one laser sampled at given timestamps."""
-
-    times: np.ndarray
-    phases: np.ndarray
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        phases = np.asarray(self.phases, dtype=float)
-        if times.ndim != 1 or phases.ndim != 1 or times.shape != phases.shape:
-            raise DomainError("times and phases must be 1-d arrays of equal length")
-        if times.size == 0:
-            raise DomainError("trajectory must contain at least one timestamp")
-        if np.any(np.diff(times) <= 0):
-            raise DomainError("times must be strictly increasing")
-        if times[0] == 0.0 and phases[0] != 0.0:
-            raise DomainError("phase at t=0 must be 0")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "phases", phases)
-
-
 def phase_noise_variance(t: float, laser: LaserModel) -> float:
     """Variance (rad^2) of the accumulated phase deviation after time ``t``."""
     if t < 0:
@@ -143,8 +121,9 @@ def phase_noise_variance(t: float, laser: LaserModel) -> float:
     return 2.0 * t / laser.coherence_time_s
 
 
-def sample_phase_trajectory(laser: LaserModel, times, seed) -> PhaseTrajectory:
-    """Sample one phase trajectory of ``laser`` at the given timestamps.
+def sample_phase_trajectory(laser: LaserModel, times, seed) -> np.ndarray:
+    """Accumulated phase deviation (rad) of ``laser`` at the given timestamps,
+    one entry per timestamp.
 
     Increments between consecutive timestamps are independent zero-mean
     Gaussians of variance ``2*dt/tau_c``; on top of the random walk the phase
@@ -172,7 +151,7 @@ def sample_phase_trajectory(laser: LaserModel, times, seed) -> PhaseTrajectory:
     deterministic = TWO_PI * (
         laser.center_detuning_hz + laser.drift_rate_hz_per_s * times
     ) * times
-    return PhaseTrajectory(times=times, phases=wiener + deterministic)
+    return wiener + deterministic
 
 
 def simulate_self_interference(
@@ -193,6 +172,5 @@ def simulate_self_interference(
     if delay_s == 0.0:
         return 0.0
     times = np.arange(n_samples + 1, dtype=float) * delay_s
-    trajectory = sample_phase_trajectory(laser, times, seed)
-    diffs = np.diff(trajectory.phases)
+    diffs = np.diff(sample_phase_trajectory(laser, times, seed))
     return float(np.var(diffs, ddof=1))

@@ -140,21 +140,14 @@ def sigma_phi_from_quadratures(samples) -> float:
 
 
 @dataclass(frozen=True)
-class RecoveryDiagnostics:
-    """Bookkeeping from one feedforward pass over a pulse train."""
-
-    n_signals_total: int
-    n_dropped_boundary: int
-    n_antipodal_ties: int
-
-
-@dataclass(frozen=True)
 class RecoveredRun:
     """Vectorised result of recovering one simulated run.
 
-    Arrays cover the usable signals only (the final signal of a run has no
-    following reference and is dropped; see ``diagnostics``).  The signal
-    quadratures and true phases are views into the recovered block.
+    Arrays cover the usable signals only: the final signal of a run has no
+    following reference and is dropped.  The signal quadratures, true phases
+    and ``encoded_phases`` (Alice's encoded phase of each usable signal) are
+    views into the recovered block.  ``n_antipodal_ties`` counts the
+    reference pairs that :func:`_midpoints` found exactly antipodal.
     """
 
     signal_x: np.ndarray
@@ -165,20 +158,20 @@ class RecoveredRun:
     remapped_x: np.ndarray
     remapped_p: np.ndarray
     true_phases: np.ndarray
-    diagnostics: RecoveryDiagnostics
+    encoded_phases: np.ndarray
+    n_antipodal_ties: int
 
 
 def recover_run(block: PulseBlock) -> RecoveredRun:
     """Run the full feedforward pipeline over one simulated pulse train.
 
-    Expects the strict R S R S ... schedule of a :class:`PulseBlock` from
-    :func:`llo_sim.link_sim.simulate_run`.  Signal ``i`` is interpolated from
-    references ``i`` and ``i+1``; the last signal is dropped for lack of a
-    following reference.
+    Takes a :class:`PulseBlock` from :func:`llo_sim.link_sim.simulate_run`,
+    whose constructor has checked the R S R S ... schedule.  Signal ``i`` is
+    interpolated from references ``i`` and ``i+1``; the last signal is
+    dropped for lack of a following reference.
     """
-    n_pulses = len(block)
-    if n_pulses % 2 or n_pulses < 4:
-        raise ScheduleError(f"need >= 2 R S pairs, got {n_pulses} pulses")
+    if len(block) < 4:
+        raise ScheduleError(f"need >= 2 R S pairs, got {len(block)} pulses")
 
     ref_phases = _reference_phases(block.x[0::2], block.p[0::2])
     interpolated, n_ties = _midpoints(ref_phases)
@@ -198,9 +191,6 @@ def recover_run(block: PulseBlock) -> RecoveredRun:
         remapped_x=remapped_x,
         remapped_p=remapped_p,
         true_phases=block.true_phase[1:-1:2],
-        diagnostics=RecoveryDiagnostics(
-            n_signals_total=n_pulses // 2,
-            n_dropped_boundary=1,
-            n_antipodal_ties=n_ties,
-        ),
+        encoded_phases=block.encoded_phase[:-1],
+        n_antipodal_ties=n_ties,
     )

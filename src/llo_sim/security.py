@@ -225,35 +225,49 @@ class _Terms(NamedTuple):
 def _evaluate(params: SecurityParams, t: float, excess_noise: float) -> _Terms:
     """I_AB (bits/pulse, both quadratures), the five symplectic eigenvalues of
     the collective-attack analysis and the Holevo bound chi_BE at ``(t,
-    excess_noise)``, with the detector of ``params.channel``."""
+    excess_noise)``, with the detector of ``params.channel``.
+
+    A term that overflows or ends non-finite raises
+    :class:`NumericalDomainError` naming the point, so every rate fails alike.
+    """
     channel = params.channel
     budget = NoiseBudget.from_parameters(
         t, channel.detector_efficiency, channel.electronic_noise_snu, excess_noise
     )
     v = params.V
     chi_line, chi_het, chi_tot = budget.chi_line, budget.chi_het, budget.chi_tot
-    a = v * v * (1.0 - 2.0 * t) + 2.0 * t + (t * (v + chi_line)) ** 2
-    b = (t * (v * chi_line + 1.0)) ** 2
-    lam1, lam2 = _eigenpair(a, b, "lambda_1/2")
+    try:
+        a = v * v * (1.0 - 2.0 * t) + 2.0 * t + (t * (v + chi_line)) ** 2
+        b = (t * (v * chi_line + 1.0)) ** 2
+        lam1, lam2 = _eigenpair(a, b, "lambda_1/2")
 
-    denom = (t * (v + chi_tot)) ** 2
-    sqrt_b = math.sqrt(b)
-    c = (
-        a * chi_het**2
-        + b
-        + 1.0
-        + 2.0 * chi_het * (v * sqrt_b + t * (v + chi_line))
-        + 2.0 * t * (v * v - 1.0)
-    ) / denom
-    d = ((v + sqrt_b * chi_het) ** 2) / denom
-    lam3, lam4 = _eigenpair(c, d, "lambda_3/4")
-    chi = (  # lambda_5 = 1 adds -G(0) = 0
-        g_function((lam1 - 1.0) / 2.0)
-        + g_function((lam2 - 1.0) / 2.0)
-        - g_function((lam3 - 1.0) / 2.0)
-        - g_function((lam4 - 1.0) / 2.0)
-    )
-    i_ab = math.log2((v + chi_tot) / (1.0 + chi_tot))
+        denom = (t * (v + chi_tot)) ** 2
+        sqrt_b = math.sqrt(b)
+        c = (
+            a * chi_het**2
+            + b
+            + 1.0
+            + 2.0 * chi_het * (v * sqrt_b + t * (v + chi_line))
+            + 2.0 * t * (v * v - 1.0)
+        ) / denom
+        d = ((v + sqrt_b * chi_het) ** 2) / denom
+        lam3, lam4 = _eigenpair(c, d, "lambda_3/4")
+        chi = (  # lambda_5 = 1 adds -G(0) = 0
+            g_function((lam1 - 1.0) / 2.0)
+            + g_function((lam2 - 1.0) / 2.0)
+            - g_function((lam3 - 1.0) / 2.0)
+            - g_function((lam4 - 1.0) / 2.0)
+        )
+        i_ab = math.log2((v + chi_tot) / (1.0 + chi_tot))
+    except OverflowError as exc:
+        raise NumericalDomainError(
+            f"key-rate terms overflow at T = {t:g}, excess noise = {excess_noise:g} SNU"
+        ) from exc
+    if not (math.isfinite(i_ab) and math.isfinite(chi)):
+        raise NumericalDomainError(
+            f"non-finite key-rate terms at T = {t:g}, excess noise = {excess_noise:g} SNU: "
+            f"I_AB = {i_ab:g}, chi_BE = {chi:g}"
+        )
     return _Terms(budget, i_ab, (lam1, lam2, lam3, lam4, 1.0), chi)
 
 

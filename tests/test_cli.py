@@ -130,25 +130,38 @@ class TestCliContract:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_numerical_error_exit_code(self, tmp_path, capsys):
-        # Zero-amplitude signals make the remap estimator ill-conditioned.
-        code = main(
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # Zero-amplitude signals make the remap estimator ill-conditioned.
             [
-                "remap-exp",
-                "--output-dir",
-                str(tmp_path),
-                "--seed",
-                "3",
-                "--set",
-                "experiments.remap.signal_photons=0",
-                "--set",
-                "experiments.remap.n_pairs=2000",
-                "--set",
-                "experiments.remap.uniformity_stride=20",
-            ]
-        )
+                "remap-exp", "--seed", "3",
+                "--set", "experiments.remap.signal_photons=0",
+                "--set", "experiments.remap.n_pairs=2000",
+                "--set", "experiments.remap.uniformity_stride=20",
+            ],
+            # Key-rate terms that overflow a float.
+            ["keyrate-asymptotic", "--set", "security.modulation_variance=1e200"],
+            ["keyrate-finite", "--set", "security.sigma_phi=1e300"],
+            ["keyrate-asymptotic", "--set", "channel.detector_efficiency=1e-300"],
+            ["sweep-distance", "--set", "security.modulation_variance=1e200"],
+            # Delays whose squares underflow leave the line fit singular.
+            [
+                "laser-noise",
+                "--set", "experiments.laser_noise.delays_s=[1e-300,2e-300]",
+                "--set", "experiments.laser_noise.n_samples=100",
+            ],
+        ],
+        ids=[
+            "remap-zero-signal", "asymptotic-huge-variance", "finite-huge-sigma-phi",
+            "asymptotic-tiny-efficiency", "distance-sweep-huge-variance",
+            "laser-noise-tiny-delays",
+        ],
+    )
+    def test_numerical_error_exit_code(self, args, tmp_path, capsys):
+        code = main([*args, "--output-dir", str(tmp_path)])
         assert code == 1
-        assert "numerical error" in capsys.readouterr().err
+        assert "numerical error:" in capsys.readouterr().err
 
     def test_bad_threads_env_rejected(self, monkeypatch, capsys):
         monkeypatch.setenv("LLO_SIM_THREADS", "lots")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from llo_sim._seeding import substream
-from llo_sim.errors import ConfigError, DomainError
+from llo_sim.errors import ConfigError, DomainError, EstimationError
 from llo_sim.experiments import (
     CSV_CHUNK_ROWS,
     DistanceSweepConfig,
@@ -67,6 +67,20 @@ class TestHelpers:
         assert slope == pytest.approx(2.0, rel=1e-12)
         assert intercept == pytest.approx(1.0, rel=1e-9)
         assert r2 == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "x,y",
+        [
+            ([1.0, 2.0], [math.inf, math.inf]),
+            ([1.0, math.nan], [1.0, 2.0]),
+            ([1e-300, 2e-300], [1.0, 2.0]),
+            ([1e200, 2e200], [1.0, 2.0]),
+        ],
+        ids=["infinite-y", "nan-x", "underflowing-x", "overflowing-x"],
+    )
+    def test_linear_fit_failure_rejected(self, x, y):
+        with pytest.raises(EstimationError):
+            linear_fit(x, y)
 
     def test_uniformity_accepts_uniform(self):
         rng = substream(101)

@@ -13,7 +13,6 @@ from llo_sim.link_sim import (
     PulseBlock,
     PulseTrainConfig,
     RunSeeds,
-    alice_symbols,
     coherent_amplitude,
     simulate_run,
     _draw_symbols,
@@ -55,33 +54,27 @@ class TestChannelDetector:
 
 class TestModulation:
     def test_none_gives_coherent_amplitude(self):
-        symbols = _draw_symbols(NoModulation(), 9.0, np.arange(1), substream(1))
-        assert (symbols.x_a[0], symbols.p_a[0]) == (2.0 * 3.0, 0.0)
-        assert symbols.encoded_phase[0] == 0.0
+        x_a, p_a, encoded = _draw_symbols(NoModulation(), 9.0, np.arange(1), substream(1))
+        assert (x_a[0], p_a[0]) == (2.0 * 3.0, 0.0)
+        assert encoded[0] == 0.0
         assert coherent_amplitude(9.0) == (6.0, 0.0)
 
     def test_bpsk_pattern_and_angle(self):
         mod = BPSKModulation(phase0=0.0, phase1=1.65)
-        symbols = _draw_symbols(mod, 4.0, np.arange(2), substream(1))
-        ph0, ph1 = symbols.encoded_phase
-        x1, p1 = symbols.x_a[1], symbols.p_a[1]
+        x_a, p_a, (ph0, ph1) = _draw_symbols(mod, 4.0, np.arange(2), substream(1))
+        x1, p1 = x_a[1], p_a[1]
         assert ph0 == 0.0 and ph1 == 1.65
         assert math.atan2(p1, x1) == pytest.approx(1.65, rel=1e-12)
         assert math.hypot(x1, p1) == pytest.approx(4.0, rel=1e-12)
 
     def test_gaussian_variance_monte_carlo(self):
-        train = PulseTrainConfig(
-            repetition_period_s=20e-9,
-            n_pairs=100_000,
-            signal_photons=0.0,
-            reference_photons=100.0,
-            modulation=GaussianModulation(variance_snu=1.0),
+        n = 100_000
+        x_a, p_a, _ = _draw_symbols(
+            GaussianModulation(variance_snu=1.0), 0.0, np.arange(n), substream(3, "modulation")
         )
-        symbols = alice_symbols(train, seed=3)
-        n = symbols.x_a.size
         se = math.sqrt(2.0 / (n - 1))
-        assert abs(symbols.x_a.var(ddof=1) - 1.0) < 3.0 * se
-        assert abs(symbols.p_a.var(ddof=1) - 1.0) < 3.0 * se
+        assert abs(x_a.var(ddof=1) - 1.0) < 3.0 * se
+        assert abs(p_a.var(ddof=1) - 1.0) < 3.0 * se
 
     def test_gaussian_requires_positive_variance(self):
         with pytest.raises(ConfigError):
@@ -256,33 +249,46 @@ class TestSimulateRun:
 
     def test_alice_symbols_match_run_draws(self):
         # High modulation variance so the unit measurement noise cannot hide
-        # a mismatch between the run's draws and the regenerated record.
+        # a mismatch between the block's encoded phases and the run's draws.
         train = PulseTrainConfig(
             20e-9, 50, 0.0, 10.0, modulation=GaussianModulation(1e4)
         )
-        recorded = alice_symbols(train, seed=41)
         det = ChannelDetector(transmittance_override=1.0, detector_efficiency=1.0)
         lasers = (LaserModel.noiseless(), LaserModel.noiseless())
-        samples = simulate_run(train, lasers, det, seed=41)
-        sig = [s for s in samples if s.kind == "signal"]
-        scale = math.sqrt(0.5)
-        recovered = np.array(
-            [
-                (s.x * math.cos(s.true_phase) - s.p * math.sin(s.true_phase)) / scale
-                for s in sig
-            ]
-        )
-        # Residual is pure measurement noise, std sqrt(2) input-referred.
-        np.testing.assert_allclose(recovered, recorded.x_a, atol=8.0 * math.sqrt(2.0))
-        assert np.corrcoef(recovered, recorded.x_a)[0, 1] > 0.999
+        block = simulate_run(train, lasers, det, seed=41)
+        assert block.encoded_phase.shape == (50,)
+        # Undo the measurement rotation R(-phi), then split Bob's vector along
+        # and across the recorded encoded direction.
+        x, p, phi = block.x[1::2], block.p[1::2], block.true_phase[1::2]
+        x_in = x * np.cos(phi) - p * np.sin(phi)
+        p_in = x * np.sin(phi) + p * np.cos(phi)
+        enc = block.encoded_phase
+        along = x_in * np.cos(enc) + p_in * np.sin(enc)
+        across = -x_in * np.sin(enc) + p_in * np.cos(enc)
+        # Across the encoded direction is pure unit measurement noise; along
+        # it lies the symbol's amplitude, sqrt(0.5) * 100 * sqrt(pi/2) on average.
+        assert np.abs(across).max() < 6.0
+        assert along.min() > -6.0 and along.mean() > 40.0
 
 
 class TestPulseBlock:
     @pytest.mark.parametrize("column", ["x", "p"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_quadrature_rejected(self, column, bad):
-        columns = {"x": np.ones(4), "p": np.ones(4), "true_phase": np.zeros(4)}
+        columns = {
+            "x": np.ones(4), "p": np.ones(4), "true_phase": np.zeros(4),
+            "encoded_phase": np.zeros(2),
+        }
         columns[column][2] = bad
         with pytest.raises(DomainError):
             PulseBlock(**columns)
+
+    @pytest.mark.parametrize(
+        "n_pulses,n_encoded", [(5, 2), (6, 2), (6, 4)], ids=["odd", "short", "long"]
+    )
+    def test_schedule_shape_rejected(self, n_pulses, n_encoded):
+        with pytest.raises(ScheduleError):
+            PulseBlock(
+                np.ones(n_pulses), np.ones(n_pulses), np.zeros(n_pulses), np.zeros(n_encoded)
+            )
 

@@ -39,7 +39,9 @@ def block_with(ref_phases, raw_phases):
     angles = np.zeros(2 * len(ref_phases))
     angles[0::2] = -np.asarray(ref_phases)
     angles[1:-1:2] = raw_phases
-    return PulseBlock(np.cos(angles), np.sin(angles), np.zeros_like(angles))
+    return PulseBlock(
+        np.cos(angles), np.sin(angles), np.zeros_like(angles), np.zeros(len(ref_phases))
+    )
 
 
 class TestWrapPhase:
@@ -291,10 +293,10 @@ class TestRecoverRun:
         return simulate_run(train, lasers, det, seed=seed)
 
     def test_boundary_drop_recorded(self):
-        rec = recover_run(self._run())
-        assert rec.diagnostics.n_signals_total == 200
-        assert rec.diagnostics.n_dropped_boundary == 1
-        assert rec.corrected_phases.size == 199
+        block = self._run()
+        rec = recover_run(block)
+        assert rec.corrected_phases.size == rec.encoded_phases.size == 199
+        assert np.array_equal(rec.encoded_phases, block.encoded_phase[:-1])
 
     def test_strong_pulse_recovery_tracks_truth(self):
         # With strong pulses, corrected phase of an unmodulated signal should
@@ -313,9 +315,8 @@ class TestRecoverRun:
 
     def test_unbalanced_schedule_rejected(self):
         block = self._run(n_pairs=10)
-        odd = PulseBlock(block.x[:-1], block.p[:-1], block.true_phase[:-1])
         with pytest.raises(ScheduleError):
-            recover_run(odd)
+            PulseBlock(block.x[:-1], block.p[:-1], block.true_phase[:-1], block.encoded_phase)
 
     def test_shares_the_scalar_kernel(self):
         # The array kernel against a per-reference scalar oracle written
