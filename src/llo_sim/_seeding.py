@@ -13,8 +13,6 @@ import hashlib
 
 from ._lazy_numpy import np
 
-SeedLike = "int | np.random.Generator | np.random.SeedSequence"
-
 
 def _label_to_int(part: int | str) -> int:
     if isinstance(part, (int, np.integer)):

@@ -4,15 +4,13 @@ Exit-code contract: 0 on success, 1 on a numerical-domain error during
 evaluation, 2 on configuration errors (including unknown commands, which
 argparse reports with usage text).  All outputs land under ``--output-dir``;
 no input file is ever modified.  ``--seed`` fully determines every stochastic
-output, independent of ``--threads`` (``LLO_SIM_THREADS`` is the fallback for
-the flag).
+output, independent of ``--threads``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .config import RunConfig, parse_config
@@ -58,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-dir", type=str, default=None,
                        help="directory for result files")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: 1; fallback env LLO_SIM_THREADS)")
+                       help="worker threads (default: 1)")
         p.add_argument("--fiber-length", type=float, default=None,
                        help="channel fiber length in km")
         p.add_argument("--n-pulses", type=int, default=None,
@@ -97,16 +95,8 @@ def _config_from_args(args) -> RunConfig:
         overrides["channel.fiber_length_km"] = args.fiber_length
     if args.n_pulses is not None:
         overrides["security.n_pulses"] = args.n_pulses
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("LLO_SIM_THREADS")
-        if env is not None:
-            try:
-                threads = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"LLO_SIM_THREADS must be an integer, got {env!r}") from exc
-    if threads is not None:
-        overrides["threads"] = threads
+    if args.threads is not None:
+        overrides["threads"] = args.threads
     return parse_config(args.config, overrides)
 
 
@@ -129,9 +119,9 @@ def _keyrate_asymptotic_result(config: RunConfig) -> ExperimentResult:
         name="keyrate-asymptotic",
         scalar_metrics=metrics,
         series_columns=("fiber_length_km", "rate_bits_per_pulse"),
-        series=([config.channel.fiber_length_km], [comp["asymptotic_rate"]]),
+        series=([config.security.channel.fiber_length_km], [comp["asymptotic_rate"]]),
         metadata={"experiment": "keyrate-asymptotic", "seed": config.seed,
-                  "fiber_length_km": config.channel.fiber_length_km},
+                  "fiber_length_km": config.security.channel.fiber_length_km},
     )
 
 

@@ -1,20 +1,16 @@
-"""Run configuration: JSON sections parsed onto the package's dataclasses.
+"""Run configuration: the run's sections, their defaults and the JSON parser.
 
-Defaults live only on the dataclasses: ``channel`` is ``SecurityParams().channel``,
-the rest of ``security`` (with ``epsilons``) comes from :class:`SecurityParams`
-and :class:`EpsilonBudget`, the lasers from ``default_signal_laser`` /
-``default_lo_laser``, ``experiments.detector`` from ``default_rig_detector``,
-``train`` from :class:`PhaseExperimentConfig` and each experiment section from
-its config class.  Only ``security.n_pulses`` (1e11) differs from its dataclass.
-A section's keys are its dataclass's field names; values are checked against
-the annotations (numbers must be finite, booleans JSON booleans) and applied
-with ``dataclasses.replace``, so physical validation stays in ``__post_init__``.
-Inherited fields are not keys: the experiment sections take the lasers from
-``laser_s`` / ``laser_l``; all but ``laser_noise`` take ``detector`` from
-``experiments.detector`` and the pulse period from ``train``; ``phase_exp`` and
-``weak_ref`` take ``n_pairs`` and the photon numbers from ``train`` and ``weak_ref``
-takes ``bpsk_phases`` from ``phase_exp``.  A bad value raises :class:`ConfigError`
-naming its JSON path (``config.channel.fiber_length_km: ...``); the CLI exits 2.
+The bench rig is stated once, in the constants below; the key-rate defaults
+live on :class:`SecurityParams` and :class:`EpsilonBudget`.  A section's keys
+are its dataclass's field names; values are checked against the annotations
+(numbers must be finite) and applied with ``dataclasses.replace``, so physical
+validation stays in ``__post_init__``.  Inherited fields are not keys: the
+experiment sections take the lasers from ``laser_s`` / ``laser_l``; all but
+``laser_noise`` take ``detector`` from ``experiments.detector`` and the pulse
+period from ``train``; ``phase_exp`` and ``weak_ref`` take ``n_pairs`` and the
+photon numbers from ``train`` and ``weak_ref`` takes ``bpsk_phases`` from
+``phase_exp``.  A bad value raises :class:`ConfigError` naming its JSON path
+(``config.channel.fiber_length_km: ...``); the CLI exits 2.
 """
 
 from __future__ import annotations
@@ -27,22 +23,226 @@ import sys
 import typing
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .errors import ConfigError
-from .experiments import (
-    DistanceSweepConfig,
-    LaserNoiseSweepConfig,
-    NSweepConfig,
-    PhaseExperimentConfig,
-    RemapExperimentConfig,
-    WeakReferenceSweepConfig,
-    default_lo_laser,
-    default_rig_detector,
-    default_signal_laser,
-)
 from .link_sim import ChannelDetector, PulseTrainConfig
 from .noise_models import LaserModel
 from .security import MIN_FINITE_SIZE_PULSES, SecurityParams
+
+# ---------------------------------------------------------------------------
+# The bench rig (Qi et al., arXiv:1503.00662)
+
+#: Free-running signal laser: beat variance 0.035 rad^2 per 20 ns.
+SIGNAL_LASER = LaserModel.from_delay_variance(0.035, 20e-9)
+#: Free-running LO laser: beat variance 0.044 rad^2 per 20 ns, 2.3 MHz detuning.
+LO_LASER = LaserModel.from_delay_variance(0.044, 20e-9, center_detuning_hz=2.3e6)
+#: Receiver-referenced detection: photon numbers are quoted at the receiver,
+#: so the channel collapses to unit transmittance.
+RIG_DETECTOR = ChannelDetector(
+    transmittance_override=1.0, detector_efficiency=0.5, electronic_noise_snu=0.83
+)
+#: The R S train: 20 ns between pulses, 25,000 pairs, 1e5 photons per pulse.
+BENCH_TRAIN = PulseTrainConfig(20e-9, 25000, 1e5, 1e5)
+#: The two phases of the binary encoding (rad).
+BPSK_PHASES = (0.0, 1.65)
+
+
+# ---------------------------------------------------------------------------
+# Section checks
+
+
+def _check_batches(n_items: int, n_batches: int) -> None:
+    """Every Monte Carlo metric needs >= 2 batches of >= 2 items each."""
+    if n_batches < 2:
+        raise ConfigError(f"n_batches must be >= 2 for a standard error, got {n_batches}")
+    if n_items // n_batches < 2:
+        raise ConfigError(f"n_batches: {n_items} items cannot fill {n_batches} batches")
+
+
+def _check_at_least(minimum: int, **values: int) -> None:
+    for name, value in values.items():
+        if value < minimum:
+            raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _check_sweep_points(name: str, points, label: Callable[[float], str]) -> None:
+    """Sweep points are >= 0 and their metric labels distinct, so no point
+    overwrites another in the result."""
+    if not all(point >= 0 for point in points):
+        raise ConfigError(f"{name} must all be >= 0, got {list(points)}")
+    labels = [label(point) for point in points]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"{name} must label distinct result metrics, got {labels}")
+
+
+def _check_uniformity_test(cfg) -> None:
+    """:func:`~llo_sim.experiments.uniformity_pvalue` needs >= 2 bins and >= 5
+    thinned raw phases per bin.  Each batch drops its last signal (no closing
+    reference), so a run pools ``n_pairs - n_batches`` raw phases."""
+    _check_at_least(2, uniformity_bins=cfg.uniformity_bins)
+    _check_at_least(1, uniformity_stride=cfg.uniformity_stride)
+    thinned = -(-(cfg.n_pairs - cfg.n_batches) // cfg.uniformity_stride)
+    if thinned < 5 * cfg.uniformity_bins:
+        raise ConfigError(
+            f"uniformity_stride: {cfg.n_pairs - cfg.n_batches} raw phases at stride "
+            f"{cfg.uniformity_stride} leave {thinned} samples, fewer than 5 per bin "
+            f"for uniformity_bins = {cfg.uniformity_bins}"
+        )
+
+
+def _check_pilot_aliasing(cfg) -> None:
+    """Midpoint interpolation aliases once the beat advances by pi between two
+    references (two pulse periods), so the deterministic beat frequency
+    ``(f_l - f_s) + 2*(r_l - r_s)*t`` must stay below ``1/(4*T)``.  It is
+    linear in ``t``, so its ends, ``t = 0`` and the last pulse of the longest
+    batch, bound it."""
+    period = cfg.repetition_period_s
+    limit = 1.0 / (4.0 * period)
+    longest = -(-cfg.n_pairs // cfg.n_batches)
+    offset = cfg.laser_l.center_detuning_hz - cfg.laser_s.center_detuning_hz
+    chirp = 2.0 * (cfg.laser_l.drift_rate_hz_per_s - cfg.laser_s.drift_rate_hz_per_s)
+    for t in (0.0, (2 * longest - 1) * period):
+        beat = offset + chirp * t
+        if abs(beat) >= limit:
+            raise ConfigError(
+                f"beat frequency {beat:g} Hz at t = {t:g} s reaches the pilot "
+                f"aliasing limit 1/(4*repetition_period_s) = {limit:g} Hz"
+            )
+
+
+# ---------------------------------------------------------------------------
+# Experiment sections
+
+
+@dataclass(frozen=True)
+class PhaseExperimentConfig:
+    n_pairs: int = BENCH_TRAIN.n_pairs
+    repetition_period_s: float = BENCH_TRAIN.repetition_period_s
+    bpsk_phases: tuple[float, float] = BPSK_PHASES
+    signal_photons: float = BENCH_TRAIN.signal_photons
+    reference_photons: float = BENCH_TRAIN.reference_photons
+    laser_s: LaserModel = SIGNAL_LASER
+    laser_l: LaserModel = LO_LASER
+    detector: ChannelDetector = RIG_DETECTOR
+    n_batches: int = 10
+    histogram_bins: int = 100
+    uniformity_bins: int = 10
+    uniformity_stride: int = 100
+
+    def __post_init__(self) -> None:
+        _check_batches(self.n_pairs, self.n_batches)
+        _check_at_least(1, histogram_bins=self.histogram_bins)
+        _check_uniformity_test(self)
+        _check_pilot_aliasing(self)
+
+
+@dataclass(frozen=True)
+class WeakReferenceSweepConfig:
+    photon_numbers: tuple[float, ...] = (10000.0, 1000.0, 100.0)
+    n_pairs: int = BENCH_TRAIN.n_pairs
+    repetition_period_s: float = BENCH_TRAIN.repetition_period_s
+    bpsk_phases: tuple[float, float] = BPSK_PHASES
+    signal_photons: float = BENCH_TRAIN.signal_photons
+    laser_s: LaserModel = SIGNAL_LASER
+    laser_l: LaserModel = LO_LASER
+    detector: ChannelDetector = RIG_DETECTOR
+    n_batches: int = 10
+
+    def __post_init__(self) -> None:
+        if not self.photon_numbers:
+            raise ConfigError("photon_numbers must not be empty")
+        _check_sweep_points("photon_numbers", self.photon_numbers, lambda n: f"{n:g}")
+        _check_batches(self.n_pairs, self.n_batches)
+        _check_pilot_aliasing(self)
+
+
+@dataclass(frozen=True)
+class RemapExperimentConfig:
+    n_pairs: int = 24000
+    repetition_period_s: float = BENCH_TRAIN.repetition_period_s
+    signal_photons: float = 66.0
+    reference_photons: float = 1000.0
+    laser_s: LaserModel = SIGNAL_LASER
+    laser_l: LaserModel = LO_LASER
+    detector: ChannelDetector = RIG_DETECTOR
+    n_batches: int = 10
+    scatter_rows: int = 24000
+    uniformity_bins: int = 10
+    uniformity_stride: int = 100
+
+    def __post_init__(self) -> None:
+        _check_batches(self.n_pairs, self.n_batches)
+        _check_at_least(0, scatter_rows=self.scatter_rows)
+        _check_uniformity_test(self)
+        _check_pilot_aliasing(self)
+
+
+@dataclass(frozen=True)
+class LaserNoiseSweepConfig:
+    delays_s: tuple[float, ...] = (5e-9, 20e-9, 25e-9)
+    n_samples: int = 100000
+    laser_s: LaserModel = SIGNAL_LASER
+    laser_l: LaserModel = LO_LASER
+    n_batches: int = 10
+
+    def __post_init__(self) -> None:
+        if len(self.delays_s) < 2:
+            raise ConfigError(f"delays_s needs >= 2 delays, got {len(self.delays_s)}")
+        _check_sweep_points("delays_s", self.delays_s, lambda d: f"{d * 1e9:g}")
+        _check_batches(self.n_samples, self.n_batches)
+
+
+@dataclass(frozen=True)
+class DistanceSweepConfig:
+    min_km: float = 0.0
+    max_km: float = 150.0
+    points: int = 31
+
+    def __post_init__(self) -> None:
+        if self.min_km < 0:
+            raise ConfigError(f"min_km must be >= 0, got {self.min_km}")
+
+    def grid(self) -> list[float]:
+        """``points`` evenly spaced lengths, bit for bit ``np.linspace``'s."""
+        return _linspace(self.min_km, self.max_km, self.points)
+
+
+@dataclass(frozen=True)
+class NSweepConfig:
+    log10_min: float = 6.0
+    log10_max: float = 13.0
+    points: int = 29
+
+    def grid(self) -> list[float]:
+        """``points`` log-spaced pulse counts ``10.0 ** y``, ``y`` on the linear
+        grid from ``log10_min`` to ``log10_max``: ``np.logspace``'s formula,
+        evaluated by libm's ``pow`` rather than numpy's vectorised ``power``.
+        The latter picks a SIMD kernel by CPU, so its last bit depends on the
+        host, and it is the less accurate: on a 4,000-point grid numpy 2.4's
+        AVX-512 kernel matched a 60-digit reference at 3,798 points, ``pow``
+        at 3,995.  Raises :class:`OverflowError` when a point exceeds the
+        float range."""
+        return [10.0 ** y for y in _linspace(self.log10_min, self.log10_max, self.points)]
+
+
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """``np.linspace(lo, hi, n)`` for ``n >= 2``, in its arithmetic: point
+    ``i`` is ``i*step + lo``, or ``i/div*delta + lo`` when the step underflows
+    to 0, and the last point is ``hi`` itself."""
+    div = n - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0:
+        points = [i / div * delta + lo for i in range(n)]
+    else:
+        points = [i * step + lo for i in range(n)]
+    points[-1] = hi
+    return points
+
+
+# ---------------------------------------------------------------------------
+# Parsing
 
 _MAX_SEED = 2**64 - 1
 _MAX_GRID_POINTS = 10_000  # the grids are built at parse time; this bounds their memory
@@ -50,7 +250,7 @@ _EXPERIMENTS = (
     "detector", "phase_exp", "weak_ref", "remap", "laser_noise", "distance_sweep", "n_sweep",
 )
 _NOISE_SPECS = ("linewidth_hz", "coherence_time_s", "delay_variance")
-_EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+_EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -60,10 +260,6 @@ class RunConfig:
     seed: int = 1
     output_dir: str = "results"
     threads: int = 1
-    laser_s: LaserModel
-    laser_l: LaserModel
-    train: PulseTrainConfig
-    channel: ChannelDetector
     security: SecurityParams
     phase_exp: PhaseExperimentConfig
     weak_ref: WeakReferenceSweepConfig
@@ -112,7 +308,7 @@ def _coerce(hint, value, path: str):
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
         if ok and abs(value) <= sys.float_info.max:
             return float(value)
-    elif isinstance(value, hint) and (hint is bool or not isinstance(value, bool)):
+    elif isinstance(value, hint) and not isinstance(value, bool):
         return value
     raise ConfigError(f"{path}: expected {_EXPECTED[hint]}, got {value!r}")
 
@@ -218,22 +414,16 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
         _apply_overrides(data, overrides)
 
     root = functools.partial(_section, data, "config")  # leaves the top-level keys in data
-    laser_s = _laser(*root("laser_s"), default_signal_laser())
-    laser_l = _laser(*root("laser_l"), default_lo_laser())
-    bench = PhaseExperimentConfig()
-    train_base = PulseTrainConfig(
-        bench.repetition_period_s, bench.n_pairs, bench.signal_photons, bench.reference_photons
-    )
-    train = _walk(PulseTrainConfig, *root("train"), train_base,
-                  modulation=train_base.modulation)
-    # The run default for the finite-size pulse count; the dataclass has none.
-    keyrate = SecurityParams(n_pulses=10**11)
-    channel = _walk(ChannelDetector, *root("channel"), keyrate.channel)
-    security = _walk(SecurityParams, *root("security"), keyrate, channel=channel)
+    laser_s = _laser(*root("laser_s"), SIGNAL_LASER)
+    laser_l = _laser(*root("laser_l"), LO_LASER)
+    train = _walk(PulseTrainConfig, *root("train"), BENCH_TRAIN,
+                  modulation=BENCH_TRAIN.modulation)
+    channel = _walk(ChannelDetector, *root("channel"), SecurityParams().channel)
+    security = _walk(SecurityParams, *root("security"), channel=channel)
 
     experiments = dict(_object(*root("experiments"), _EXPERIMENTS))
     experiment = functools.partial(_section, experiments, "config.experiments")
-    rig = _walk(ChannelDetector, *experiment("detector"), default_rig_detector())
+    rig = _walk(ChannelDetector, *experiment("detector"), RIG_DETECTOR)
     lasers = {"laser_s": laser_s, "laser_l": laser_l}
     rig_run = {**lasers, "detector": rig, "repetition_period_s": train.repetition_period_s}
     phase_exp = _walk(
@@ -262,7 +452,7 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
         )
 
     return _walk(
-        RunConfig, data, "config", train=train, channel=channel, security=security,
-        phase_exp=phase_exp, weak_ref=weak_ref, remap=remap, laser_noise=laser_noise,
-        distance_grid_km=distance_grid, n_pulse_grid=n_grid, **lasers,
+        RunConfig, data, "config", security=security, phase_exp=phase_exp,
+        weak_ref=weak_ref, remap=remap, laser_noise=laser_noise,
+        distance_grid_km=distance_grid, n_pulse_grid=n_grid,
     )

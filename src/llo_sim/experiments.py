@@ -9,7 +9,8 @@ Every Monte Carlo experiment runs as independent sub-batches with sub-seeds
 derived from the master seed, so results are bit-identical for a given seed
 regardless of thread count; metric standard errors come from the batch
 spread.  Results are written as JSON (metadata + metrics) and CSV (series),
-named ``<experiment>-<seed>.{json,csv}``.
+named ``<experiment>-<seed>.{json,csv}``.  The sections each runner takes,
+and their defaults, live in :mod:`llo_sim.config`.
 """
 
 from __future__ import annotations
@@ -19,25 +20,31 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from . import __version__
 from ._lazy_numpy import np
 from ._seeding import seed_sequence
-from .errors import ConfigError, DomainError, EstimationError
+from .config import (
+    DistanceSweepConfig,
+    LaserNoiseSweepConfig,
+    NSweepConfig,
+    PhaseExperimentConfig,
+    RemapExperimentConfig,
+    WeakReferenceSweepConfig,
+)
+from .errors import DomainError, EstimationError
 from .link_sim import (
     BPSKModulation,
-    ChannelDetector,
     NoModulation,
     PulseTrainConfig,
     RunSeeds,
     fiber_transmittance,
     simulate_run,
 )
-from .noise_models import LaserModel, phase_noise_variance, simulate_self_interference
+from .noise_models import phase_noise_variance, simulate_self_interference
 from .phase_recovery import (
     RecoveredRun,
     predicted_sigma_phi,
@@ -46,8 +53,6 @@ from .phase_recovery import (
     sigma_phi_from_quadratures,
 )
 from .security import SecurityParams, asymptotic_key_rate, finite_size_key_rate
-
-TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +196,21 @@ def write_result(result: ExperimentResult, output_dir) -> tuple[Path, Path]:
 
 
 def batch_metric(values: Sequence[float]) -> Metric:
-    """Mean of per-batch estimates with the standard error of that mean."""
+    """Mean of per-batch estimates with the standard error of that mean.
+
+    A mean or spread beyond the float range raises :class:`EstimationError`.
+    """
     arr = np.asarray(values, dtype=float)
     if arr.size < 2:
         raise DomainError("need >= 2 batches for a standard error")
-    return Metric(
-        value=float(arr.mean()),
-        stderr=float(arr.std(ddof=1) / math.sqrt(arr.size)),
-    )
+    try:
+        with np.errstate(over="raise"):
+            return Metric(
+                value=float(arr.mean()),
+                stderr=float(arr.std(ddof=1) / math.sqrt(arr.size)),
+            )
+    except FloatingPointError as exc:
+        raise EstimationError(f"batch statistics leave the float range: {exc}") from exc
 
 
 def linear_fit(x, y) -> tuple[float, float, float]:
@@ -216,11 +228,12 @@ def linear_fit(x, y) -> tuple[float, float, float]:
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             slope, intercept = np.polyfit(x, y, 1)
+            residuals = y - (slope * x + intercept)
+            ss_tot = float(np.sum((y - y.mean()) ** 2))
+            ss_res = float(np.sum(residuals**2))
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise EstimationError(f"line fit failed: {exc}") from exc
-    residuals = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(residuals**2)) / ss_tot if ss_tot > 0 else 1.0
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return float(slope), float(intercept), r2
 
 
@@ -242,7 +255,7 @@ def _chi2_sf(stat: float, dof: int) -> float:
     return min(total, 1.0)
 
 
-def uniformity_pvalue(phases, *, n_bins: int = 10, stride: int = 100) -> float:
+def uniformity_pvalue(phases, *, n_bins: int, stride: int) -> float:
     """Chi-square p-value for uniformity of phases on [0, 2*pi).
 
     Consecutive pulses of a run are serially correlated (the beat phase is a
@@ -254,13 +267,13 @@ def uniformity_pvalue(phases, *, n_bins: int = 10, stride: int = 100) -> float:
     """
     if n_bins < 2:
         raise DomainError(f"a chi-square test needs >= 2 bins, got {n_bins}")
-    ph = np.mod(np.asarray(phases, dtype=float), TWO_PI)
+    ph = np.mod(np.asarray(phases, dtype=float), math.tau)
     thinned = ph[::stride]
     if thinned.size < 5 * n_bins:
         raise DomainError(
             f"too few decorrelated samples ({thinned.size}) for {n_bins} bins"
         )
-    counts, _ = np.histogram(thinned, bins=n_bins, range=(0.0, TWO_PI))
+    counts, _ = np.histogram(thinned, bins=n_bins, range=(0.0, math.tau))
     expected = thinned.size / n_bins
     stat = float(((counts - expected) ** 2 / expected).sum())
     return _chi2_sf(stat, n_bins - 1)
@@ -271,6 +284,8 @@ def _map_ordered(fn: Callable, args: Sequence, threads: int) -> list:
     threads.  Results are identical at any thread count."""
     if threads <= 1 or len(args) <= 1:
         return [fn(a) for a in args]
+    from concurrent.futures import ThreadPoolExecutor  # imported only where a pool runs
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, args))
 
@@ -294,111 +309,8 @@ def _pooled_group_variance(rec: RecoveredRun) -> tuple[dict[float, float], float
     return groups, num / dof
 
 
-def _check_batches(n_items: int, n_batches: int) -> None:
-    """Every Monte Carlo metric needs >= 2 batches of >= 2 items each."""
-    if n_batches < 2:
-        raise ConfigError(f"n_batches must be >= 2 for a standard error, got {n_batches}")
-    if n_items // n_batches < 2:
-        raise ConfigError(f"n_batches: {n_items} items cannot fill {n_batches} batches")
-
-
-def _check_at_least(minimum: int, **values: int) -> None:
-    for name, value in values.items():
-        if value < minimum:
-            raise ConfigError(f"{name} must be >= {minimum}, got {value}")
-
-
-def _check_sweep_points(name: str, points, label: Callable[[float], str]) -> None:
-    """Sweep points are >= 0 and their metric labels distinct, so no point
-    overwrites another in the result."""
-    if not all(point >= 0 for point in points):
-        raise ConfigError(f"{name} must all be >= 0, got {list(points)}")
-    labels = [label(point) for point in points]
-    if len(set(labels)) < len(labels):
-        raise ConfigError(f"{name} must label distinct result metrics, got {labels}")
-
-
-def _check_uniformity_test(cfg) -> None:
-    """:func:`uniformity_pvalue` needs >= 2 bins and >= 5 thinned raw phases
-    per bin.  Each batch drops its last signal (no closing reference), so a
-    run pools ``n_pairs - n_batches`` raw phases."""
-    _check_at_least(2, uniformity_bins=cfg.uniformity_bins)
-    _check_at_least(1, uniformity_stride=cfg.uniformity_stride)
-    thinned = -(-(cfg.n_pairs - cfg.n_batches) // cfg.uniformity_stride)
-    if thinned < 5 * cfg.uniformity_bins:
-        raise ConfigError(
-            f"uniformity_stride: {cfg.n_pairs - cfg.n_batches} raw phases at stride "
-            f"{cfg.uniformity_stride} leave {thinned} samples, fewer than 5 per bin "
-            f"for uniformity_bins = {cfg.uniformity_bins}"
-        )
-
-
-def _check_pilot_aliasing(cfg) -> None:
-    """Midpoint interpolation aliases once the beat advances by pi between two
-    references (two pulse periods), so the deterministic beat frequency
-    ``(f_l - f_s) + 2*(r_l - r_s)*t`` must stay below ``1/(4*T)``.  It is
-    linear in ``t``, so its ends, ``t = 0`` and the last pulse of the longest
-    batch, bound it."""
-    period = cfg.repetition_period_s
-    limit = 1.0 / (4.0 * period)
-    longest = -(-cfg.n_pairs // cfg.n_batches)
-    offset = cfg.laser_l.center_detuning_hz - cfg.laser_s.center_detuning_hz
-    chirp = 2.0 * (cfg.laser_l.drift_rate_hz_per_s - cfg.laser_s.drift_rate_hz_per_s)
-    for t in (0.0, (2 * longest - 1) * period):
-        beat = offset + chirp * t
-        if abs(beat) >= limit:
-            raise ConfigError(
-                f"beat frequency {beat:g} Hz at t = {t:g} s reaches the pilot "
-                f"aliasing limit 1/(4*repetition_period_s) = {limit:g} Hz"
-            )
-
-
-# ---------------------------------------------------------------------------
-# Default experimental rig (bench-measured lasers and detector)
-
-
-def default_signal_laser() -> LaserModel:
-    return LaserModel.from_delay_variance(0.035, 20e-9)
-
-
-def default_lo_laser() -> LaserModel:
-    return LaserModel.from_delay_variance(0.044, 20e-9, center_detuning_hz=2.3e6)
-
-
-def default_rig_detector() -> ChannelDetector:
-    """Receiver-referenced detection: photon numbers are quoted at the
-    receiver, so the channel collapses to unit transmittance."""
-    return ChannelDetector(
-        transmittance_override=1.0,
-        detector_efficiency=0.5,
-        electronic_noise_snu=0.83,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Binary phase-encoding experiment
-
-
-@dataclass(frozen=True)
-class PhaseExperimentConfig:
-    n_pairs: int = 25000
-    repetition_period_s: float = 20e-9
-    bpsk_phases: tuple[float, float] = (0.0, 1.65)
-    signal_photons: float = 1e5
-    reference_photons: float = 1e5
-    laser_s: LaserModel = field(default_factory=default_signal_laser)
-    laser_l: LaserModel = field(default_factory=default_lo_laser)
-    detector: ChannelDetector = field(default_factory=default_rig_detector)
-    n_batches: int = 10
-    histogram_bins: int = 100
-    uniformity_bins: int = 10
-    uniformity_stride: int = 100
-
-    def __post_init__(self) -> None:
-        _check_batches(self.n_pairs, self.n_batches)
-        _check_at_least(1, histogram_bins=self.histogram_bins)
-        _check_uniformity_test(self)
-        _check_pilot_aliasing(self)
 
 
 def _shot_noise_prediction(cfg) -> float:
@@ -463,9 +375,9 @@ def run_bpsk_phase_experiment(
     )
 
     bit0, bit1 = config.bpsk_phases
-    edges = np.linspace(0.0, TWO_PI, config.histogram_bins + 1)
+    edges = np.linspace(0.0, math.tau, config.histogram_bins + 1)
     columns = [edges[:-1]] + [
-        np.histogram(np.mod(phases[encoded_all == bit], TWO_PI), bins=edges)[0]
+        np.histogram(np.mod(phases[encoded_all == bit], math.tau), bins=edges)[0]
         for phases in (raw_all, corrected_all)
         for bit in (bit0, bit1)
     ]
@@ -496,26 +408,6 @@ def run_bpsk_phase_experiment(
 
 # ---------------------------------------------------------------------------
 # Weak-reference photon-number sweep
-
-
-@dataclass(frozen=True)
-class WeakReferenceSweepConfig:
-    photon_numbers: tuple[float, ...] = (10000.0, 1000.0, 100.0)
-    n_pairs: int = 25000
-    repetition_period_s: float = 20e-9
-    bpsk_phases: tuple[float, float] = (0.0, 1.65)
-    signal_photons: float = 1e5
-    laser_s: LaserModel = field(default_factory=default_signal_laser)
-    laser_l: LaserModel = field(default_factory=default_lo_laser)
-    detector: ChannelDetector = field(default_factory=default_rig_detector)
-    n_batches: int = 10
-
-    def __post_init__(self) -> None:
-        if not self.photon_numbers:
-            raise ConfigError("photon_numbers must not be empty")
-        _check_sweep_points("photon_numbers", self.photon_numbers, lambda n: f"{n:g}")
-        _check_batches(self.n_pairs, self.n_batches)
-        _check_pilot_aliasing(self)
 
 
 def run_weak_reference_sweep(
@@ -569,27 +461,6 @@ def run_weak_reference_sweep(
 # Quantum-signal remapping experiment
 
 
-@dataclass(frozen=True)
-class RemapExperimentConfig:
-    n_pairs: int = 24000
-    repetition_period_s: float = 20e-9
-    signal_photons: float = 66.0
-    reference_photons: float = 1000.0
-    laser_s: LaserModel = field(default_factory=default_signal_laser)
-    laser_l: LaserModel = field(default_factory=default_lo_laser)
-    detector: ChannelDetector = field(default_factory=default_rig_detector)
-    n_batches: int = 10
-    scatter_rows: int = 24000
-    uniformity_bins: int = 10
-    uniformity_stride: int = 100
-
-    def __post_init__(self) -> None:
-        _check_batches(self.n_pairs, self.n_batches)
-        _check_at_least(0, scatter_rows=self.scatter_rows)
-        _check_uniformity_test(self)
-        _check_pilot_aliasing(self)
-
-
 def run_quantum_remap_experiment(
     config: RemapExperimentConfig = RemapExperimentConfig(),
     seed: int = 0,
@@ -637,21 +508,6 @@ def run_quantum_remap_experiment(
 
 # ---------------------------------------------------------------------------
 # Laser-noise (delayed self-interference) sweep
-
-
-@dataclass(frozen=True)
-class LaserNoiseSweepConfig:
-    delays_s: tuple[float, ...] = (5e-9, 20e-9, 25e-9)
-    n_samples: int = 100000
-    laser_s: LaserModel = field(default_factory=default_signal_laser)
-    laser_l: LaserModel = field(default_factory=default_lo_laser)
-    n_batches: int = 10
-
-    def __post_init__(self) -> None:
-        if len(self.delays_s) < 2:
-            raise ConfigError(f"delays_s needs >= 2 delays, got {len(self.delays_s)}")
-        _check_sweep_points("delays_s", self.delays_s, lambda d: f"{d * 1e9:g}")
-        _check_batches(self.n_samples, self.n_batches)
 
 
 def run_laser_noise_sweep(
@@ -708,54 +564,6 @@ def run_laser_noise_sweep(
 
 # ---------------------------------------------------------------------------
 # Key-rate sweeps (deterministic formula evaluations)
-
-
-@dataclass(frozen=True)
-class DistanceSweepConfig:
-    min_km: float = 0.0
-    max_km: float = 150.0
-    points: int = 31
-
-    def __post_init__(self) -> None:
-        if self.min_km < 0:
-            raise ConfigError(f"min_km must be >= 0, got {self.min_km}")
-
-    def grid(self) -> list[float]:
-        """``points`` evenly spaced lengths, bit for bit ``np.linspace``'s."""
-        return _linspace(self.min_km, self.max_km, self.points)
-
-
-@dataclass(frozen=True)
-class NSweepConfig:
-    log10_min: float = 6.0
-    log10_max: float = 13.0
-    points: int = 29
-
-    def grid(self) -> list[float]:
-        """``points`` log-spaced pulse counts ``10.0 ** y``, ``y`` on the linear
-        grid from ``log10_min`` to ``log10_max``: ``np.logspace``'s formula,
-        evaluated by libm's ``pow`` rather than numpy's vectorised ``power``.
-        The latter picks a SIMD kernel by CPU, so its last bit depends on the
-        host, and it is the less accurate: on a 4,000-point grid numpy 2.4's
-        AVX-512 kernel matched a 60-digit reference at 3,798 points, ``pow``
-        at 3,995.  Raises :class:`OverflowError` when a point exceeds the
-        float range."""
-        return [10.0 ** y for y in _linspace(self.log10_min, self.log10_max, self.points)]
-
-
-def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    """``np.linspace(lo, hi, n)`` for ``n >= 2``, in its arithmetic: point
-    ``i`` is ``i*step + lo``, or ``i/div*delta + lo`` when the step underflows
-    to 0, and the last point is ``hi`` itself."""
-    div = n - 1
-    delta = hi - lo
-    step = delta / div
-    if step == 0:
-        points = [i / div * delta + lo for i in range(n)]
-    else:
-        points = [i * step + lo for i in range(n)]
-    points[-1] = hi
-    return points
 
 
 def run_keyrate_distance_sweep(

@@ -35,8 +35,6 @@ from ._seeding import as_generator, seed_sequence
 from .errors import ConfigError, DomainError, ScheduleError
 from .noise_models import LaserModel, sample_phase_trajectory
 
-TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class RunSeeds:
@@ -80,8 +78,8 @@ class GaussianModulation:
 class BPSKModulation:
     """Binary phase encoding with the deterministic 0101... pattern."""
 
-    phase0: float = 0.0
-    phase1: float = 1.65
+    phase0: float
+    phase1: float
 
 
 @dataclass(frozen=True)
@@ -303,7 +301,7 @@ def simulate_run(
     times = np.arange(2 * n, dtype=float) * train.repetition_period_s
     traj_s = sample_phase_trajectory(laser_s, times, seeds.laser_s)
     traj_l = sample_phase_trajectory(laser_l, times, seeds.laser_l)
-    phi0 = float(as_generator(seeds.phase0).uniform(0.0, TWO_PI))
+    phi0 = float(as_generator(seeds.phase0).uniform(0.0, math.tau))
     phi = phi0 + traj_l - traj_s
 
     x_a, p_a, encoded = _draw_symbols(

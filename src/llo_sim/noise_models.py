@@ -19,9 +19,7 @@ from dataclasses import dataclass
 
 from ._lazy_numpy import np
 from ._seeding import as_generator
-from .errors import DomainError
-
-TWO_PI = 2.0 * math.pi
+from .errors import DomainError, NumericalDomainError
 
 #: Relative tolerance for the linewidth * coherence-time ~= 1/pi consistency check.
 _LINEWIDTH_PRODUCT_RTOL = 1e-12
@@ -148,7 +146,7 @@ def sample_phase_trajectory(laser: LaserModel, times, seed) -> np.ndarray:
         )
         wiener = np.concatenate(([0.0], np.cumsum(increments)))
 
-    deterministic = TWO_PI * (
+    deterministic = math.tau * (
         laser.center_detuning_hz + laser.drift_rate_hz_per_s * times
     ) * times
     return wiener + deterministic
@@ -163,7 +161,8 @@ def simulate_self_interference(
     phase difference over one delay window, taken on disjoint windows so the
     samples are independent.  The expectation equals ``2*delay/tau_c``.  The
     measurement is treated as fringe-tracked (no 2*pi wrapping), which is
-    accurate for variances well below pi^2.
+    accurate for variances well below pi^2.  A phase or variance beyond the
+    float range raises :class:`NumericalDomainError`.
     """
     if delay_s < 0:
         raise DomainError(f"delay must be >= 0 s, got {delay_s}")
@@ -172,5 +171,11 @@ def simulate_self_interference(
     if delay_s == 0.0:
         return 0.0
     times = np.arange(n_samples + 1, dtype=float) * delay_s
-    diffs = np.diff(sample_phase_trajectory(laser, times, seed))
-    return float(np.var(diffs, ddof=1))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            diffs = np.diff(sample_phase_trajectory(laser, times, seed))
+            return float(np.var(diffs, ddof=1))
+    except FloatingPointError as exc:
+        raise NumericalDomainError(
+            f"self-interference variance at delay {delay_s:g} s leaves the float range"
+        ) from exc

@@ -28,7 +28,6 @@ from ._lazy_numpy import np
 from .errors import DomainError, EstimationError, ScheduleError
 from .link_sim import PulseBlock
 
-TWO_PI = 2.0 * math.pi
 
 #: Above this residual variance (rad^2) the linearised circular statistics
 #: used by :func:`residual_variance` stop being trustworthy.
@@ -38,8 +37,8 @@ CIRCULAR_LINEAR_LIMIT = 0.5
 def wrap_phase(phi):
     """Reduce angle(s) to the principal range (-pi, pi]."""
     phi = np.asarray(phi, dtype=float)
-    wrapped = np.mod(phi, TWO_PI)
-    wrapped = np.where(wrapped > math.pi, wrapped - TWO_PI, wrapped)
+    wrapped = np.mod(phi, math.tau)
+    wrapped = np.where(wrapped > math.pi, wrapped - math.tau, wrapped)
     if wrapped.ndim == 0:
         return float(wrapped)
     return wrapped

@@ -22,10 +22,8 @@ with
 
 The assignment of the two Delta terms follows their roles in the rate
 equation: the O(sqrt(n)) smoothing/discretisation term enters as D_aep and
-the entropy term as D_ent.  ``SecurityParams.swap_delta_terms`` exposes the
-opposite assignment for sensitivity analysis; it makes the finite-size
-correction negative (a rate above the asymptotic one), which is why it is
-not the default.
+the entropy term as D_ent.  The opposite assignment would make the
+finite-size correction negative (a rate above the asymptotic one).
 
 Worst-case Holevo bound
 -----------------------
@@ -46,7 +44,7 @@ point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConfigError, DomainError, NumericalDomainError
@@ -75,8 +73,6 @@ class EpsilonBudget:
     eps_bar: float = 1e-21
     eps_sm: float = 1e-21
     eps_pe: float = 1e-41
-    eps_cor: float = 1e-41
-    eps_ent: float = 1e-41
 
     def __post_init__(self) -> None:
         for name, value in (
@@ -84,8 +80,6 @@ class EpsilonBudget:
             ("eps_bar", self.eps_bar),
             ("eps_sm", self.eps_sm),
             ("eps_pe", self.eps_pe),
-            ("eps_cor", self.eps_cor),
-            ("eps_ent", self.eps_ent),
         ):
             if not 0.0 < value < 1.0:
                 raise ConfigError(f"{name} must be in (0, 1), got {value}")
@@ -104,20 +98,17 @@ class SecurityParams:
     modulation_variance: float = 1.0
     reconciliation_efficiency: float = 0.95
     sigma_phi: float = 0.04
-    channel: ChannelDetector = field(
-        default_factory=lambda: ChannelDetector(
-            attenuation_db_per_km=0.2,
-            detector_efficiency=0.5,
-            electronic_noise_snu=0.1,
-        )
+    channel: ChannelDetector = ChannelDetector(
+        attenuation_db_per_km=0.2,
+        detector_efficiency=0.5,
+        electronic_noise_snu=0.1,
     )
-    epsilons: EpsilonBudget = field(default_factory=EpsilonBudget)
+    epsilons: EpsilonBudget = EpsilonBudget()
     discretization: int = 5
     robustness: float = 0.0
-    n_pulses: int | None = None
+    n_pulses: int = 10**11
     pe_fraction: float = 0.5
     pe_radius_scale: float = PE_RADIUS_SCALE_DEFAULT
-    swap_delta_terms: bool = False
 
     def __post_init__(self) -> None:
         # V_A = 0 is allowed here (degenerate no-modulation rate checks);
@@ -141,7 +132,7 @@ class SecurityParams:
             raise ConfigError(
                 f"pe_radius_scale must be > 0, got {self.pe_radius_scale}"
             )
-        if self.n_pulses is not None and self.n_pulses < MIN_FINITE_SIZE_PULSES:
+        if self.n_pulses < MIN_FINITE_SIZE_PULSES:
             raise ConfigError(
                 f"n_pulses must be >= {MIN_FINITE_SIZE_PULSES}, got {self.n_pulses}"
             )
@@ -434,12 +425,9 @@ def worst_case_holevo(params: SecurityParams, n: int) -> float:
 
 def finite_size_key_rate(params: SecurityParams, n: int | None = None) -> float:
     """Composable finite-size key rate for ``n`` transmitted pulses, with
-    chi_worst from :func:`worst_case_holevo`.  May return negative rates."""
-    if n is None:
-        n = params.n_pulses
-    if n is None:
-        raise ConfigError("n_pulses is required for the finite-size rate")
-    n = int(n)
+    chi_worst from :func:`worst_case_holevo` (default ``n``: ``params.n_pulses``).
+    May return negative rates."""
+    n = int(params.n_pulses if n is None else n)
     if n < MIN_FINITE_SIZE_PULSES:
         raise DomainError(f"finite-size rate needs n >= {MIN_FINITE_SIZE_PULSES}, got {n}")
 
@@ -457,9 +445,6 @@ def finite_size_key_rate(params: SecurityParams, n: int | None = None) -> float:
     delta_ent = math.log2(1.0 / eb.eps) - math.sqrt(
         8.0 * n * math.log2(4.0 * n) ** 2 * math.log2(1.0 / eb.eps)
     )
-    if params.swap_delta_terms:
-        delta_aep, delta_ent = delta_ent, delta_aep
-
     correction = (
         delta_aep - delta_ent - 2.0 * math.log2(1.0 / (2.0 * eb.eps_bar))
     ) / (2.0 * n)

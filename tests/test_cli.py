@@ -15,23 +15,23 @@ from llo_sim.errors import ConfigError
 class TestParseConfig:
     def test_empty_config_gives_reference_defaults(self):
         cfg = parse_config()
-        assert cfg.channel.attenuation_db_per_km == 0.2
-        assert cfg.channel.electronic_noise_snu == 0.1
-        assert cfg.channel.detector_efficiency == 0.5
+        assert cfg.security.channel.attenuation_db_per_km == 0.2
+        assert cfg.security.channel.electronic_noise_snu == 0.1
+        assert cfg.security.channel.detector_efficiency == 0.5
         assert cfg.security.reconciliation_efficiency == 0.95
         assert cfg.security.modulation_variance == 1.0
         assert cfg.security.sigma_phi == 0.04
         assert cfg.security.discretization == 5
-        assert cfg.train.repetition_period_s == 20e-9
-        assert cfg.laser_s.coherence_time_s == pytest.approx(2 * 20e-9 / 0.035)
-        assert cfg.laser_l.coherence_time_s == pytest.approx(2 * 20e-9 / 0.044)
+        assert cfg.phase_exp.repetition_period_s == 20e-9
+        assert cfg.laser_noise.laser_s.coherence_time_s == pytest.approx(2 * 20e-9 / 0.035)
+        assert cfg.laser_noise.laser_l.coherence_time_s == pytest.approx(2 * 20e-9 / 0.044)
         # Bench detector for the Monte Carlo experiments
         assert cfg.phase_exp.detector.electronic_noise_snu == 0.83
         assert cfg.phase_exp.detector.transmittance == 1.0
 
     def test_zero_fiber_length_unit_transmittance(self):
         cfg = parse_config(overrides={"channel.fiber_length_km": 0.0})
-        assert cfg.channel.transmittance == 1.0
+        assert cfg.security.channel.transmittance == 1.0
 
     def test_unknown_key_rejected_with_path(self):
         with pytest.raises(ConfigError, match=r"config\.channel.*bogus"):
@@ -64,7 +64,7 @@ class TestParseConfig:
         path = tmp_path / "conf.json"
         path.write_text(json.dumps({"channel": {"fiber_length_km": 25.0}}))
         cfg = parse_config(path, overrides={"seed": 7})
-        assert cfg.channel.fiber_length_km == 25.0
+        assert cfg.security.channel.fiber_length_km == 25.0
         assert cfg.seed == 7
 
     def test_seed_range_validated(self):
@@ -151,27 +151,29 @@ class TestCliContract:
                 "--set", "experiments.laser_noise.delays_s=[1e-300,2e-300]",
                 "--set", "experiments.laser_noise.n_samples=100",
             ],
+            # The LO's 2.3 MHz detuning over such delays overflows the variance
+            # of one batch, or the spread of the batch variances.
+            [
+                "laser-noise",
+                "--set", "experiments.laser_noise.delays_s=[1e200,2e200]",
+                "--set", "experiments.laser_noise.n_samples=100",
+            ],
+            [
+                "laser-noise",
+                "--set", "experiments.laser_noise.delays_s=[1e150,2e150]",
+                "--set", "experiments.laser_noise.n_samples=100",
+            ],
         ],
         ids=[
             "remap-zero-signal", "asymptotic-huge-variance", "finite-huge-sigma-phi",
             "asymptotic-tiny-efficiency", "distance-sweep-huge-variance",
-            "laser-noise-tiny-delays",
+            "laser-noise-tiny-delays", "laser-noise-huge-delays", "laser-noise-large-delays",
         ],
     )
     def test_numerical_error_exit_code(self, args, tmp_path, capsys):
         code = main([*args, "--output-dir", str(tmp_path)])
         assert code == 1
         assert "numerical error:" in capsys.readouterr().err
-
-    def test_bad_threads_env_rejected(self, monkeypatch, capsys):
-        monkeypatch.setenv("LLO_SIM_THREADS", "lots")
-        code = main(["keyrate-asymptotic"])
-        assert code == 2
-
-    def test_threads_env_fallback(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("LLO_SIM_THREADS", "2")
-        code = main(["keyrate-asymptotic", "--output-dir", str(tmp_path)])
-        assert code == 0
 
 
 SMALL_ALL_ARGS = [
@@ -294,6 +296,33 @@ class TestChildFootprint:
         assert peaks[0] <= peaks[1] + 8.0, peaks
 
 
+class TestImportLayering:
+    """A module loads only the layers below it: the config states the run
+    without the runners, and a closed-form command starts no thread pool."""
+
+    @pytest.mark.parametrize(
+        "code,prefixes",
+        [
+            ("import llo_sim.config\nllo_sim.config.parse_config()\n",
+             ("llo_sim.experiments", "llo_sim.phase_recovery", "concurrent.futures")),
+            ("import llo_sim.security\n", ("llo_sim.phase_recovery",)),
+            ("import llo_sim\n", ("llo_sim.",)),
+            ("from llo_sim.cli import main\n"
+             "assert main(['keyrate-asymptotic', '--output-dir', sys.argv[1]]) == 0\n",
+             ("concurrent.futures",)),
+        ],
+        ids=["config", "security", "package", "keyrate-asymptotic"],
+    )
+    def test_import_loads_no_module_it_does_not_need(self, tmp_path, code, prefixes):
+        child = _run_child(
+            f"import sys\n{code}"
+            f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))\n",
+            str(tmp_path),
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.splitlines()[-1] == "[]"
+
+
 class TestWithoutScipy:
     def test_all_runs_with_scipy_blocked(self, tmp_path):
         code = (
@@ -363,8 +392,8 @@ BAD_CONFIGS = [
      "config.experiments.laser_noise: delays_s"),
     ("laser-noise", None, ["experiments.laser_noise.delays_s=[-2e-8,2e-8]"],
      "config.experiments.laser_noise: delays_s"),
-    ("keyrate-finite", None, ['security.swap_delta_terms="false"'],
-     "config.security.swap_delta_terms:"),
+    ("keyrate-finite", None, ["security.discretization=true"],
+     "config.security.discretization:"),
     ("phase-exp", None, ['experiments.phase_exp.bpsk_phases=["a",1]'],
      "config.experiments.phase_exp.bpsk_phases[0]:"),
     ("keyrate-asymptotic", None, ["channel.fiber_length_km=NaN"],
@@ -380,6 +409,7 @@ BAD_CONFIGS = [
     ("remap-exp", None, ["laser_l.drift_rate_hz_per_s=1e11"], "config.experiments."),
     ("keyrate-finite", None, ["security.n_pulses=10"], "config.security: n_pulses"),
     ("keyrate-asymptotic", None, ["security.n_pulses=999"], "config.security: n_pulses"),
+    ("keyrate-finite", None, ["security.n_pulses=null"], "config.security.n_pulses:"),
     ("sweep-n", None, ["experiments.n_sweep.log10_min=2"],
      "config.experiments.n_sweep: log10_min"),
     ("sweep-n", None, ["experiments.n_sweep.log10_max=400"],

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from llo_sim.config import RunConfig, parse_config
-from llo_sim.errors import ConfigError
-from llo_sim.experiments import (
+from llo_sim.config import (
     LaserNoiseSweepConfig,
     PhaseExperimentConfig,
     RemapExperimentConfig,
+    RunConfig,
     WeakReferenceSweepConfig,
+    parse_config,
 )
+from llo_sim.errors import ConfigError
 from llo_sim.link_sim import ChannelDetector, PulseTrainConfig
 from llo_sim.noise_models import LaserModel
 from llo_sim.security import EpsilonBudget, SecurityParams
@@ -52,13 +53,10 @@ DEFAULTS = {
     "security.n_pulses": 10**11,
     "security.pe_fraction": 0.5,
     "security.pe_radius_scale": 190.0,
-    "security.swap_delta_terms": False,
     "security.epsilons.eps": 1e-20,
     "security.epsilons.eps_bar": 1e-21,
     "security.epsilons.eps_sm": 1e-21,
     "security.epsilons.eps_pe": 1e-41,
-    "security.epsilons.eps_cor": 1e-41,
-    "security.epsilons.eps_ent": 1e-41,
     **_channel("experiments.detector", 1.0, 0.83),
     "experiments.phase_exp.bpsk_phases": [0.0, 1.65],
     "experiments.phase_exp.n_batches": 10,
@@ -135,8 +133,8 @@ def test_key_at_its_default_changes_nothing(key):
 @pytest.mark.parametrize("key", sorted(NOISE_SPECS))
 def test_noise_spec_at_bench_value_matches_default_laser(key):
     laser = key.split(".")[0]
-    got = getattr(parse_config(overrides={key: NOISE_SPECS[key]}), laser)
-    want = getattr(parse_config(), laser)
+    got = getattr(parse_config(overrides={key: NOISE_SPECS[key]}).laser_noise, laser)
+    want = getattr(parse_config().laser_noise, laser)
     assert got.coherence_time_s == pytest.approx(want.coherence_time_s, rel=1e-15)
     assert got.linewidth_hz == pytest.approx(want.linewidth_hz, rel=1e-15)
 

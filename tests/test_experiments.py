@@ -7,18 +7,20 @@ import numpy as np
 import pytest
 
 from llo_sim._seeding import substream
-from llo_sim.errors import ConfigError, DomainError, EstimationError
-from llo_sim.experiments import (
-    CSV_CHUNK_ROWS,
+from llo_sim.config import (
     DistanceSweepConfig,
-    ExperimentResult,
     LaserNoiseSweepConfig,
-    Metric,
     NSweepConfig,
-    _chi2_sf,
     PhaseExperimentConfig,
     RemapExperimentConfig,
     WeakReferenceSweepConfig,
+)
+from llo_sim.errors import ConfigError, DomainError, EstimationError
+from llo_sim.experiments import (
+    CSV_CHUNK_ROWS,
+    ExperimentResult,
+    Metric,
+    _chi2_sf,
     batch_metric,
     linear_fit,
     result_to_csv,
@@ -85,12 +87,12 @@ class TestHelpers:
     def test_uniformity_accepts_uniform(self):
         rng = substream(101)
         phases = rng.uniform(0.0, 2 * math.pi, 20000)
-        assert uniformity_pvalue(phases, stride=10) > 0.01
+        assert uniformity_pvalue(phases, n_bins=10, stride=10) > 0.01
 
     def test_uniformity_rejects_clustered(self):
         rng = substream(103)
         phases = rng.normal(0.0, 0.1, 20000)
-        assert uniformity_pvalue(phases, stride=10) < 1e-6
+        assert uniformity_pvalue(phases, n_bins=10, stride=10) < 1e-6
 
     def test_uniformity_needs_samples(self):
         with pytest.raises(DomainError):

@@ -244,8 +244,6 @@ class TestEpsilonBudget:
         assert eb.eps_bar == 1e-21
         assert eb.eps_sm == 1e-21
         assert eb.eps_pe == 1e-41
-        assert eb.eps_cor == 1e-41
-        assert eb.eps_ent == 1e-41
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 2.0])
     def test_invalid_rejected(self, bad):
@@ -346,23 +344,9 @@ class TestFiniteSizeRate:
             0.5 * full, rel=1e-9
         )
 
-    def test_swapped_delta_assignment_is_looser(self):
-        # The alternative reading of the colliding label makes the correction
-        # negative, i.e. a finite-size rate above the asymptotic one, which
-        # is why the default assignment is the physical one.
-        params = perfect_detector_params()
-        swapped = replace(params, swap_delta_terms=True)
-        assert finite_size_key_rate(swapped, 10**6) > finite_size_key_rate(
-            params, 10**6
-        )
-
     def test_small_n_rejected(self):
         with pytest.raises(DomainError):
             finite_size_key_rate(perfect_detector_params(), 999)
-
-    def test_n_required(self):
-        with pytest.raises(ConfigError):
-            finite_size_key_rate(replace(perfect_detector_params(), n_pulses=None))
 
     def test_uses_params_n_pulses(self):
         params = replace(perfect_detector_params(), n_pulses=10**12)
