@@ -166,7 +166,10 @@ def dispatch(command: str, config: RunConfig) -> int:
         raise ConfigError(f"unknown command {command!r}")
     for name in names:
         result = runners[name]()
-        write_result(result, config.output_dir)
+        try:
+            write_result(result, config.output_dir)
+        except OSError as exc:
+            raise ConfigError(f"config.output_dir: cannot write {name} results: {exc}") from exc
         _print_summary(result)
     return 0
 

@@ -27,7 +27,7 @@ from typing import Callable
 
 from .errors import ConfigError
 from .link_sim import ChannelDetector, PulseTrainConfig
-from .noise_models import LaserModel
+from .noise_models import LaserModel, beat
 from .security import MIN_FINITE_SIZE_PULSES, SecurityParams
 
 # ---------------------------------------------------------------------------
@@ -67,11 +67,14 @@ def _check_at_least(minimum: int, **values: int) -> None:
 
 
 def _check_sweep_points(name: str, points, label: Callable[[float], str]) -> None:
-    """Sweep points are >= 0 and their metric labels distinct, so no point
-    overwrites another in the result."""
+    """Sweep points are >= 0 and their metric labels finite and distinct, so
+    no point overwrites another in the result."""
     if not all(point >= 0 for point in points):
         raise ConfigError(f"{name} must all be >= 0, got {list(points)}")
     labels = [label(point) for point in points]
+    for point, text in zip(points, labels):
+        if not math.isfinite(float(text)):
+            raise ConfigError(f"{name}: {point:g} has no finite metric label, got {text!r}")
     if len(set(labels)) < len(labels):
         raise ConfigError(f"{name} must label distinct result metrics, got {labels}")
 
@@ -94,19 +97,18 @@ def _check_uniformity_test(cfg) -> None:
 def _check_pilot_aliasing(cfg) -> None:
     """Midpoint interpolation aliases once the beat advances by pi between two
     references (two pulse periods), so the deterministic beat frequency
-    ``(f_l - f_s) + 2*(r_l - r_s)*t`` must stay below ``1/(4*T)``.  It is
-    linear in ``t``, so its ends, ``t = 0`` and the last pulse of the longest
-    batch, bound it."""
+    ``f + 2*r*t`` of the lasers' :func:`~llo_sim.noise_models.beat` must stay
+    below ``1/(4*T)``.  It is linear in ``t``, so its ends, ``t = 0`` and the
+    last pulse of the longest batch, bound it."""
     period = cfg.repetition_period_s
     limit = 1.0 / (4.0 * period)
     longest = -(-cfg.n_pairs // cfg.n_batches)
-    offset = cfg.laser_l.center_detuning_hz - cfg.laser_s.center_detuning_hz
-    chirp = 2.0 * (cfg.laser_l.drift_rate_hz_per_s - cfg.laser_s.drift_rate_hz_per_s)
+    relative = beat(cfg.laser_s, cfg.laser_l)
     for t in (0.0, (2 * longest - 1) * period):
-        beat = offset + chirp * t
-        if abs(beat) >= limit:
+        frequency = relative.center_detuning_hz + 2.0 * relative.drift_rate_hz_per_s * t
+        if abs(frequency) >= limit:
             raise ConfigError(
-                f"beat frequency {beat:g} Hz at t = {t:g} s reaches the pilot "
+                f"beat frequency {frequency:g} Hz at t = {t:g} s reaches the pilot "
                 f"aliasing limit 1/(4*repetition_period_s) = {limit:g} Hz"
             )
 
@@ -149,10 +151,15 @@ class WeakReferenceSweepConfig:
     detector: ChannelDetector = RIG_DETECTOR
     n_batches: int = 10
 
+    @staticmethod
+    def label(photons: float) -> str:
+        """A photon number as the result's metric names write it."""
+        return f"{photons:g}"
+
     def __post_init__(self) -> None:
         if not self.photon_numbers:
             raise ConfigError("photon_numbers must not be empty")
-        _check_sweep_points("photon_numbers", self.photon_numbers, lambda n: f"{n:g}")
+        _check_sweep_points("photon_numbers", self.photon_numbers, self.label)
         _check_batches(self.n_pairs, self.n_batches)
         _check_pilot_aliasing(self)
 
@@ -186,10 +193,15 @@ class LaserNoiseSweepConfig:
     laser_l: LaserModel = LO_LASER
     n_batches: int = 10
 
+    @staticmethod
+    def label(delay_s: float) -> str:
+        """A delay as the result's metric names write it: in nanoseconds."""
+        return f"{delay_s * 1e9:g}"
+
     def __post_init__(self) -> None:
         if len(self.delays_s) < 2:
             raise ConfigError(f"delays_s needs >= 2 delays, got {len(self.delays_s)}")
-        _check_sweep_points("delays_s", self.delays_s, lambda d: f"{d * 1e9:g}")
+        _check_sweep_points("delays_s", self.delays_s, self.label)
         _check_batches(self.n_samples, self.n_batches)
 
 
@@ -330,29 +342,30 @@ def _walk(cls, data, path: str, base=None, **fixed):
 
 
 def _laser(data, path: str, default: LaserModel) -> LaserModel:
-    """A laser section: ``default`` with its noise set by at most one of
-    ``linewidth_hz``, ``coherence_time_s`` or ``delay_variance``."""
-    _object(data, path, [*LaserModel.__dataclass_fields__, "delay_variance"])
+    """A laser section: ``default`` with its coherence time set by at most one
+    of ``linewidth_hz``, ``coherence_time_s`` or ``delay_variance``."""
+    _object(data, path, [*LaserModel.__dataclass_fields__, *_NOISE_SPECS])
     given = [k for k in _NOISE_SPECS if k in data]
     if len(given) > 1:
         raise ConfigError(f"{path}: give exactly one of {', '.join(_NOISE_SPECS)}")
-    noise = {}
-    if given == ["delay_variance"]:
+    rest = {k: v for k, v in data.items() if k not in ("linewidth_hz", "delay_variance")}
+    if given == ["linewidth_hz"]:
+        linewidth = _coerce(float, data["linewidth_hz"], f"{path}.linewidth_hz")
+        convert = functools.partial(LaserModel.from_linewidth, linewidth)
+    elif given == ["delay_variance"]:
         dv_path = f"{path}.delay_variance"
         dv = _object(data["delay_variance"], dv_path, ("variance_rad2", "delay_s"))
         variance, delay = (
             _coerce(float, dv.get(k), f"{dv_path}.{k}") for k in ("variance_rad2", "delay_s")
         )
-        try:
-            tc = LaserModel.from_delay_variance(variance, delay).coherence_time_s
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        noise = {"linewidth_hz": None, "coherence_time_s": tc}
-    elif given:
-        noise = {"linewidth_hz": None, "coherence_time_s": None}
-        noise[given[0]] = _coerce(float, data[given[0]], f"{path}.{given[0]}")
-    rest = {k: v for k, v in data.items() if k not in _NOISE_SPECS}
-    return _walk(LaserModel, rest, path, default, **noise)
+        convert = functools.partial(LaserModel.from_delay_variance, variance, delay)
+    else:  # coherence_time_s, when given, is a field of the section
+        return _walk(LaserModel, rest, path, default)
+    try:
+        tc = convert().coherence_time_s
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return _walk(LaserModel, rest, path, default, coherence_time_s=tc)
 
 
 def _grid(cls, data, path: str) -> tuple[float, ...]:

@@ -49,6 +49,7 @@ from .phase_recovery import (
     RecoveredRun,
     predicted_sigma_phi,
     recover_run,
+    remap_quadratures,
     residual_variance,
     sigma_phi_from_quadratures,
 )
@@ -444,7 +445,7 @@ def run_weak_reference_sweep(
     return ExperimentResult(
         name="weak-ref",
         scalar_metrics={
-            f"residual_variance_nref_{n_ref:g}": metric
+            f"residual_variance_nref_{config.label(n_ref)}": metric
             for n_ref, metric in zip(config.photon_numbers, per_point)
         },
         series_columns=("reference_photons", "residual_variance", "stderr"),
@@ -484,17 +485,16 @@ def run_quantum_remap_experiment(
         np.concatenate([rec.raw_phases for rec in recs]),
         n_bins=config.uniformity_bins, stride=config.uniformity_stride,
     )
+    remapped = [remap_quadratures(r.signal_x, r.signal_p, r.interpolated_phases) for r in recs]
     scatter = np.concatenate(
-        [(rec.signal_x, rec.signal_p, rec.remapped_x, rec.remapped_p) for rec in recs], axis=1
+        [(rec.signal_x, rec.signal_p, *xp) for rec, xp in zip(recs, remapped)], axis=1
     )[:, : config.scatter_rows]
     return ExperimentResult(
         name="remap-exp",
         scalar_metrics={
-            "x_noise_variance_snu": batch_metric([np.var(r.remapped_x, ddof=1) for r in recs]),
-            "p_noise_variance_snu": batch_metric([np.var(r.remapped_p, ddof=1) for r in recs]),
-            "sigma_phi_estimate": batch_metric(
-                [sigma_phi_from_quadratures((r.remapped_x, r.remapped_p)) for r in recs]
-            ),
+            "x_noise_variance_snu": batch_metric([np.var(x, ddof=1) for x, _ in remapped]),
+            "p_noise_variance_snu": batch_metric([np.var(p, ddof=1) for _, p in remapped]),
+            "sigma_phi_estimate": batch_metric(list(map(sigma_phi_from_quadratures, remapped))),
             "raw_phase_uniformity_pvalue": Metric(p_uniform, exact=True),
         },
         series_columns=("index", "x_raw", "p_raw", "x_remapped", "p_remapped"),
@@ -539,7 +539,7 @@ def run_laser_noise_sweep(
         by_delay = [batch_metric(values) for values in per_delay]
         series += by_delay
         for delay, metric in zip(config.delays_s, by_delay):
-            metrics[f"variance_{label}_{delay * 1e9:g}ns"] = metric
+            metrics[f"variance_{label}_{config.label(delay)}ns"] = metric
         slope, intercept, r2 = linear_fit(config.delays_s, [m.value for m in by_delay])
         metrics[f"slope_{label}"] = Metric(slope, exact=True)
         metrics[f"intercept_{label}"] = Metric(intercept, exact=True)

@@ -33,21 +33,21 @@ from typing import Iterator, Literal, Union
 from ._lazy_numpy import np
 from ._seeding import as_generator, seed_sequence
 from .errors import ConfigError, DomainError, ScheduleError
-from .noise_models import LaserModel, sample_phase_trajectory
+from .noise_models import LaserModel, beat, sample_phase_trajectory
 
 
 @dataclass(frozen=True)
 class RunSeeds:
-    """Per-purpose random streams of one simulated run.
+    """Per-purpose random streams of one simulated run; ``laser`` drives its
+    one relative-phase walk (:func:`llo_sim.noise_models.beat`).
 
     Most callers pass a plain integer seed to :func:`simulate_run`; this type
     exists for variance-reduction schemes that deliberately share some streams
-    between runs (e.g. re-detecting the same laser trajectories at a different
+    between runs (e.g. re-detecting the same laser trajectory at a different
     reference power) while keeping the rest independent.
     """
 
-    laser_s: object
-    laser_l: object
+    laser: object
     phase0: object
     modulation: object
     detector: object
@@ -55,8 +55,7 @@ class RunSeeds:
     @classmethod
     def from_seed(cls, seed: int, *path) -> "RunSeeds":
         return cls(
-            laser_s=seed_sequence(seed, *path, "laser-s"),
-            laser_l=seed_sequence(seed, *path, "laser-l"),
+            laser=seed_sequence(seed, *path, "laser"),
             phase0=seed_sequence(seed, *path, "phase0"),
             modulation=seed_sequence(seed, *path, "modulation"),
             detector=seed_sequence(seed, *path, "detector"),
@@ -286,23 +285,20 @@ def simulate_run(
     """Simulate one interleaved run; returns its pulses in schedule order,
     with Alice's encoded phase of each signal.
 
-    ``lasers`` is (signal laser, LO laser).  The per-pulse phase offset is the
-    difference of the two lasers' phase trajectories plus a uniform random
-    initial offset.  Sub-streams for the trajectories, the initial offset,
-    the modulation and the detector noise are derived independently from
-    ``seed``, so the run is reproducible and batch-order independent.
+    ``lasers`` is (signal laser, LO laser).  The per-pulse phase offset is one
+    trajectory of their :func:`~llo_sim.noise_models.beat` plus a uniform
+    random initial offset.  Sub-streams for the trajectory, the initial
+    offset, the modulation and the detector noise are derived independently
+    from ``seed``, so the run is reproducible and batch-order independent.
     """
     if train.n_pairs < 2:
         raise ScheduleError(f"need n_pairs >= 2, got {train.n_pairs}")
-    laser_s, laser_l = lasers
     seeds = seed if isinstance(seed, RunSeeds) else RunSeeds.from_seed(int(seed))
 
     n = train.n_pairs
     times = np.arange(2 * n, dtype=float) * train.repetition_period_s
-    traj_s = sample_phase_trajectory(laser_s, times, seeds.laser_s)
-    traj_l = sample_phase_trajectory(laser_l, times, seeds.laser_l)
     phi0 = float(as_generator(seeds.phase0).uniform(0.0, math.tau))
-    phi = phi0 + traj_l - traj_s
+    phi = phi0 + sample_phase_trajectory(beat(*lasers), times, seeds.laser)
 
     x_a, p_a, encoded = _draw_symbols(
         train.modulation, train.signal_photons, np.arange(n), as_generator(seeds.modulation)

@@ -3,9 +3,11 @@
 A free-running laser with Lorentzian lineshape accumulates phase deviations
 whose variance grows linearly with elapsed time, ``Var[dtheta(t)] = 2 t /
 tau_c``, where the coherence time relates to the linewidth by ``tau_c =
-1 / (pi * linewidth)``.  This module generates such trajectories on arbitrary
-(sparse) time grids and simulates the delayed self-interference measurement
-used to characterise a laser from its own beat note.
+1 / (pi * linewidth)``; a :class:`LaserModel` keeps ``tau_c`` only.  The
+receiver sees one relative phase, the :func:`beat` of the LO and signal
+lasers.  This module generates such trajectories on arbitrary (sparse) time
+grids and simulates the delayed self-interference measurement used to
+characterise a laser from its own beat note.
 
 All stochastic functions take an explicit seed and are pure given that seed;
 parallel callers must derive per-trial sub-streams via
@@ -21,68 +23,33 @@ from ._lazy_numpy import np
 from ._seeding import as_generator
 from .errors import DomainError, NumericalDomainError
 
-#: Relative tolerance for the linewidth * coherence-time ~= 1/pi consistency check.
-_LINEWIDTH_PRODUCT_RTOL = 1e-12
-
-
-def coherence_time_from_linewidth(linewidth_hz: float) -> float:
-    """Coherence time (s) of a Lorentzian laser of FWHM ``linewidth_hz``."""
-    if not linewidth_hz > 0:
-        raise DomainError(f"linewidth must be > 0 Hz, got {linewidth_hz}")
-    return 1.0 / (math.pi * linewidth_hz)
-
-
-def linewidth_from_coherence_time(coherence_time_s: float) -> float:
-    """Inverse of :func:`coherence_time_from_linewidth`."""
-    if not coherence_time_s > 0:
-        raise DomainError(f"coherence time must be > 0 s, got {coherence_time_s}")
-    return 1.0 / (math.pi * coherence_time_s)
-
-
 @dataclass(frozen=True)
 class LaserModel:
-    """One free-running laser: linewidth/coherence time plus detuning.
+    """One free-running laser: coherence time plus detuning.
 
-    Exactly one of ``linewidth_hz`` and ``coherence_time_s`` must be supplied;
-    the other is derived.  ``linewidth_hz = 0`` (equivalently
-    ``coherence_time_s = inf``) is the noiseless limit.  ``center_detuning_hz``
-    is this laser's contribution to the beat frequency against the other
-    laser; ``drift_rate_hz_per_s`` adds a slow linear chirp so the accumulated
+    ``coherence_time_s = inf`` is the noiseless limit; :meth:`from_linewidth`
+    converts a Lorentzian FWHM.  ``center_detuning_hz`` is this laser's
+    contribution to the beat frequency against the other laser;
+    ``drift_rate_hz_per_s`` adds a slow linear chirp so the accumulated
     deterministic phase is ``2*pi*(f0 + r*t)*t``.
     """
 
-    linewidth_hz: float | None = None
-    coherence_time_s: float | None = None
+    coherence_time_s: float
     center_detuning_hz: float = 0.0
     drift_rate_hz_per_s: float = 0.0
 
     def __post_init__(self) -> None:
-        lw, tc = self.linewidth_hz, self.coherence_time_s
-        if lw is None and tc is None:
-            raise DomainError("one of linewidth_hz / coherence_time_s is required")
-        if lw is not None and tc is not None:
-            # Both given: accept only if they already satisfy the Lorentzian relation.
-            if math.isinf(tc) and lw == 0.0:
-                pass
-            elif lw > 0 and tc > 0:
-                product = lw * tc
-                if abs(product - 1.0 / math.pi) > _LINEWIDTH_PRODUCT_RTOL / math.pi:
-                    raise DomainError(
-                        "linewidth_hz and coherence_time_s are inconsistent: "
-                        f"product {product!r} != 1/pi"
-                    )
-            else:
-                raise DomainError("linewidth/coherence time must be positive")
-        elif lw is not None:
-            if lw < 0:
-                raise DomainError(f"linewidth must be >= 0 Hz, got {lw}")
-            tc = math.inf if lw == 0.0 else coherence_time_from_linewidth(lw)
-            object.__setattr__(self, "coherence_time_s", tc)
-        else:
-            if not (tc > 0):
-                raise DomainError(f"coherence time must be > 0 s, got {tc}")
-            lw = 0.0 if math.isinf(tc) else linewidth_from_coherence_time(tc)
-            object.__setattr__(self, "linewidth_hz", lw)
+        if not self.coherence_time_s > 0:
+            raise DomainError(f"coherence time must be > 0 s, got {self.coherence_time_s}")
+
+    @classmethod
+    def from_linewidth(cls, linewidth_hz: float, **kwargs) -> "LaserModel":
+        """Laser of Lorentzian FWHM ``linewidth_hz``: ``tau_c = 1/(pi*linewidth)``,
+        and ``linewidth_hz = 0`` is the noiseless laser."""
+        if not 0 <= math.pi * linewidth_hz < math.inf:
+            raise DomainError(f"linewidth must be >= 0 Hz with pi*lw finite, got {linewidth_hz}")
+        tc = math.inf if linewidth_hz == 0.0 else 1.0 / (math.pi * linewidth_hz)
+        return cls(tc, **kwargs)
 
     @classmethod
     def from_delay_variance(
@@ -98,16 +65,38 @@ class LaserModel:
         if not delay_s > 0:
             raise DomainError(f"delay must be > 0 s, got {delay_s}")
         if variance_rad2 == 0.0:
-            return cls(coherence_time_s=math.inf, **kwargs)
-        return cls(coherence_time_s=2.0 * delay_s / variance_rad2, **kwargs)
+            return cls(math.inf, **kwargs)
+        return cls(2.0 * delay_s / variance_rad2, **kwargs)
 
     @classmethod
     def noiseless(cls, **kwargs) -> "LaserModel":
-        return cls(linewidth_hz=0.0, **kwargs)
+        return cls(math.inf, **kwargs)
+
+    @property
+    def linewidth_hz(self) -> float:
+        """Lorentzian FWHM (Hz), 0 for the noiseless laser."""
+        return 1.0 / (math.pi * self.coherence_time_s)
 
     @property
     def is_noiseless(self) -> bool:
         return math.isinf(self.coherence_time_s)
+
+
+def beat(laser_s: LaserModel, laser_l: LaserModel) -> LaserModel:
+    """The LO-minus-signal phase of two independent lasers, as one laser.
+
+    The difference of two independent Wiener walks is a Wiener walk whose
+    rate ``1/tau_c`` is the sum of theirs; the detunings and drift rates
+    subtract.  Two noiseless lasers beat noiselessly.
+    """
+    rate = 1.0 / laser_s.coherence_time_s + 1.0 / laser_l.coherence_time_s
+    if math.isinf(rate):
+        raise DomainError("the beat's phase-noise rate 1/tau_s + 1/tau_l overflows")
+    return LaserModel(
+        math.inf if rate == 0.0 else 1.0 / rate,
+        laser_l.center_detuning_hz - laser_s.center_detuning_hz,
+        laser_l.drift_rate_hz_per_s - laser_s.drift_rate_hz_per_s,
+    )
 
 
 def phase_noise_variance(t: float, laser: LaserModel) -> float:

@@ -154,8 +154,6 @@ class RecoveredRun:
     raw_phases: np.ndarray
     interpolated_phases: np.ndarray
     corrected_phases: np.ndarray
-    remapped_x: np.ndarray
-    remapped_p: np.ndarray
     true_phases: np.ndarray
     encoded_phases: np.ndarray
     n_antipodal_ties: int
@@ -179,7 +177,6 @@ def recover_run(block: PulseBlock) -> RecoveredRun:
     sig_p = block.p[1:-1:2]
     raw = np.arctan2(sig_p, sig_x)
     corrected = wrap_phase(raw + interpolated)
-    remapped_x, remapped_p = remap_quadratures(sig_x, sig_p, interpolated)
 
     return RecoveredRun(
         signal_x=sig_x,
@@ -187,8 +184,6 @@ def recover_run(block: PulseBlock) -> RecoveredRun:
         raw_phases=raw,
         interpolated_phases=interpolated,
         corrected_phases=corrected,
-        remapped_x=remapped_x,
-        remapped_p=remapped_p,
         true_phases=block.true_phase[1:-1:2],
         encoded_phases=block.encoded_phase[:-1],
         n_antipodal_ties=n_ties,

@@ -130,6 +130,13 @@ class TestCliContract:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["a-file", "a-file/sub"])
+    def test_unwritable_output_dir_exits_2(self, tmp_path, capsys, target):
+        (tmp_path / "a-file").write_text("")
+        code = main(["keyrate-asymptotic", "--output-dir", str(tmp_path / target)])
+        assert code == 2
+        assert "config error: config.output_dir: cannot write" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -392,6 +399,10 @@ BAD_CONFIGS = [
      "config.experiments.laser_noise: delays_s"),
     ("laser-noise", None, ["experiments.laser_noise.delays_s=[-2e-8,2e-8]"],
      "config.experiments.laser_noise: delays_s"),
+    ("laser-noise", None, ["experiments.laser_noise.delays_s=[1e300,1.5e300]"],
+     "config.experiments.laser_noise: delays_s: 1e+300 has no finite metric label"),
+    ("laser-noise", None, ["experiments.laser_noise.delays_s=[1e300,2e-8]"],
+     "config.experiments.laser_noise: delays_s: 1e+300 has no finite metric label"),
     ("keyrate-finite", None, ["security.discretization=true"],
      "config.security.discretization:"),
     ("phase-exp", None, ['experiments.phase_exp.bpsk_phases=["a",1]'],
@@ -407,6 +418,8 @@ BAD_CONFIGS = [
      "config.experiments.distance_sweep: min_km"),
     ("phase-exp", None, ["laser_l.center_detuning_hz=2e7"], "config.experiments."),
     ("remap-exp", None, ["laser_l.drift_rate_hz_per_s=1e11"], "config.experiments."),
+    ("phase-exp", None, ["laser_l.coherence_time_s=1e-320"],
+     "config.experiments.phase_exp: the beat's phase-noise rate"),
     ("keyrate-finite", None, ["security.n_pulses=10"], "config.security: n_pulses"),
     ("keyrate-asymptotic", None, ["security.n_pulses=999"], "config.security: n_pulses"),
     ("keyrate-finite", None, ["security.n_pulses=null"], "config.security.n_pulses:"),

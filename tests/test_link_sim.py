@@ -18,7 +18,7 @@ from llo_sim.link_sim import (
     _draw_symbols,
     _measure_arrays,
 )
-from llo_sim.noise_models import LaserModel
+from llo_sim.noise_models import LaserModel, phase_noise_variance
 from llo_sim.security import NoiseBudget
 
 BENCH_LASER_S = LaserModel.from_delay_variance(0.035, 20e-9)
@@ -158,6 +158,23 @@ class TestSimulateRun:
         advances = np.diff([s.true_phase for s in samples])
         np.testing.assert_allclose(advances, 2.0 * math.pi * f_d * 20e-9, rtol=1e-9)
 
+    def test_phase_steps_follow_both_lasers(self):
+        # One beat walk per run: each period's step of the true phase has the
+        # beat's mean advance and the sum of the two lasers' variances.
+        period, n_pairs = 20e-9, 50_000
+        train = PulseTrainConfig(period, n_pairs, 10.0, 10.0)
+        block = simulate_run(train, (BENCH_LASER_S, BENCH_LASER_L), ChannelDetector(), seed=3)
+        steps = np.diff(block.true_phase)
+        n = steps.size
+        mean = 2.0 * math.pi * (
+            BENCH_LASER_L.center_detuning_hz - BENCH_LASER_S.center_detuning_hz
+        ) * period
+        variance = phase_noise_variance(period, BENCH_LASER_S) + phase_noise_variance(
+            period, BENCH_LASER_L
+        )
+        assert abs(steps.mean() - mean) < 3.0 * math.sqrt(variance / n)
+        assert abs(steps.var(ddof=1) - variance) < 3.0 * variance * math.sqrt(2.0 / (n - 1))
+
     def test_schedule_order(self):
         train = PulseTrainConfig(20e-9, 5, 10.0, 10.0)
         samples = simulate_run(
@@ -194,8 +211,7 @@ class TestSimulateRun:
         det = ChannelDetector()
         base = RunSeeds.from_seed(21)
         varied = RunSeeds(
-            laser_s=base.laser_s,
-            laser_l=base.laser_l,
+            laser=base.laser,
             phase0=base.phase0,
             modulation=base.modulation,
             detector=substream(99, "other-detector"),

@@ -7,8 +7,7 @@ from llo_sim._seeding import substream
 from llo_sim.errors import DomainError
 from llo_sim.noise_models import (
     LaserModel,
-    coherence_time_from_linewidth,
-    linewidth_from_coherence_time,
+    beat,
     phase_noise_variance,
     sample_phase_trajectory,
     simulate_self_interference,
@@ -20,59 +19,92 @@ TAU_C = 2.0 * 20e-9 / 0.035
 
 class TestCoherenceTime:
     def test_unit_case(self):
-        assert coherence_time_from_linewidth(1.0 / math.pi) == pytest.approx(1.0, rel=1e-12)
+        assert LaserModel.from_linewidth(1.0 / math.pi).coherence_time_s == pytest.approx(
+            1.0, rel=1e-12
+        )
 
     def test_measured_variance_inversion(self):
         # 2 * 20ns / tau_c = 0.035 pins tau_c, hence the linewidth.
         assert TAU_C == pytest.approx(1.1429e-6, rel=1e-3)
-        linewidth = linewidth_from_coherence_time(TAU_C)
+        linewidth = LaserModel(TAU_C).linewidth_hz
         assert linewidth == pytest.approx(2.785e5, rel=1e-3)
-        assert coherence_time_from_linewidth(linewidth) == pytest.approx(TAU_C, rel=1e-12)
+        assert LaserModel.from_linewidth(linewidth).coherence_time_s == pytest.approx(
+            TAU_C, rel=1e-12
+        )
 
     def test_reciprocal_law(self):
-        assert coherence_time_from_linewidth(2e5) == pytest.approx(
-            coherence_time_from_linewidth(1e5) / 2.0, rel=1e-12
+        assert LaserModel.from_linewidth(2e5).coherence_time_s == pytest.approx(
+            LaserModel.from_linewidth(1e5).coherence_time_s / 2.0, rel=1e-12
         )
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, -1e5])
     def test_nonpositive_rejected(self, bad):
-        with pytest.raises(DomainError):
-            coherence_time_from_linewidth(bad)
+        with pytest.raises(DomainError, match="coherence time"):
+            LaserModel(coherence_time_s=bad)
+
+    @pytest.mark.parametrize("bad", [-1.0, -1e5, math.nan, 1e308, math.inf])
+    def test_bad_linewidth_rejected(self, bad):
+        with pytest.raises(DomainError, match="linewidth"):
+            LaserModel.from_linewidth(bad)
 
     @pytest.mark.parametrize("linewidth", [1.0, 1e3, 2.785e5, 1e7])
     def test_round_trip(self, linewidth):
-        tau = coherence_time_from_linewidth(linewidth)
-        assert linewidth_from_coherence_time(tau) == pytest.approx(linewidth, rel=1e-12)
+        laser = LaserModel.from_linewidth(linewidth)
+        assert laser.linewidth_hz == pytest.approx(linewidth, rel=1e-12)
 
 
 class TestLaserModel:
-    def test_requires_one_spec(self):
-        with pytest.raises(DomainError):
-            LaserModel()
-
     def test_derives_coherence_time(self):
-        laser = LaserModel(linewidth_hz=2.785e5)
+        laser = LaserModel.from_linewidth(2.785e5)
         assert laser.coherence_time_s * laser.linewidth_hz == pytest.approx(
             1.0 / math.pi, rel=1e-12
         )
 
-    def test_inconsistent_pair_rejected(self):
-        with pytest.raises(DomainError):
-            LaserModel(linewidth_hz=1e5, coherence_time_s=1.0)
-
-    def test_consistent_pair_accepted(self):
-        lw = 1e5
-        LaserModel(linewidth_hz=lw, coherence_time_s=1.0 / (math.pi * lw))
-
     def test_noiseless_limit(self):
-        laser = LaserModel.noiseless(center_detuning_hz=1e6)
-        assert laser.is_noiseless
-        assert laser.linewidth_hz == 0.0
-        assert math.isinf(laser.coherence_time_s)
+        for laser in (
+            LaserModel.noiseless(center_detuning_hz=1e6),
+            LaserModel.from_linewidth(0.0, center_detuning_hz=1e6),
+        ):
+            assert laser.is_noiseless
+            assert laser.linewidth_hz == 0.0
+            assert math.isinf(laser.coherence_time_s)
+            assert laser.center_detuning_hz == 1e6
 
     def test_from_delay_variance(self):
         laser = LaserModel.from_delay_variance(0.035, 20e-9)
         assert laser.coherence_time_s == pytest.approx(TAU_C, rel=1e-15)
+
+
+class TestBeat:
+    def test_rates_add(self):
+        laser_s = LaserModel.from_delay_variance(0.035, 20e-9)
+        laser_l = LaserModel.from_delay_variance(0.044, 20e-9)
+        relative = beat(laser_s, laser_l)
+        assert 1.0 / relative.coherence_time_s == pytest.approx(
+            1.0 / laser_s.coherence_time_s + 1.0 / laser_l.coherence_time_s, rel=1e-15
+        )
+        assert phase_noise_variance(20e-9, relative) == pytest.approx(0.079, rel=1e-14)
+
+    def test_detunings_and_drifts_subtract(self):
+        laser_s = LaserModel(1.0, center_detuning_hz=1e6, drift_rate_hz_per_s=3e9)
+        laser_l = LaserModel(2.0, center_detuning_hz=4.5e6, drift_rate_hz_per_s=1e9)
+        relative = beat(laser_s, laser_l)
+        assert relative.center_detuning_hz == 3.5e6
+        assert relative.drift_rate_hz_per_s == -2e9
+
+    def test_two_noiseless_lasers_beat_noiselessly(self):
+        relative = beat(LaserModel.noiseless(), LaserModel.noiseless(center_detuning_hz=2e6))
+        assert relative.coherence_time_s == math.inf
+        assert relative.center_detuning_hz == 2e6
+
+    def test_noiseless_laser_keeps_the_noisy_coherence_time(self):
+        noisy = LaserModel(TAU_C)
+        for pair in ((noisy, LaserModel.noiseless()), (LaserModel.noiseless(), noisy)):
+            assert abs(beat(*pair).coherence_time_s - TAU_C) <= math.ulp(TAU_C)
+
+    def test_overflowing_rate_rejected(self):
+        with pytest.raises(DomainError, match="overflows"):
+            beat(LaserModel(1e-320), LaserModel(TAU_C))
 
 
 class TestPhaseNoiseVariance:
