@@ -39,10 +39,21 @@ V_A = 1, sigma_phi = 0.04, beta = 0.95); the default
 :data:`PE_RADIUS_SCALE_DEFAULT` is calibrated to put it near 1e11 pulses.
 The nominal terms and each corner are one evaluation at a (T, excess noise)
 point.
+
+Terms computed once per parameter set
+-------------------------------------
+A finite-size sweep evaluates the rate at thousands of pulse counts ``n`` for
+one :class:`SecurityParams`.  Two of its terms do not depend on ``n``: the PE
+quantile ``Phi^-1(1 - eps_pe/2)`` (a few Newton steps) and the nominal I_AB
+(one full evaluation).  Both are pure functions of frozen, hashable inputs, so
+each is memoised in a small LRU cache and a sweep pays for them once instead
+of once per point.  A failing call caches nothing, and the four corners are
+still evaluated before the nominal point, so every error is raised as before.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -55,6 +66,8 @@ SYMPLECTIC_TOL = 1e-9
 
 #: Floor for the pessimistic transmittance bound.
 _T_FLOOR = 1e-12
+
+_LN2 = math.log(2.0)
 
 #: Smallest pulse count the finite-size rate accepts.
 MIN_FINITE_SIZE_PULSES = 1000
@@ -158,8 +171,9 @@ class NoiseBudget:
     chi_tot: float
 
     def __post_init__(self) -> None:
-        inv_t = self.chi_line + 1.0 - self.excess_noise
-        expected_tot = self.chi_line + self.chi_het * inv_t
+        if not 0 < self.transmittance <= 1:
+            raise DomainError(f"transmittance must be in (0, 1], got {self.transmittance}")
+        expected_tot = self.chi_line + self.chi_het / self.transmittance
         if not math.isclose(self.chi_tot, expected_tot, rel_tol=1e-9, abs_tol=1e-12):
             raise ConfigError(
                 f"inconsistent noise budget: chi_tot={self.chi_tot} but "
@@ -172,13 +186,27 @@ class NoiseBudget:
     ) -> "NoiseBudget":
         """The budget at transmittance ``t``, detector efficiency ``eta``,
         electronic noise ``nu`` (SNU) and channel-input ``excess_noise``."""
-        if not 0 < t <= 1:
-            raise DomainError(f"transmittance must be in (0, 1], got {t}")
-        if excess_noise < 0:
-            raise DomainError(f"excess noise must be >= 0, got {excess_noise}")
-        chi_line = 1.0 / t - 1.0 + excess_noise
-        chi_het = (1.0 + (1.0 - eta) + 2.0 * nu) / eta
-        return cls(t, excess_noise, chi_line, chi_het, chi_line + chi_het / t)
+        return cls(t, excess_noise, *_noise_terms(t, eta, nu, excess_noise))
+
+
+def _noise_terms(
+    t: float, eta: float, nu: float, excess_noise: float
+) -> tuple[float, float, float]:
+    """``(chi_line, chi_het, chi_tot)`` of :class:`NoiseBudget`, without
+    building one: the per-corner form of the decomposition."""
+    if not 0 < t <= 1:
+        raise DomainError(f"transmittance must be in (0, 1], got {t}")
+    if excess_noise < 0:
+        raise DomainError(f"excess noise must be >= 0, got {excess_noise}")
+    chi_line = 1.0 / t - 1.0 + excess_noise
+    chi_het = (1.0 + (1.0 - eta) + 2.0 * nu) / eta
+    chi_tot = chi_line + chi_het / t
+    if not math.isfinite(chi_tot):
+        raise NumericalDomainError(
+            f"non-finite noise terms at T = {t:g}, excess noise = {excess_noise:g} SNU: "
+            f"chi_line = {chi_line:g}, chi_het = {chi_het:g}"
+        )
+    return chi_line, chi_het, chi_tot
 
 
 def excess_noise_from_phase(v_a: float, sigma_phi: float) -> float:
@@ -200,14 +228,14 @@ def g_function(x: float) -> float:
     if x == 0.0:
         return 0.0
     if x >= 1.0:
-        return math.log2(x + 1.0) + x * math.log1p(1.0 / x) / math.log(2.0)
-    return ((x + 1.0) * math.log1p(x) - x * math.log(x)) / math.log(2.0)
+        return math.log2(x + 1.0) + x * math.log1p(1.0 / x) / _LN2
+    return ((x + 1.0) * math.log1p(x) - x * math.log(x)) / _LN2
 
 
 class _Terms(NamedTuple):
     """One key-rate evaluation at a (transmittance, excess noise) point."""
 
-    budget: NoiseBudget
+    chi_tot: float
     mutual_information: float
     symplectic_eigenvalues: tuple[float, float, float, float, float]
     holevo_bound: float
@@ -222,11 +250,10 @@ def _evaluate(params: SecurityParams, t: float, excess_noise: float) -> _Terms:
     :class:`NumericalDomainError` naming the point, so every rate fails alike.
     """
     channel = params.channel
-    budget = NoiseBudget.from_parameters(
+    chi_line, chi_het, chi_tot = _noise_terms(
         t, channel.detector_efficiency, channel.electronic_noise_snu, excess_noise
     )
     v = params.V
-    chi_line, chi_het, chi_tot = budget.chi_line, budget.chi_het, budget.chi_tot
     try:
         a = v * v * (1.0 - 2.0 * t) + 2.0 * t + (t * (v + chi_line)) ** 2
         b = (t * (v * chi_line + 1.0)) ** 2
@@ -259,7 +286,7 @@ def _evaluate(params: SecurityParams, t: float, excess_noise: float) -> _Terms:
             f"non-finite key-rate terms at T = {t:g}, excess noise = {excess_noise:g} SNU: "
             f"I_AB = {i_ab:g}, chi_BE = {chi:g}"
         )
-    return _Terms(budget, i_ab, (lam1, lam2, lam3, lam4, 1.0), chi)
+    return _Terms(chi_tot, i_ab, (lam1, lam2, lam3, lam4, 1.0), chi)
 
 
 def _nominal(params: SecurityParams, transmittance: float | None = None) -> _Terms:
@@ -274,6 +301,13 @@ def mutual_information(params: SecurityParams) -> float:
     return _nominal(params).mutual_information
 
 
+@functools.lru_cache(maxsize=8)
+def _nominal_mutual_information(params: SecurityParams) -> float:
+    """:func:`mutual_information`, memoised: the finite-size rate's one
+    n-independent evaluation."""
+    return mutual_information(params)
+
+
 def symplectic_eigenvalues(params: SecurityParams) -> tuple[float, float, float, float, float]:
     """The five symplectic eigenvalues of the collective-attack analysis."""
     return _nominal(params).symplectic_eigenvalues
@@ -285,20 +319,26 @@ def _eigenpair(s, prod, label):
     The small root is recovered from the root product to avoid the
     cancellation that hits the subtractive formula when ``s^2 >> 4*prod``.
     """
-    disc = s * s - 4.0 * prod
-    if disc < -SYMPLECTIC_TOL * max(s * s, 1.0):
+    # ``c if c > x else x`` is ``max(x, c)`` unrolled: x wins ties and NaN,
+    # so NaN still propagates.
+    s2 = s * s
+    disc = s2 - 4.0 * prod
+    if disc < -SYMPLECTIC_TOL * (1.0 if 1.0 > s2 else s2):
         raise NumericalDomainError(f"negative discriminant for {label}: {disc}")
-    root = math.sqrt(max(disc, 0.0))
+    root = math.sqrt(0.0 if 0.0 > disc else disc)
     sq_plus = 0.5 * (s + root)
     sq_minus = prod / sq_plus if sq_plus > 0.0 else 0.5 * (s - root)
-    lams = []
-    for sq in (sq_plus, sq_minus):
-        if sq < 1.0 - SYMPLECTIC_TOL:
-            raise NumericalDomainError(
-                f"unphysical symplectic eigenvalue for {label}: lam^2 = {sq}"
-            )
-        lams.append(max(math.sqrt(max(sq, 0.0)), 1.0))
-    return lams[0], lams[1]
+    if sq_plus < 1.0 - SYMPLECTIC_TOL:
+        raise NumericalDomainError(
+            f"unphysical symplectic eigenvalue for {label}: lam^2 = {sq_plus}"
+        )
+    lam_plus = math.sqrt(0.0 if 0.0 > sq_plus else sq_plus)
+    if sq_minus < 1.0 - SYMPLECTIC_TOL:
+        raise NumericalDomainError(
+            f"unphysical symplectic eigenvalue for {label}: lam^2 = {sq_minus}"
+        )
+    lam_minus = math.sqrt(0.0 if 0.0 > sq_minus else sq_minus)
+    return (1.0 if 1.0 > lam_plus else lam_plus), (1.0 if 1.0 > lam_minus else lam_minus)
 
 
 def holevo_bound(params: SecurityParams) -> float:
@@ -356,6 +396,7 @@ def _log_erfc(x: float) -> tuple[float, float]:
     return -x * x - math.log(ratio), ratio
 
 
+@functools.lru_cache(maxsize=8)
 def _two_sided_normal_quantile(eps: float) -> float:
     """``z = Phi^-1(1 - eps/2)``: Newton's method on ``log erfc(z/sqrt(2)) =
     log(eps)``, which stays finite down to ``eps = 5e-324``.  ``log erfc`` is
@@ -393,16 +434,28 @@ def pessimistic_parameter_bounds(params: SecurityParams, n: int) -> PessimisticB
     sigma2 = 1.0 + nu + gain * gain * eps  # measured conditional noise
     z = _two_sided_normal_quantile(params.epsilons.eps_pe) * params.pe_radius_scale
 
-    d_gain = z * math.sqrt(sigma2 / (m * params.modulation_variance))
-    d_sigma2 = z * sigma2 * math.sqrt(2.0 / m)
+    try:
+        d_gain = z * math.sqrt(sigma2 / (m * params.modulation_variance))
+        d_sigma2 = z * sigma2 * math.sqrt(2.0 / m)
 
-    gain_low = max(gain - d_gain, 0.0)
-    gain_high = gain + d_gain
-    t_low = max(2.0 * gain_low**2 / eta, _T_FLOOR)
-    t_high = min(2.0 * gain_high**2 / eta, 1.0)
+        gain_low = max(gain - d_gain, 0.0)
+        gain_high = gain + d_gain
+        t_low = max(2.0 * gain_low**2 / eta, _T_FLOOR)
+        t_high = min(2.0 * gain_high**2 / eta, 1.0)
 
-    eps_high = (sigma2 + d_sigma2 - 1.0 - nu) / (t_low * eta / 2.0)
-    eps_low = max((sigma2 - d_sigma2 - 1.0 - nu) / (t_high * eta / 2.0), 0.0)
+        eps_high = (sigma2 + d_sigma2 - 1.0 - nu) / (t_low * eta / 2.0)
+        eps_low = max((sigma2 - d_sigma2 - 1.0 - nu) / (t_high * eta / 2.0), 0.0)
+        finite = (
+            math.isfinite(t_low) and math.isfinite(t_high)
+            and math.isfinite(eps_low) and math.isfinite(eps_high)
+        )
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise NumericalDomainError(
+            f"parameter-estimation bounds overflow at T = {t_chan:g}, "
+            f"excess noise = {eps:g} SNU, over {m} estimation samples"
+        )
     return PessimisticBounds(
         transmittance_low=t_low,
         transmittance_high=t_high,
@@ -416,10 +469,13 @@ def worst_case_holevo(params: SecurityParams, n: int) -> float:
     """chi_worst: the largest Holevo bound over the confidence rectangle's
     corners (see module docstring for calibration caveats)."""
     bounds = pessimistic_parameter_bounds(params, n)
+    t_low, t_high = bounds.transmittance_low, bounds.transmittance_high
+    eps_low, eps_high = bounds.excess_noise_low, bounds.excess_noise_high
     return max(
-        _evaluate(params, t, eps).holevo_bound
-        for t in (bounds.transmittance_low, bounds.transmittance_high)
-        for eps in (bounds.excess_noise_low, bounds.excess_noise_high)
+        _evaluate(params, t_low, eps_low).holevo_bound,
+        _evaluate(params, t_low, eps_high).holevo_bound,
+        _evaluate(params, t_high, eps_low).holevo_bound,
+        _evaluate(params, t_high, eps_high).holevo_bound,
     )
 
 
@@ -449,8 +505,8 @@ def finite_size_key_rate(params: SecurityParams, n: int | None = None) -> float:
         delta_aep - delta_ent - 2.0 * math.log2(1.0 / (2.0 * eb.eps_bar))
     ) / (2.0 * n)
 
-    chi = worst_case_holevo(params, n)
-    i_ab = mutual_information(params)
+    chi = worst_case_holevo(params, n)  # before I_AB, so its errors come first
+    i_ab = _nominal_mutual_information(params)
     return (1.0 - params.robustness) * (
         params.reconciliation_efficiency * i_ab - chi - correction
     )

@@ -152,6 +152,16 @@ class TestCliContract:
             ["keyrate-finite", "--set", "security.sigma_phi=1e300"],
             ["keyrate-asymptotic", "--set", "channel.detector_efficiency=1e-300"],
             ["sweep-distance", "--set", "security.modulation_variance=1e200"],
+            [
+                "keyrate-asymptotic",
+                "--set", "security.modulation_variance=1e200",
+                "--set", "security.sigma_phi=1e200",
+            ],
+            # Parameter-estimation bounds that overflow a float.
+            ["keyrate-finite", "--set", "security.pe_radius_scale=1e300"],
+            ["keyrate-finite", "--set", "security.pe_radius_scale=1e308"],
+            ["keyrate-finite", "--set", "security.sigma_phi=1e308"],
+            ["sweep-n", "--set", "security.sigma_phi=1e308"],
             # Delays whose squares underflow leave the line fit singular.
             [
                 "laser-noise",
@@ -174,6 +184,8 @@ class TestCliContract:
         ids=[
             "remap-zero-signal", "asymptotic-huge-variance", "finite-huge-sigma-phi",
             "asymptotic-tiny-efficiency", "distance-sweep-huge-variance",
+            "asymptotic-infinite-excess-noise", "finite-huge-radius-scale", "finite-overflowing-radius-scale",
+            "finite-overflowing-sigma-phi", "n-sweep-overflowing-sigma-phi",
             "laser-noise-tiny-delays", "laser-noise-huge-delays", "laser-noise-large-delays",
         ],
     )
@@ -181,6 +193,23 @@ class TestCliContract:
         code = main([*args, "--output-dir", str(tmp_path)])
         assert code == 1
         assert "numerical error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "eta, sigma_phi, expected",
+        [("1e-14", "1e12", -34.29), ("1e-10", "1e9", -35.87)],
+    )
+    def test_huge_excess_noise_over_tiny_efficiency_is_valid(
+        self, eta, sigma_phi, expected, tmp_path, capsys
+    ):
+        # Excess noise far above 1/T: chi_tot stays finite and the rate negative.
+        code = main([
+            "keyrate-finite", "--output-dir", str(tmp_path),
+            "--set", f"channel.detector_efficiency={eta}",
+            "--set", f"security.sigma_phi={sigma_phi}",
+        ])
+        assert code == 0
+        rate = float(capsys.readouterr().out.split(" = ")[1])
+        assert rate == pytest.approx(expected, abs=0.01)
 
 
 SMALL_ALL_ARGS = [

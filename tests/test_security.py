@@ -1,14 +1,18 @@
 import decimal
 import math
+import random
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from llo_sim.errors import ConfigError, DomainError
+from llo_sim.errors import ConfigError, DomainError, NumericalDomainError
 from llo_sim.link_sim import ChannelDetector
 from llo_sim.security import (
+    _T_FLOOR,
     EpsilonBudget,
+    _nominal_mutual_information,
     _two_sided_normal_quantile,
     NoiseBudget,
     SecurityParams,
@@ -125,10 +129,27 @@ class TestNoiseBudget:
     def test_transmittance_outside_unit_interval_rejected(self, t):
         with pytest.raises(DomainError):
             NoiseBudget.from_parameters(t, 0.5, 0.1, 0.04)
+        with pytest.raises(DomainError):
+            NoiseBudget(
+                transmittance=t, excess_noise=0.04, chi_line=1.0, chi_het=1.0, chi_tot=2.0
+            )
 
     def test_negative_excess_noise_rejected(self):
         with pytest.raises(DomainError):
             NoiseBudget.from_parameters(0.5, 0.5, 0.1, -1e-9)
+
+    @pytest.mark.parametrize(
+        "t, eta, excess_noise", [(1e-3, 1e-14, 1e20), (1e-12, 1e-14, 1e26), (1e-3, 1e-10, 1e19)]
+    )
+    def test_excess_noise_far_above_inverse_transmittance(self, t, eta, excess_noise):
+        # chi_line + 1 - excess_noise would cancel every digit of 1/T here.
+        budget = NoiseBudget.from_parameters(t, eta, 0.1, excess_noise)
+        assert budget.chi_tot == budget.chi_line + budget.chi_het / t
+
+    @pytest.mark.parametrize("eta, excess_noise", [(1e-310, 0.04), (0.5, math.inf)])
+    def test_non_finite_terms_rejected_naming_the_point(self, eta, excess_noise):
+        with pytest.raises(NumericalDomainError, match="T = 0.5, excess noise = "):
+            NoiseBudget.from_parameters(0.5, eta, 0.1, excess_noise)
 
 
 class TestMutualInformation:
@@ -146,7 +167,7 @@ class TestMutualInformation:
                 transmittance_override=1.0, detector_efficiency=1.0, electronic_noise_snu=0.0
             ),
         )
-        assert _evaluate(params, 1.0, 0.0).budget.chi_tot == 1.0
+        assert _evaluate(params, 1.0, 0.0).chi_tot == 1.0
         assert mutual_information(params) == 1.0
 
     def test_desk_check_at_50km(self):
@@ -273,6 +294,20 @@ class TestPessimisticBounds:
         assert worst_case_holevo(params, 10**12) >= chi_nominal - 1e-12
         assert worst_case_holevo(params, 10**6) >= worst_case_holevo(params, 10**12)
 
+    @pytest.mark.parametrize(
+        "change", [{"pe_radius_scale": 1e300}, {"pe_radius_scale": 1e308}, {"sigma_phi": 1e308}]
+    )
+    def test_overflow_raises_naming_the_point(self, change):
+        params = replace(perfect_detector_params(), **change)
+        t = params.channel.transmittance
+        with pytest.raises(
+            NumericalDomainError,
+            match=re.escape(
+                f"bounds overflow at T = {t:g}, excess noise = {params.excess_noise:g} SNU"
+            ),
+        ):
+            pessimistic_parameter_bounds(params, 10**11)
+
     @pytest.mark.parametrize("n", [10**6, 10**9, 10**12])
     def test_worst_case_is_largest_corner(self, n):
         # Each corner read through the public nominal path: a channel fixed at
@@ -360,3 +395,129 @@ class TestFiniteSizeRate:
         tight = replace(perfect_detector_params(), pe_radius_scale=1.0)
         assert finite_size_key_rate(tight, 10**9) > 0.0
         assert finite_size_key_rate(perfect_detector_params(), 10**9) < 0.0
+
+
+def _reference_eigenpair(s, prod, label):
+    disc = s * s - 4.0 * prod
+    if disc < -1e-9 * max(s * s, 1.0):
+        raise NumericalDomainError(f"negative discriminant for {label}: {disc}")
+    root = math.sqrt(max(disc, 0.0))
+    sq_plus = 0.5 * (s + root)
+    sq_minus = prod / sq_plus if sq_plus > 0.0 else 0.5 * (s - root)
+    lams = []
+    for sq in (sq_plus, sq_minus):
+        if sq < 1.0 - 1e-9:
+            raise NumericalDomainError(f"unphysical symplectic eigenvalue for {label}")
+        lams.append(max(math.sqrt(max(sq, 0.0)), 1.0))
+    return lams[0], lams[1]
+
+
+def _reference_terms(params, t, excess_noise):
+    """(I_AB, chi_BE) as the per-corner NoiseBudget form computed them."""
+    eta = params.channel.detector_efficiency
+    nu = params.channel.electronic_noise_snu
+    chi_line = 1.0 / t - 1.0 + excess_noise
+    chi_het = (1.0 + (1.0 - eta) + 2.0 * nu) / eta
+    chi_tot = chi_line + chi_het / t
+    v = params.V
+    a = v * v * (1.0 - 2.0 * t) + 2.0 * t + (t * (v + chi_line)) ** 2
+    b = (t * (v * chi_line + 1.0)) ** 2
+    lam1, lam2 = _reference_eigenpair(a, b, "lambda_1/2")
+    denom = (t * (v + chi_tot)) ** 2
+    sqrt_b = math.sqrt(b)
+    c = (
+        a * chi_het**2
+        + b
+        + 1.0
+        + 2.0 * chi_het * (v * sqrt_b + t * (v + chi_line))
+        + 2.0 * t * (v * v - 1.0)
+    ) / denom
+    d = ((v + sqrt_b * chi_het) ** 2) / denom
+    lam3, lam4 = _reference_eigenpair(c, d, "lambda_3/4")
+    chi = (
+        g_function((lam1 - 1.0) / 2.0)
+        + g_function((lam2 - 1.0) / 2.0)
+        - g_function((lam3 - 1.0) / 2.0)
+        - g_function((lam4 - 1.0) / 2.0)
+    )
+    return math.log2((v + chi_tot) / (1.0 + chi_tot)), chi
+
+
+def _reference_finite_size_rate(params, n):
+    eb = params.epsilons
+    d = params.discretization
+    delta_aep = (
+        math.sqrt(2.0 * n)
+        * (
+            (d + 1.0) ** 2
+            + 4.0 * (d + 1.0) * math.log2(2.0 / eb.eps_sm**2)
+            + 2.0 * math.log2(2.0 / (eb.eps**2 * eb.eps_sm))
+        )
+        - 4.0 * eb.eps_sm * d / eb.eps
+    )
+    delta_ent = math.log2(1.0 / eb.eps) - math.sqrt(
+        8.0 * n * math.log2(4.0 * n) ** 2 * math.log2(1.0 / eb.eps)
+    )
+    correction = (
+        delta_aep - delta_ent - 2.0 * math.log2(1.0 / (2.0 * eb.eps_bar))
+    ) / (2.0 * n)
+    bounds = pessimistic_parameter_bounds(params, n)
+    chi = max(
+        _reference_terms(params, t, eps)[1]
+        for t in (bounds.transmittance_low, bounds.transmittance_high)
+        for eps in (bounds.excess_noise_low, bounds.excess_noise_high)
+    )
+    i_ab = _reference_terms(params, params.channel.transmittance, params.excess_noise)[0]
+    return (1.0 - params.robustness) * (
+        params.reconciliation_efficiency * i_ab - chi - correction
+    )
+
+
+class TestFastPathOracle:
+    """The cached, unrolled rate against a plain copy of the per-corner form:
+    equal to the last bit."""
+
+    @staticmethod
+    def points():
+        rng = random.Random(13)
+        for _ in range(240):
+            params = SecurityParams(
+                sigma_phi=rng.choice([0.0, 0.01, 0.04, 0.1, 0.3]),
+                channel=ChannelDetector(
+                    fiber_length_km=rng.choice([0.0, 5.0, 10.0, 25.0, 60.0, 120.0]),
+                    detector_efficiency=rng.choice([1.0, 0.8, 0.5, 0.2]),
+                    electronic_noise_snu=rng.choice([0.0, 0.01, 0.1, 0.5]),
+                ),
+                epsilons=EpsilonBudget(eps_pe=rng.choice([1e-41, 1e-20, 1e-10, 1e-3])),
+                pe_radius_scale=rng.choice([1.0, 190.0]),
+            )
+            yield params, rng.choice([1000, 5000, 10**6, 10**9, 10**11, 10**14])
+
+    def test_rates_bit_exact(self):
+        clamped = 0
+        for params, n in self.points():
+            if pessimistic_parameter_bounds(params, n).transmittance_low == _T_FLOOR:
+                clamped += 1
+            assert finite_size_key_rate(params, n) == _reference_finite_size_rate(
+                params, n
+            ), (params, n)
+            i_ab, chi = _reference_terms(
+                params, params.channel.transmittance, params.excess_noise
+            )
+            assert asymptotic_key_rate(params) == params.reconciliation_efficiency * i_ab - chi
+        assert clamped >= 20
+
+    def test_cache_keeps_parameter_sets_apart(self):
+        a = perfect_detector_params()
+        for b in (
+            replace(a, epsilons=EpsilonBudget(eps_pe=1e-10)),
+            replace(a, sigma_phi=0.05),
+        ):
+            fresh = []
+            for params in (a, b):
+                _two_sided_normal_quantile.cache_clear()
+                _nominal_mutual_information.cache_clear()
+                fresh.append(finite_size_key_rate(params, 10**11))
+            assert fresh[0] != fresh[1]
+            interleaved = [finite_size_key_rate(p, 10**11) for p in (a, b, a)]
+            assert interleaved == [fresh[0], fresh[1], fresh[0]]
