@@ -28,7 +28,7 @@ from typing import Callable
 from .errors import ConfigError
 from .link_sim import ChannelDetector, PulseTrainConfig
 from .noise_models import LaserModel, beat
-from .security import MIN_FINITE_SIZE_PULSES, SecurityParams
+from .security import SecurityParams
 
 # ---------------------------------------------------------------------------
 # The bench rig (Qi et al., arXiv:1503.00662)
@@ -458,11 +458,12 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
     except ConfigError as exc:
         raise ConfigError(f"config.experiments.distance_sweep: max_km: {exc}") from exc
     n_grid = _grid(NSweepConfig, *experiment("n_sweep"))
-    if n_grid[0] < MIN_FINITE_SIZE_PULSES:
+    try:  # the sweep's smallest point must pass the checks of security.n_pulses
+        dataclasses.replace(security, n_pulses=int(n_grid[0]))
+    except ConfigError as exc:
         raise ConfigError(
-            f"config.experiments.n_sweep: log10_min must give n >= {MIN_FINITE_SIZE_PULSES}, "
-            f"got n = {n_grid[0]:g}"
-        )
+            f"config.experiments.n_sweep: log10_min: at n = {int(n_grid[0])}, {exc}"
+        ) from exc
 
     return _walk(
         RunConfig, data, "config", security=security, phase_exp=phase_exp,

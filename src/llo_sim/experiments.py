@@ -318,10 +318,8 @@ def _shot_noise_prediction(cfg) -> float:
     """Shot-noise contribution to the corrected-phase variance: raw signal
     phase noise plus the midpoint-averaged reference phase noise."""
     det = cfg.detector
-    gain = det.transmittance * det.detector_efficiency
-    noise = 1.0 + det.electronic_noise_snu
-    per_signal = noise / (2.0 * gain * cfg.signal_photons)
-    per_reference = noise / (2.0 * gain * cfg.reference_photons)
+    per_signal = det.noise_snu / (2.0 * det.power_gain * cfg.signal_photons)
+    per_reference = det.noise_snu / (2.0 * det.power_gain * cfg.reference_photons)
     return per_signal + 0.5 * per_reference
 
 

@@ -2,18 +2,19 @@
 
 Shot-noise-unit convention used throughout the package: the vacuum quadrature
 variance is 1, and a coherent state of mean photon number ``n`` has a mean
-quadrature vector of length ``2*sqrt(n)``.  A heterodyne (conjugate homodyne)
-measurement of a coherent state with amplitude ``(x_in, p_in)`` at LO phase
-offset ``phi`` then returns, per quadrature,
-
-    sqrt(T*eta/2) * R(-phi) @ (x_in, p_in) + N(0, 1 + nu_el)
-
-where the unit noise term collects transmitted shot noise, the channel and
-detector vacuum admixtures and the heterodyne 3 dB vacuum penalty (their
-contributions always sum to exactly 1 for a coherent-state input), and
-``nu_el`` is electronic noise.  On a Gaussian-modulated ensemble Bob's
-per-quadrature variance is then ``(eta*T/2) * (V + chi_tot)`` with the
-channel/detection noise decomposition used by the security module.
+quadrature vector of length ``2*sqrt(n)``.  The receiver model is stated once,
+on :class:`ChannelDetector`, and the simulator, parameter estimation and the
+key rate read it there.  A heterodyne (conjugate homodyne) measurement of a
+coherent state with amplitude ``(x_in, p_in)`` at LO phase offset ``phi``
+returns, per quadrature, ``g * R(-phi) @ (x_in, p_in) + N(0, N_0)`` with gain
+``g = sqrt(T*eta/2)`` and noise floor ``N_0 = 1 + nu_el``: its unit part
+collects transmitted shot noise, the channel and detector vacuum admixtures
+and the heterodyne 3 dB vacuum penalty (they always sum to exactly 1 for a
+coherent-state input), and ``nu_el`` is electronic noise.  The trusted
+detector's noise at its input is ``chi_het = (1 + (1 - eta) + 2*nu_el)/eta``
+(Fossier et al., J. Phys. B 42, 114014 (2009)), so on a Gaussian-modulated
+ensemble Bob's per-quadrature variance is ``g**2 * (V + chi_tot)`` with
+``chi_tot = chi_line + chi_het/T`` (:func:`llo_sim.security._noise_terms`).
 
 Pulse schedule (one run): R_0 S_0 R_1 S_1 ... with one repetition period
 between consecutive pulses, so signal ``i`` sits midway between references
@@ -122,7 +123,9 @@ class PulseTrainConfig:
 
 @dataclass(frozen=True)
 class ChannelDetector:
-    """Fibre channel plus heterodyne detector parameters.
+    """Fibre channel plus heterodyne detector, and the one statement of the
+    receiver model (module docstring): its properties give ``g``, ``N_0`` and
+    ``chi_het``, and a detector change (homodyne, say) edits only them.
 
     Transmittance follows :func:`fiber_transmittance` unless overridden.  Detector
     efficiency ``eta`` and electronic noise ``nu_el`` (shot-noise units) are
@@ -169,6 +172,27 @@ class ChannelDetector:
         if self.transmittance_override is not None:
             return self.transmittance_override
         return fiber_transmittance(self.attenuation_db_per_km, self.fiber_length_km)
+
+    @property
+    def power_gain(self) -> float:
+        """``T*eta``: the fraction of the input power that is detected."""
+        return self.transmittance * self.detector_efficiency
+
+    @property
+    def amplitude_gain(self) -> float:
+        """``g = sqrt(T*eta/2)``: the heterodyne quadrature gain Alice -> Bob."""
+        return math.sqrt(self.power_gain / 2.0)
+
+    @property
+    def noise_snu(self) -> float:
+        """``N_0 = 1 + nu_el``: the per-quadrature noise floor (SNU)."""
+        return 1.0 + self.electronic_noise_snu
+
+    @property
+    def chi_het(self) -> float:
+        """``chi_het``: the trusted detector's noise referred to its input."""
+        eta = self.detector_efficiency
+        return (1.0 + (1.0 - eta) + 2.0 * self.electronic_noise_snu) / eta
 
 
 def fiber_transmittance(attenuation_db_per_km: float, length_km: float) -> float:
@@ -265,12 +289,12 @@ def _draw_symbols(modulation: Modulation, photons: float, indices: np.ndarray, r
 
 def _measure_arrays(x_in, p_in, phi, det: ChannelDetector, rng):
     """Vectorised heterodyne measurement; rng=None gives the noise-free mean."""
-    scale = math.sqrt(det.transmittance * det.detector_efficiency / 2.0)
+    scale = det.amplitude_gain
     c, s = np.cos(phi), np.sin(phi)
     x = scale * (x_in * c + p_in * s)
     p = scale * (-x_in * s + p_in * c)
     if rng is not None:
-        sigma = math.sqrt(1.0 + det.electronic_noise_snu)
+        sigma = math.sqrt(det.noise_snu)
         x = x + rng.normal(0.0, sigma, size=np.shape(x))
         p = p + rng.normal(0.0, sigma, size=np.shape(p))
     return x, p

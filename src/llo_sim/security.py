@@ -4,8 +4,15 @@ finite-size rate.
 The asymptotic rate is ``R = f * I_AB - chi_BE`` for reverse reconciliation,
 with the mutual information and the Holevo bound evaluated from the standard
 Gaussian entangling-cloner covariance model for heterodyne detection with a
-trusted detector.  Negative rates are returned as-is so sweep runners can
-locate zero crossings.
+trusted detector, whose gain, noise floor and chi_het are those of
+:class:`~llo_sim.link_sim.ChannelDetector`.  Negative rates are returned
+as-is so sweep runners can locate zero crossings.
+
+The excess noise is ``V_A * sigma_phi`` for a phase-recovery noise variance
+``sigma_phi`` (:func:`excess_noise_from_phase`).  A Gaussian phase error of
+that variance adds ``V_A * (1 - exp(-sigma_phi))`` at the channel input, which
+a simulated Gaussian-modulated run reproduces, so the linear form is
+conservative, by about 2% at ``sigma_phi = 0.04``.
 
 Finite-size rate
 ----------------
@@ -23,7 +30,11 @@ with
 The assignment of the two Delta terms follows their roles in the rate
 equation: the O(sqrt(n)) smoothing/discretisation term enters as D_aep and
 the entropy term as D_ent.  The opposite assignment would make the
-finite-size correction negative (a rate above the asymptotic one).
+finite-size correction negative (a rate above the asymptotic one).  Each
+epsilon enters through its log2, so a tiny budget cannot underflow; where
+the correction still turns negative (``eps`` far below ``eps_sm``, as
+``4*eps_sm*d/eps`` grows) or non-finite, the bound says nothing and the rate
+raises :class:`NumericalDomainError`.
 
 Worst-case Holevo bound
 -----------------------
@@ -149,6 +160,15 @@ class SecurityParams:
             raise ConfigError(
                 f"n_pulses must be >= {MIN_FINITE_SIZE_PULSES}, got {self.n_pulses}"
             )
+        try:
+            m = int(self.pe_fraction * float(self.n_pulses))
+        except OverflowError:
+            raise ConfigError("n_pulses must convert to a finite float") from None
+        if m < 2:
+            raise ConfigError(
+                f"pe_fraction {self.pe_fraction:g} of n_pulses {self.n_pulses} leaves "
+                f"{m} estimation samples, need >= 2"
+            )
 
     @property
     def V(self) -> float:
@@ -160,53 +180,22 @@ class SecurityParams:
         return excess_noise_from_phase(self.modulation_variance, self.sigma_phi)
 
 
-@dataclass(frozen=True)
-class NoiseBudget:
-    """Channel/detection noise decomposition referred to the channel input."""
-
-    transmittance: float
-    excess_noise: float
-    chi_line: float
-    chi_het: float
-    chi_tot: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.transmittance <= 1:
-            raise DomainError(f"transmittance must be in (0, 1], got {self.transmittance}")
-        expected_tot = self.chi_line + self.chi_het / self.transmittance
-        if not math.isclose(self.chi_tot, expected_tot, rel_tol=1e-9, abs_tol=1e-12):
-            raise ConfigError(
-                f"inconsistent noise budget: chi_tot={self.chi_tot} but "
-                f"chi_line + chi_het/T = {expected_tot}"
-            )
-
-    @classmethod
-    def from_parameters(
-        cls, t: float, eta: float, nu: float, excess_noise: float
-    ) -> "NoiseBudget":
-        """The budget at transmittance ``t``, detector efficiency ``eta``,
-        electronic noise ``nu`` (SNU) and channel-input ``excess_noise``."""
-        return cls(t, excess_noise, *_noise_terms(t, eta, nu, excess_noise))
-
-
-def _noise_terms(
-    t: float, eta: float, nu: float, excess_noise: float
-) -> tuple[float, float, float]:
-    """``(chi_line, chi_het, chi_tot)`` of :class:`NoiseBudget`, without
-    building one: the per-corner form of the decomposition."""
+def _noise_terms(t: float, chi_het: float, excess_noise: float) -> tuple[float, float]:
+    """``(chi_line, chi_tot)``: the channel noise ``1/T - 1 + excess_noise`` and
+    the total ``chi_line + chi_het/T`` referred to the channel input, with the
+    detector noise ``chi_het`` of :class:`~llo_sim.link_sim.ChannelDetector`."""
     if not 0 < t <= 1:
         raise DomainError(f"transmittance must be in (0, 1], got {t}")
     if excess_noise < 0:
         raise DomainError(f"excess noise must be >= 0, got {excess_noise}")
     chi_line = 1.0 / t - 1.0 + excess_noise
-    chi_het = (1.0 + (1.0 - eta) + 2.0 * nu) / eta
     chi_tot = chi_line + chi_het / t
     if not math.isfinite(chi_tot):
         raise NumericalDomainError(
             f"non-finite noise terms at T = {t:g}, excess noise = {excess_noise:g} SNU: "
             f"chi_line = {chi_line:g}, chi_het = {chi_het:g}"
         )
-    return chi_line, chi_het, chi_tot
+    return chi_line, chi_tot
 
 
 def excess_noise_from_phase(v_a: float, sigma_phi: float) -> float:
@@ -249,10 +238,8 @@ def _evaluate(params: SecurityParams, t: float, excess_noise: float) -> _Terms:
     A term that overflows or ends non-finite raises
     :class:`NumericalDomainError` naming the point, so every rate fails alike.
     """
-    channel = params.channel
-    chi_line, chi_het, chi_tot = _noise_terms(
-        t, channel.detector_efficiency, channel.electronic_noise_snu, excess_noise
-    )
+    chi_het = params.channel.chi_het
+    chi_line, chi_tot = _noise_terms(t, chi_het, excess_noise)
     v = params.V
     try:
         a = v * v * (1.0 - 2.0 * t) + 2.0 * t + (t * (v + chi_line)) ** 2
@@ -425,13 +412,12 @@ def pessimistic_parameter_bounds(params: SecurityParams, n: int) -> PessimisticB
     if params.modulation_variance == 0:
         raise DomainError("parameter estimation requires V_A > 0")
     channel = params.channel
-    t_chan = channel.transmittance
     eta = channel.detector_efficiency
     nu = channel.electronic_noise_snu
     eps = params.excess_noise
 
-    gain = math.sqrt(t_chan * eta / 2.0)  # amplitude gain Alice -> Bob
-    sigma2 = 1.0 + nu + gain * gain * eps  # measured conditional noise
+    gain = channel.amplitude_gain
+    sigma2 = channel.noise_snu + gain * gain * eps  # measured conditional noise
     z = _two_sided_normal_quantile(params.epsilons.eps_pe) * params.pe_radius_scale
 
     try:
@@ -440,9 +426,11 @@ def pessimistic_parameter_bounds(params: SecurityParams, n: int) -> PessimisticB
 
         gain_low = max(gain - d_gain, 0.0)
         gain_high = gain + d_gain
+        # The receiver model of ChannelDetector inverted: T = 2*g**2/eta and
+        # eps = (sigma2 - N_0)/g**2, with N_0 = 1 + nu and g**2 = T*eta/2 written
+        # out, as the properties' own rounding would move the bounds' last bits.
         t_low = max(2.0 * gain_low**2 / eta, _T_FLOOR)
         t_high = min(2.0 * gain_high**2 / eta, 1.0)
-
         eps_high = (sigma2 + d_sigma2 - 1.0 - nu) / (t_low * eta / 2.0)
         eps_low = max((sigma2 - d_sigma2 - 1.0 - nu) / (t_high * eta / 2.0), 0.0)
         finite = (
@@ -453,7 +441,7 @@ def pessimistic_parameter_bounds(params: SecurityParams, n: int) -> PessimisticB
         finite = False
     if not finite:
         raise NumericalDomainError(
-            f"parameter-estimation bounds overflow at T = {t_chan:g}, "
+            f"parameter-estimation bounds overflow at T = {channel.transmittance:g}, "
             f"excess noise = {eps:g} SNU, over {m} estimation samples"
         )
     return PessimisticBounds(
@@ -489,21 +477,25 @@ def finite_size_key_rate(params: SecurityParams, n: int | None = None) -> float:
 
     eb = params.epsilons
     d = params.discretization
+    # Each epsilon enters through its log2, so no budget can underflow:
+    # log2(2/eps_sm^2) = 1 - 2*log2(eps_sm), log2(1/(2*eps_bar)) = -1 - log2(eps_bar).
+    log2_eps, log2_sm, log2_bar = math.log2(eb.eps), math.log2(eb.eps_sm), math.log2(eb.eps_bar)
     delta_aep = (
         math.sqrt(2.0 * n)
         * (
             (d + 1.0) ** 2
-            + 4.0 * (d + 1.0) * math.log2(2.0 / eb.eps_sm**2)
-            + 2.0 * math.log2(2.0 / (eb.eps**2 * eb.eps_sm))
+            + 4.0 * (d + 1.0) * (1.0 - 2.0 * log2_sm)
+            + 2.0 * (1.0 - 2.0 * log2_eps - log2_sm)
         )
         - 4.0 * eb.eps_sm * d / eb.eps
     )
-    delta_ent = math.log2(1.0 / eb.eps) - math.sqrt(
-        8.0 * n * math.log2(4.0 * n) ** 2 * math.log2(1.0 / eb.eps)
-    )
-    correction = (
-        delta_aep - delta_ent - 2.0 * math.log2(1.0 / (2.0 * eb.eps_bar))
-    ) / (2.0 * n)
+    delta_ent = -log2_eps - math.sqrt(8.0 * n * math.log2(4.0 * n) ** 2 * -log2_eps)
+    correction = (delta_aep - delta_ent - 2.0 * (-1.0 - log2_bar)) / (2.0 * n)
+    if not 0.0 <= correction < math.inf:
+        raise NumericalDomainError(
+            f"finite-size correction {correction:g} is negative or non-finite at "
+            f"n = {n:g}, eps = {eb.eps:g}, eps_sm = {eb.eps_sm:g}, eps_bar = {eb.eps_bar:g}"
+        )
 
     chi = worst_case_holevo(params, n)  # before I_AB, so its errors come first
     i_ab = _nominal_mutual_information(params)

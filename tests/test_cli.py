@@ -162,6 +162,13 @@ class TestCliContract:
             ["keyrate-finite", "--set", "security.pe_radius_scale=1e308"],
             ["keyrate-finite", "--set", "security.sigma_phi=1e308"],
             ["sweep-n", "--set", "security.sigma_phi=1e308"],
+            # An eps far below eps_sm turns the finite-size correction negative;
+            # at 1e-300 eps**2 once underflowed to a ZeroDivisionError.
+            ["keyrate-finite", "--set", "security.epsilons.eps=1e-30"],
+            ["keyrate-finite", "--set", "security.epsilons.eps=1e-300"],
+            ["sweep-n", "--set", "security.epsilons.eps=1e-40"],
+            # A pulse count whose finite-size terms overflow a float.
+            ["keyrate-finite", "--n-pulses", str(10**307)],
             # Delays whose squares underflow leave the line fit singular.
             [
                 "laser-noise",
@@ -186,6 +193,8 @@ class TestCliContract:
             "asymptotic-tiny-efficiency", "distance-sweep-huge-variance",
             "asymptotic-infinite-excess-noise", "finite-huge-radius-scale", "finite-overflowing-radius-scale",
             "finite-overflowing-sigma-phi", "n-sweep-overflowing-sigma-phi",
+            "finite-eps-far-below-eps-sm", "finite-tiny-eps",
+            "n-sweep-eps-far-below-eps-sm", "finite-overflowing-n-pulses",
             "laser-noise-tiny-delays", "laser-noise-huge-delays", "laser-noise-large-delays",
         ],
     )
@@ -210,6 +219,20 @@ class TestCliContract:
         assert code == 0
         rate = float(capsys.readouterr().out.split(" = ")[1])
         assert rate == pytest.approx(expected, abs=0.01)
+
+    @pytest.mark.parametrize(
+        "budget, expected", [("eps_sm=1e-300", -0.0599), ("eps_bar=5e-324", 0.0437)]
+    )
+    def test_tiny_epsilon_is_valid(self, budget, expected, tmp_path, capsys):
+        # eps_sm**2 once underflowed to a ZeroDivisionError and 1/(2*eps_bar)
+        # overflowed to inf; in log space each costs key and no more.
+        code = main([
+            "keyrate-finite", "--output-dir", str(tmp_path),
+            "--set", f"security.epsilons.{budget}",
+        ])
+        assert code == 0
+        rate = float(capsys.readouterr().out.split(" = ")[1])
+        assert rate == pytest.approx(expected, abs=1e-4)
 
 
 SMALL_ALL_ARGS = [
@@ -454,6 +477,11 @@ BAD_CONFIGS = [
     ("keyrate-finite", None, ["security.n_pulses=null"], "config.security.n_pulses:"),
     ("sweep-n", None, ["experiments.n_sweep.log10_min=2"],
      "config.experiments.n_sweep: log10_min"),
+    ("keyrate-finite", None, ["security.n_pulses=1" + "0" * 320],
+     "config.security: n_pulses must convert to a finite float"),
+    ("sweep-n", None, ["security.pe_fraction=1e-8"],
+     "config.experiments.n_sweep: log10_min: at n = 1000000, pe_fraction"),
+    ("sweep-n", None, ["security.pe_fraction=1e-300"], "config.security: pe_fraction"),
     ("sweep-n", None, ["experiments.n_sweep.log10_max=400"],
      "config.experiments.n_sweep: grid must be finite"),
     ("keyrate-asymptotic", None, ["channel.fiber_length_km=1e5"],

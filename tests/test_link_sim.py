@@ -19,7 +19,7 @@ from llo_sim.link_sim import (
     _measure_arrays,
 )
 from llo_sim.noise_models import LaserModel, phase_noise_variance
-from llo_sim.security import NoiseBudget
+from llo_sim.security import _noise_terms
 
 BENCH_LASER_S = LaserModel.from_delay_variance(0.035, 20e-9)
 BENCH_LASER_L = LaserModel.from_delay_variance(0.044, 20e-9, center_detuning_hz=2.3e6)
@@ -36,6 +36,24 @@ class TestChannelDetector:
     def test_override_wins(self):
         det = ChannelDetector(fiber_length_km=100.0, transmittance_override=0.7)
         assert det.transmittance == 0.7
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"fiber_length_km": 25.0, "detector_efficiency": 0.6, "electronic_noise_snu": 0.1},
+            {"transmittance_override": 0.3, "detector_efficiency": 0.5,
+             "electronic_noise_snu": 0.83},
+        ],
+    )
+    def test_receiver_model(self, kwargs):
+        # The properties keep the float operations of the formulas they replace.
+        det = ChannelDetector(**kwargs)
+        t, eta, nu = det.transmittance, det.detector_efficiency, det.electronic_noise_snu
+        assert det.power_gain == t * eta
+        assert det.amplitude_gain == math.sqrt(t * eta / 2.0)
+        assert det.noise_snu == 1.0 + nu
+        assert det.chi_het == (1.0 + (1.0 - eta) + 2.0 * nu) / eta
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -236,12 +254,8 @@ class TestSimulateRun:
         )
         samples = simulate_run(train, (BENCH_LASER_S, BENCH_LASER_L), det, seed=31)
         xs = np.array([s.x for s in samples if s.kind == "signal"])
-        budget = NoiseBudget.from_parameters(
-            det.transmittance, det.detector_efficiency, det.electronic_noise_snu, 0.0
-        )
-        expected = (
-            det.detector_efficiency * det.transmittance / 2.0
-        ) * (v_a + 1.0 + budget.chi_tot)
+        _, chi_tot = _noise_terms(det.transmittance, det.chi_het, 0.0)
+        expected = det.amplitude_gain**2 * (v_a + 1.0 + chi_tot)
         se = expected * math.sqrt(2.0 / (xs.size - 1))
         assert abs(xs.var(ddof=1) - expected) < 3.0 * se
 
