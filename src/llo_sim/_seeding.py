@@ -9,7 +9,7 @@ stream, no matter who asks first.
 
 from __future__ import annotations
 
-import hashlib
+import functools
 
 from ._lazy_numpy import np
 
@@ -19,7 +19,17 @@ def _label_to_int(part: int | str) -> int:
         if part < 0:
             raise ValueError(f"seed path components must be non-negative, got {part}")
         return int(part)
-    digest = hashlib.sha256(str(part).encode("utf-8")).digest()
+    return _label_digest(str(part))
+
+
+@functools.lru_cache(maxsize=256)
+def _label_digest(label: str) -> int:
+    """The first 8 bytes of the label's SHA-256, little-endian.  A run asks for
+    a few labels hundreds of times each; ``hashlib`` (and OpenSSL) loads only
+    once a label is hashed, so the closed-form commands never load it."""
+    import hashlib
+
+    digest = hashlib.sha256(label.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
 
 

@@ -458,12 +458,14 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
     except ConfigError as exc:
         raise ConfigError(f"config.experiments.distance_sweep: max_km: {exc}") from exc
     n_grid = _grid(NSweepConfig, *experiment("n_sweep"))
-    try:  # the sweep's smallest point must pass the checks of security.n_pulses
-        dataclasses.replace(security, n_pulses=int(n_grid[0]))
-    except ConfigError as exc:
-        raise ConfigError(
-            f"config.experiments.n_sweep: log10_min: at n = {int(n_grid[0])}, {exc}"
-        ) from exc
+    # Both ends of the sweep must pass the checks of security.n_pulses: the
+    # smallest leaves the fewest estimation samples, the largest the largest
+    # finite-size terms.
+    for key, n in (("log10_min", int(n_grid[0])), ("log10_max", int(n_grid[-1]))):
+        try:
+            dataclasses.replace(security, n_pulses=n)
+        except ConfigError as exc:
+            raise ConfigError(f"config.experiments.n_sweep: {key}: at n = {n:.15g}, {exc}") from exc
 
     return _walk(
         RunConfig, data, "config", security=security, phase_exp=phase_exp,

@@ -37,7 +37,13 @@ CIRCULAR_LINEAR_LIMIT = 0.5
 def wrap_phase(phi):
     """Reduce angle(s) to the principal range (-pi, pi]."""
     phi = np.asarray(phi, dtype=float)
-    wrapped = np.mod(phi, math.tau)
+    if phi.size and -math.tau < phi.min() and phi.max() < math.tau:
+        # fmod is the identity for |phi| < tau, so np.mod's result is phi + tau
+        # below 0 and phi + 0.0 (+0 for -0) otherwise: the same bits at a third
+        # of the cost.  NaN fails the test and takes np.mod.
+        wrapped = np.where(phi < 0.0, phi + math.tau, phi + 0.0)
+    else:
+        wrapped = np.mod(phi, math.tau)
     wrapped = np.where(wrapped > math.pi, wrapped - math.tau, wrapped)
     if wrapped.ndim == 0:
         return float(wrapped)

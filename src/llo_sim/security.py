@@ -54,12 +54,22 @@ point.
 Terms computed once per parameter set
 -------------------------------------
 A finite-size sweep evaluates the rate at thousands of pulse counts ``n`` for
-one :class:`SecurityParams`.  Two of its terms do not depend on ``n``: the PE
-quantile ``Phi^-1(1 - eps_pe/2)`` (a few Newton steps) and the nominal I_AB
-(one full evaluation).  Both are pure functions of frozen, hashable inputs, so
-each is memoised in a small LRU cache and a sweep pays for them once instead
-of once per point.  A failing call caches nothing, and the four corners are
-still evaluated before the nominal point, so every error is raised as before.
+one :class:`SecurityParams`, and a distance sweep at thousands of
+transmittances.  Every term that depends on neither ``n`` nor the (T, excess
+noise) point is computed once, into a private record that the instance keeps
+(``SecurityParams._kernel``): V and its square, chi_het, the PE gain, noise
+and radius, the epsilon terms of the correction, ``1 - robustness`` and
+``beta``.  Each hoisted product is the leftmost operation of the expression it
+came from, so every rate keeps its float operations and its bits.  A term
+whose ``**`` can overflow at a valid point (``chi_het**2``) stays in the
+evaluation, where the overflow is reported with the point.  The record lives in the instance ``__dict__`` (a
+``functools.cached_property``), which ``fields``, ``asdict``, ``__eq__`` and
+``__hash__`` ignore, so a parameter set compares, hashes and prints as
+before.  The nominal I_AB (one full evaluation) is kept the same way, but only
+once a finite-size rate asks for it: the four corners are evaluated first, so
+every error is raised as before, and a failing evaluation keeps nothing.  The
+PE quantile ``Phi^-1(1 - eps_pe/2)`` (a few Newton steps) has its own small
+cache, shared by the parameter sets of one budget.
 """
 
 from __future__ import annotations
@@ -74,6 +84,9 @@ from .link_sim import ChannelDetector
 
 #: Tolerance below 1 accepted for symplectic eigenvalues before erroring.
 SYMPLECTIC_TOL = 1e-9
+
+# The floor of a squared symplectic eigenvalue, 1 - SYMPLECTIC_TOL, once.
+_LAM2_FLOOR = 1.0 - SYMPLECTIC_TOL
 
 #: Floor for the pessimistic transmittance bound.
 _T_FLOOR = 1e-12
@@ -169,6 +182,13 @@ class SecurityParams:
                 f"pe_fraction {self.pe_fraction:g} of n_pulses {self.n_pulses} leaves "
                 f"{m} estimation samples, need >= 2"
             )
+        # +inf or NaN; a negative correction is the budget's, raised by the rate.
+        correction = _finite_size_correction(self._kernel, self.n_pulses)
+        if not correction < math.inf:
+            raise ConfigError(
+                f"n_pulses {self.n_pulses:.6g} overflows the finite-size correction "
+                f"to {correction:g}"
+            )
 
     @property
     def V(self) -> float:
@@ -178,6 +198,87 @@ class SecurityParams:
     @property
     def excess_noise(self) -> float:
         return excess_noise_from_phase(self.modulation_variance, self.sigma_phi)
+
+    @functools.cached_property
+    def _kernel(self) -> _Kernel:
+        """The terms of every rate that depend on neither ``n`` nor the (T,
+        excess noise) point (module docstring)."""
+        channel = self.channel
+        v = self.V
+        chi_het = channel.chi_het
+        gain = channel.amplitude_gain
+        excess_noise = self.excess_noise
+        sigma2 = channel.noise_snu + gain * gain * excess_noise  # measured conditional noise
+        z = _two_sided_normal_quantile(self.epsilons.eps_pe) * self.pe_radius_scale
+        eb = self.epsilons
+        d = self.discretization
+        # Each epsilon enters through its log2, so no budget can underflow:
+        # log2(2/eps_sm^2) = 1 - 2*log2(eps_sm), log2(1/(2*eps_bar)) = -1 - log2(eps_bar).
+        log2_eps, log2_sm, log2_bar = math.log2(eb.eps), math.log2(eb.eps_sm), math.log2(eb.eps_bar)
+        try:
+            aep_bracket = (
+                (d + 1.0) ** 2
+                + 4.0 * (d + 1.0) * (1.0 - 2.0 * log2_sm)
+                + 2.0 * (1.0 - 2.0 * log2_eps - log2_sm)
+            )
+            aep_tail = 4.0 * eb.eps_sm * d / eb.eps
+        except OverflowError:
+            raise ConfigError("discretization overflows the finite-size correction") from None
+        return _Kernel(
+            v=v,
+            vv=v * v,
+            vv_minus_1=v * v - 1.0,
+            chi_het=chi_het,
+            two_chi_het=2.0 * chi_het,
+            transmittance=channel.transmittance,
+            excess_noise=excess_noise,
+            v_a=self.modulation_variance,
+            eta=channel.detector_efficiency,
+            nu=channel.electronic_noise_snu,
+            gain=gain,
+            sigma2=sigma2,
+            z=z,
+            z_sigma2=z * sigma2,
+            aep_bracket=aep_bracket,
+            aep_tail=aep_tail,
+            neg_log2_eps=-log2_eps,
+            bar_term=2.0 * (-1.0 - log2_bar),
+            robust=1.0 - self.robustness,
+            beta=self.reconciliation_efficiency,
+        )
+
+    @functools.cached_property
+    def _nominal_mutual_information(self) -> float:
+        """:func:`mutual_information`, kept: the finite-size rate's one
+        n-independent evaluation."""
+        return mutual_information(self)
+
+
+class _Kernel(NamedTuple):
+    """What :attr:`SecurityParams._kernel` holds; each entry is computed as
+    the leftmost operation of the rate expression that reads it.
+    :func:`_evaluate` unpacks the first five fields in this order."""
+
+    v: float  # V = V_A + 1
+    vv: float  # v * v
+    vv_minus_1: float  # v * v - 1
+    chi_het: float
+    two_chi_het: float  # 2 * chi_het
+    transmittance: float  # the channel's
+    excess_noise: float  # V_A * sigma_phi
+    v_a: float
+    eta: float
+    nu: float
+    gain: float  # PE: g = sqrt(T*eta/2)
+    sigma2: float  # PE: N_0 + g**2 * excess noise
+    z: float  # PE radius in standard errors, times pe_radius_scale
+    z_sigma2: float  # z * sigma2
+    aep_bracket: float  # the factor of sqrt(2n) in D_aep
+    aep_tail: float  # 4*eps_sm*d/eps
+    neg_log2_eps: float  # log2(1/eps)
+    bar_term: float  # 2*log2(1/(2*eps_bar))
+    robust: float  # 1 - robustness
+    beta: float
 
 
 def _noise_terms(t: float, chi_het: float, excess_noise: float) -> tuple[float, float]:
@@ -221,6 +322,39 @@ def g_function(x: float) -> float:
     return ((x + 1.0) * math.log1p(x) - x * math.log(x)) / _LN2
 
 
+def _holevo_sum(lam1: float, lam2: float, lam3: float, lam4: float) -> float:
+    """``G(x1) + G(x2) - G(x3) - G(x4)`` for ``xi = (lami - 1)/2``, with the
+    branches of :func:`g_function` written out: four calls would cost a
+    tenth of a finite-size rate.  Every ``lam`` comes from :func:`_eigenpair`,
+    which clamps it to >= 1 (or passes NaN), so no ``x`` is negative."""
+    log, log1p, log2 = math.log, math.log1p, math.log2
+    x = (lam1 - 1.0) / 2.0
+    g1 = (
+        0.0 if x == 0.0
+        else log2(x + 1.0) + x * log1p(1.0 / x) / _LN2 if x >= 1.0
+        else ((x + 1.0) * log1p(x) - x * log(x)) / _LN2
+    )
+    x = (lam2 - 1.0) / 2.0
+    g2 = (
+        0.0 if x == 0.0
+        else log2(x + 1.0) + x * log1p(1.0 / x) / _LN2 if x >= 1.0
+        else ((x + 1.0) * log1p(x) - x * log(x)) / _LN2
+    )
+    x = (lam3 - 1.0) / 2.0
+    g3 = (
+        0.0 if x == 0.0
+        else log2(x + 1.0) + x * log1p(1.0 / x) / _LN2 if x >= 1.0
+        else ((x + 1.0) * log1p(x) - x * log(x)) / _LN2
+    )
+    x = (lam4 - 1.0) / 2.0
+    g4 = (
+        0.0 if x == 0.0
+        else log2(x + 1.0) + x * log1p(1.0 / x) / _LN2 if x >= 1.0
+        else ((x + 1.0) * log1p(x) - x * log(x)) / _LN2
+    )
+    return g1 + g2 - g3 - g4
+
+
 class _Terms(NamedTuple):
     """One key-rate evaluation at a (transmittance, excess noise) point."""
 
@@ -228,6 +362,11 @@ class _Terms(NamedTuple):
     mutual_information: float
     symplectic_eigenvalues: tuple[float, float, float, float, float]
     holevo_bound: float
+
+
+# ``_tuple_new(_Terms, (...))`` builds a _Terms without the Python-level
+# __new__ of a NamedTuple, which took about 6% of an evaluation.
+_tuple_new = tuple.__new__
 
 
 def _evaluate(params: SecurityParams, t: float, excess_noise: float) -> _Terms:
@@ -238,32 +377,29 @@ def _evaluate(params: SecurityParams, t: float, excess_noise: float) -> _Terms:
     A term that overflows or ends non-finite raises
     :class:`NumericalDomainError` naming the point, so every rate fails alike.
     """
-    chi_het = params.channel.chi_het
+    v, vv, vv_minus_1, chi_het, two_chi_het = params._kernel[:5]
     chi_line, chi_tot = _noise_terms(t, chi_het, excess_noise)
-    v = params.V
     try:
-        a = v * v * (1.0 - 2.0 * t) + 2.0 * t + (t * (v + chi_line)) ** 2
+        t2 = 2.0 * t
+        v_line = v + chi_line
+        a = vv * (1.0 - t2) + t2 + (t * v_line) ** 2
         b = (t * (v * chi_line + 1.0)) ** 2
         lam1, lam2 = _eigenpair(a, b, "lambda_1/2")
 
-        denom = (t * (v + chi_tot)) ** 2
+        v_tot = v + chi_tot
+        denom = (t * v_tot) ** 2
         sqrt_b = math.sqrt(b)
         c = (
-            a * chi_het**2
+            a * chi_het**2  # not kept: an overflow here names the point
             + b
             + 1.0
-            + 2.0 * chi_het * (v * sqrt_b + t * (v + chi_line))
-            + 2.0 * t * (v * v - 1.0)
+            + two_chi_het * (v * sqrt_b + t * v_line)
+            + t2 * vv_minus_1
         ) / denom
         d = ((v + sqrt_b * chi_het) ** 2) / denom
         lam3, lam4 = _eigenpair(c, d, "lambda_3/4")
-        chi = (  # lambda_5 = 1 adds -G(0) = 0
-            g_function((lam1 - 1.0) / 2.0)
-            + g_function((lam2 - 1.0) / 2.0)
-            - g_function((lam3 - 1.0) / 2.0)
-            - g_function((lam4 - 1.0) / 2.0)
-        )
-        i_ab = math.log2((v + chi_tot) / (1.0 + chi_tot))
+        chi = _holevo_sum(lam1, lam2, lam3, lam4)  # lambda_5 = 1 adds -G(0) = 0
+        i_ab = math.log2(v_tot / (1.0 + chi_tot))
     except OverflowError as exc:
         raise NumericalDomainError(
             f"key-rate terms overflow at T = {t:g}, excess noise = {excess_noise:g} SNU"
@@ -273,26 +409,20 @@ def _evaluate(params: SecurityParams, t: float, excess_noise: float) -> _Terms:
             f"non-finite key-rate terms at T = {t:g}, excess noise = {excess_noise:g} SNU: "
             f"I_AB = {i_ab:g}, chi_BE = {chi:g}"
         )
-    return _Terms(chi_tot, i_ab, (lam1, lam2, lam3, lam4, 1.0), chi)
+    return _tuple_new(_Terms, (chi_tot, i_ab, (lam1, lam2, lam3, lam4, 1.0), chi))
 
 
 def _nominal(params: SecurityParams, transmittance: float | None = None) -> _Terms:
     """The evaluation at ``transmittance`` (default: the channel's)."""
+    k = params._kernel
     if transmittance is None:
-        transmittance = params.channel.transmittance
-    return _evaluate(params, transmittance, params.excess_noise)
+        transmittance = k.transmittance
+    return _evaluate(params, transmittance, k.excess_noise)
 
 
 def mutual_information(params: SecurityParams) -> float:
     """Alice-Bob mutual information (bits/pulse) over both quadratures."""
     return _nominal(params).mutual_information
-
-
-@functools.lru_cache(maxsize=8)
-def _nominal_mutual_information(params: SecurityParams) -> float:
-    """:func:`mutual_information`, memoised: the finite-size rate's one
-    n-independent evaluation."""
-    return mutual_information(params)
 
 
 def symplectic_eigenvalues(params: SecurityParams) -> tuple[float, float, float, float, float]:
@@ -315,12 +445,12 @@ def _eigenpair(s, prod, label):
     root = math.sqrt(0.0 if 0.0 > disc else disc)
     sq_plus = 0.5 * (s + root)
     sq_minus = prod / sq_plus if sq_plus > 0.0 else 0.5 * (s - root)
-    if sq_plus < 1.0 - SYMPLECTIC_TOL:
+    if sq_plus < _LAM2_FLOOR:
         raise NumericalDomainError(
             f"unphysical symplectic eigenvalue for {label}: lam^2 = {sq_plus}"
         )
     lam_plus = math.sqrt(0.0 if 0.0 > sq_plus else sq_plus)
-    if sq_minus < 1.0 - SYMPLECTIC_TOL:
+    if sq_minus < _LAM2_FLOOR:
         raise NumericalDomainError(
             f"unphysical symplectic eigenvalue for {label}: lam^2 = {sq_minus}"
         )
@@ -339,7 +469,8 @@ def asymptotic_key_rate(params: SecurityParams, transmittance: float | None = No
 
     May be negative; callers decide whether to clamp.
     """
-    return key_rate_components(params, transmittance)["asymptotic_rate"]
+    terms = _nominal(params, transmittance)
+    return params._kernel.beta * terms.mutual_information - terms.holevo_bound
 
 
 def key_rate_components(
@@ -399,40 +530,35 @@ def _two_sided_normal_quantile(eps: float) -> float:
     return math.sqrt(2.0) * x
 
 
-def pessimistic_parameter_bounds(params: SecurityParams, n: int) -> PessimisticBounds:
-    """Gaussian confidence bounds on (T, excess noise) from ``pe_fraction * n``
-    estimation samples at level ``eps_pe``, radii scaled by ``pe_radius_scale``.
-
-    Each radius is ``z = Phi^-1(1 - eps_pe/2)`` standard errors, found by
-    :func:`_two_sided_normal_quantile` from ``math.erfc`` in log space.
-    """
+def _pe_rectangle(params: SecurityParams, n: int) -> tuple[float, float, float, float, int]:
+    """``(t_low, t_high, eps_low, eps_high, m)``: the arithmetic of
+    :func:`pessimistic_parameter_bounds`, with its checks."""
     m = int(params.pe_fraction * n)
     if m < 2:
         raise DomainError(f"too few estimation samples: {m}")
-    if params.modulation_variance == 0:
+    k = params._kernel
+    if k.v_a == 0:
         raise DomainError("parameter estimation requires V_A > 0")
-    channel = params.channel
-    eta = channel.detector_efficiency
-    nu = channel.electronic_noise_snu
-    eps = params.excess_noise
-
-    gain = channel.amplitude_gain
-    sigma2 = channel.noise_snu + gain * gain * eps  # measured conditional noise
-    z = _two_sided_normal_quantile(params.epsilons.eps_pe) * params.pe_radius_scale
-
+    eta, nu, gain, sigma2 = k.eta, k.nu, k.gain, k.sigma2
     try:
-        d_gain = z * math.sqrt(sigma2 / (m * params.modulation_variance))
-        d_sigma2 = z * sigma2 * math.sqrt(2.0 / m)
+        d_gain = k.z * math.sqrt(sigma2 / (m * k.v_a))
+        d_sigma2 = k.z_sigma2 * math.sqrt(2.0 / m)
 
-        gain_low = max(gain - d_gain, 0.0)
+        # ``c if c > x else x`` is ``max(x, c)`` unrolled (and ``<`` is ``min``),
+        # as in _eigenpair: x wins ties and NaN.
+        gain_low = gain - d_gain
+        gain_low = 0.0 if 0.0 > gain_low else gain_low
         gain_high = gain + d_gain
         # The receiver model of ChannelDetector inverted: T = 2*g**2/eta and
         # eps = (sigma2 - N_0)/g**2, with N_0 = 1 + nu and g**2 = T*eta/2 written
         # out, as the properties' own rounding would move the bounds' last bits.
-        t_low = max(2.0 * gain_low**2 / eta, _T_FLOOR)
-        t_high = min(2.0 * gain_high**2 / eta, 1.0)
+        t_low = 2.0 * gain_low**2 / eta
+        t_low = _T_FLOOR if _T_FLOOR > t_low else t_low
+        t_high = 2.0 * gain_high**2 / eta
+        t_high = 1.0 if 1.0 < t_high else t_high
         eps_high = (sigma2 + d_sigma2 - 1.0 - nu) / (t_low * eta / 2.0)
-        eps_low = max((sigma2 - d_sigma2 - 1.0 - nu) / (t_high * eta / 2.0), 0.0)
+        eps_low = (sigma2 - d_sigma2 - 1.0 - nu) / (t_high * eta / 2.0)
+        eps_low = 0.0 if 0.0 > eps_low else eps_low
         finite = (
             math.isfinite(t_low) and math.isfinite(t_high)
             and math.isfinite(eps_low) and math.isfinite(eps_high)
@@ -441,30 +567,39 @@ def pessimistic_parameter_bounds(params: SecurityParams, n: int) -> PessimisticB
         finite = False
     if not finite:
         raise NumericalDomainError(
-            f"parameter-estimation bounds overflow at T = {channel.transmittance:g}, "
-            f"excess noise = {eps:g} SNU, over {m} estimation samples"
+            f"parameter-estimation bounds overflow at T = {k.transmittance:g}, "
+            f"excess noise = {k.excess_noise:g} SNU, over {m} estimation samples"
         )
-    return PessimisticBounds(
-        transmittance_low=t_low,
-        transmittance_high=t_high,
-        excess_noise_low=eps_low,
-        excess_noise_high=eps_high,
-        n_estimation_samples=m,
-    )
+    return t_low, t_high, eps_low, eps_high, m
+
+
+def pessimistic_parameter_bounds(params: SecurityParams, n: int) -> PessimisticBounds:
+    """Gaussian confidence bounds on (T, excess noise) from ``pe_fraction * n``
+    estimation samples at level ``eps_pe``, radii scaled by ``pe_radius_scale``.
+
+    Each radius is ``z = Phi^-1(1 - eps_pe/2)`` standard errors, found by
+    :func:`_two_sided_normal_quantile` from ``math.erfc`` in log space.
+    """
+    return PessimisticBounds(*_pe_rectangle(params, n))
 
 
 def worst_case_holevo(params: SecurityParams, n: int) -> float:
     """chi_worst: the largest Holevo bound over the confidence rectangle's
     corners (see module docstring for calibration caveats)."""
-    bounds = pessimistic_parameter_bounds(params, n)
-    t_low, t_high = bounds.transmittance_low, bounds.transmittance_high
-    eps_low, eps_high = bounds.excess_noise_low, bounds.excess_noise_high
+    t_low, t_high, eps_low, eps_high, _ = _pe_rectangle(params, n)
     return max(
         _evaluate(params, t_low, eps_low).holevo_bound,
         _evaluate(params, t_low, eps_high).holevo_bound,
         _evaluate(params, t_high, eps_low).holevo_bound,
         _evaluate(params, t_high, eps_high).holevo_bound,
     )
+
+
+def _finite_size_correction(k: _Kernel, n: int) -> float:
+    """``(1/2n) * [D_aep - D_ent - 2*log2(1/(2*eps_bar))]`` (module docstring)."""
+    delta_aep = math.sqrt(2.0 * n) * k.aep_bracket - k.aep_tail
+    delta_ent = k.neg_log2_eps - math.sqrt(8.0 * n * math.log2(4.0 * n) ** 2 * k.neg_log2_eps)
+    return (delta_aep - delta_ent - k.bar_term) / (2.0 * n)
 
 
 def finite_size_key_rate(params: SecurityParams, n: int | None = None) -> float:
@@ -475,30 +610,14 @@ def finite_size_key_rate(params: SecurityParams, n: int | None = None) -> float:
     if n < MIN_FINITE_SIZE_PULSES:
         raise DomainError(f"finite-size rate needs n >= {MIN_FINITE_SIZE_PULSES}, got {n}")
 
-    eb = params.epsilons
-    d = params.discretization
-    # Each epsilon enters through its log2, so no budget can underflow:
-    # log2(2/eps_sm^2) = 1 - 2*log2(eps_sm), log2(1/(2*eps_bar)) = -1 - log2(eps_bar).
-    log2_eps, log2_sm, log2_bar = math.log2(eb.eps), math.log2(eb.eps_sm), math.log2(eb.eps_bar)
-    delta_aep = (
-        math.sqrt(2.0 * n)
-        * (
-            (d + 1.0) ** 2
-            + 4.0 * (d + 1.0) * (1.0 - 2.0 * log2_sm)
-            + 2.0 * (1.0 - 2.0 * log2_eps - log2_sm)
-        )
-        - 4.0 * eb.eps_sm * d / eb.eps
-    )
-    delta_ent = -log2_eps - math.sqrt(8.0 * n * math.log2(4.0 * n) ** 2 * -log2_eps)
-    correction = (delta_aep - delta_ent - 2.0 * (-1.0 - log2_bar)) / (2.0 * n)
+    k = params._kernel
+    correction = _finite_size_correction(k, n)
     if not 0.0 <= correction < math.inf:
+        eb = params.epsilons
         raise NumericalDomainError(
             f"finite-size correction {correction:g} is negative or non-finite at "
             f"n = {n:g}, eps = {eb.eps:g}, eps_sm = {eb.eps_sm:g}, eps_bar = {eb.eps_bar:g}"
         )
 
     chi = worst_case_holevo(params, n)  # before I_AB, so its errors come first
-    i_ab = _nominal_mutual_information(params)
-    return (1.0 - params.robustness) * (
-        params.reconciliation_efficiency * i_ab - chi - correction
-    )
+    return k.robust * (k.beta * params._nominal_mutual_information - chi - correction)

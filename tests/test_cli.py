@@ -167,8 +167,6 @@ class TestCliContract:
             ["keyrate-finite", "--set", "security.epsilons.eps=1e-30"],
             ["keyrate-finite", "--set", "security.epsilons.eps=1e-300"],
             ["sweep-n", "--set", "security.epsilons.eps=1e-40"],
-            # A pulse count whose finite-size terms overflow a float.
-            ["keyrate-finite", "--n-pulses", str(10**307)],
             # Delays whose squares underflow leave the line fit singular.
             [
                 "laser-noise",
@@ -194,7 +192,7 @@ class TestCliContract:
             "asymptotic-infinite-excess-noise", "finite-huge-radius-scale", "finite-overflowing-radius-scale",
             "finite-overflowing-sigma-phi", "n-sweep-overflowing-sigma-phi",
             "finite-eps-far-below-eps-sm", "finite-tiny-eps",
-            "n-sweep-eps-far-below-eps-sm", "finite-overflowing-n-pulses",
+            "n-sweep-eps-far-below-eps-sm",
             "laser-noise-tiny-delays", "laser-noise-huge-delays", "laser-noise-large-delays",
         ],
     )
@@ -202,6 +200,17 @@ class TestCliContract:
         code = main([*args, "--output-dir", str(tmp_path)])
         assert code == 1
         assert "numerical error:" in capsys.readouterr().err
+
+    def test_overflowing_n_pulses_is_a_config_error(self, tmp_path, capsys):
+        # Pulse counts whose finite-size correction overflows a float are
+        # rejected when the configuration is read, before any rate runs.
+        for n_pulses in (10**304, 10**307):
+            code = main(["keyrate-finite", "--n-pulses", str(n_pulses),
+                         "--output-dir", str(tmp_path / "out")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"config.security: n_pulses {n_pulses:.6g} overflows" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "eta, sigma_phi, expected",
@@ -369,8 +378,11 @@ class TestImportLayering:
             ("from llo_sim.cli import main\n"
              "assert main(['keyrate-asymptotic', '--output-dir', sys.argv[1]]) == 0\n",
              ("concurrent.futures",)),
+            ("from llo_sim.cli import main\n"
+             "assert main(['keyrate-asymptotic', '--output-dir', sys.argv[1]]) == 0\n",
+             ("hashlib", "_hashlib")),
         ],
-        ids=["config", "security", "package", "keyrate-asymptotic"],
+        ids=["config", "security", "package", "keyrate-asymptotic", "keyrate-asymptotic-hashlib"],
     )
     def test_import_loads_no_module_it_does_not_need(self, tmp_path, code, prefixes):
         child = _run_child(
@@ -484,6 +496,12 @@ BAD_CONFIGS = [
     ("sweep-n", None, ["security.pe_fraction=1e-300"], "config.security: pe_fraction"),
     ("sweep-n", None, ["experiments.n_sweep.log10_max=400"],
      "config.experiments.n_sweep: grid must be finite"),
+    ("sweep-n", None, ["experiments.n_sweep.log10_max=307"],
+     "config.experiments.n_sweep: log10_max: at n = 1e+307, n_pulses"),
+    ("sweep-n", None, ["experiments.n_sweep.log10_max=300"],
+     "config.experiments.n_sweep: log10_max: at n = 1e+300, n_pulses"),
+    ("keyrate-asymptotic", None, ["security.discretization=1" + "0" * 200],
+     "config.security: discretization overflows the finite-size correction"),
     ("keyrate-asymptotic", None, ["channel.fiber_length_km=1e5"],
      "config.channel: fiber length"),
     ("phase-exp", None, ["channel.fiber_length_km=1e5"], "config.channel: fiber length"),

@@ -56,6 +56,28 @@ class TestWrapPhase:
         out = wrap_phase(np.array([0.0, 2 * PI + 0.5, -PI]))
         np.testing.assert_allclose(out, [0.0, 0.5, PI], atol=1e-12)
 
+    def test_bits_match_the_mod_form(self):
+        def mod_form(phi):
+            wrapped = np.mod(phi, math.tau)
+            return np.where(wrapped > PI, wrapped - math.tau, wrapped)
+
+        tau_below = math.tau * (1.0 - 2.0**-52)
+        edges = [0.0, -0.0, PI, -PI, tau_below, -tau_below, math.tau, -math.tau,
+                 np.nextafter(PI, 4.0), np.nextafter(-PI, -4.0), np.nextafter(PI, 0.0),
+                 5e-324, -5e-324, 1e-17, -1e-17, np.nan, np.inf]
+        rng = np.random.default_rng(3)
+        inputs = [
+            rng.uniform(-math.tau, math.tau, 2500),  # every |phi| < tau
+            rng.uniform(-20.0, 20.0, 2500),
+            np.array(edges),
+            *(np.array([x]) for x in edges),
+        ]
+        with np.errstate(invalid="ignore"):
+            for phi in inputs:
+                assert wrap_phase(phi).tobytes() == mod_form(phi).tobytes(), phi
+            for x in edges[:-2]:
+                assert np.float64(wrap_phase(x)).tobytes() == mod_form(np.float64(x)).tobytes(), x
+
 
 class TestEstimatePhase:
     def test_reference_axis(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import math
 import random
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 from llo_sim._seeding import as_generator
-from llo_sim.config import BENCH_TRAIN, LO_LASER, SIGNAL_LASER
+from llo_sim.config import BENCH_TRAIN, LO_LASER, SIGNAL_LASER, DistanceSweepConfig, NSweepConfig
 from llo_sim.errors import ConfigError, DomainError, NumericalDomainError
+from llo_sim.experiments import run_finite_size_sweep, run_keyrate_distance_sweep
 from llo_sim.link_sim import (
     ChannelDetector,
     GaussianModulation,
@@ -23,11 +25,11 @@ from llo_sim.phase_recovery import predicted_sigma_phi, recover_run, remap_quadr
 from llo_sim.security import (
     _T_FLOOR,
     EpsilonBudget,
-    _nominal_mutual_information,
     _two_sided_normal_quantile,
     _noise_terms,
     SecurityParams,
     _evaluate,
+    _holevo_sum,
     asymptotic_key_rate,
     excess_noise_from_phase,
     finite_size_key_rate,
@@ -580,9 +582,58 @@ class TestFastPathOracle:
         ):
             fresh = []
             for params in (a, b):
+                # A replaced copy is a new instance: its kept terms start empty.
                 _two_sided_normal_quantile.cache_clear()
-                _nominal_mutual_information.cache_clear()
-                fresh.append(finite_size_key_rate(params, 10**11))
+                fresh.append(finite_size_key_rate(replace(params), 10**11))
             assert fresh[0] != fresh[1]
             interleaved = [finite_size_key_rate(p, 10**11) for p in (a, b, a)]
             assert interleaved == [fresh[0], fresh[1], fresh[0]]
+
+    @pytest.mark.parametrize("params", [perfect_detector_params(), reference_params(25.0)])
+    def test_sweeps_bit_exact(self, params):
+        # 401 pulse counts from 1e4, where the lower T bound sits at its floor,
+        # to 1e14, and the distance sweep's 3,001 lengths.
+        n_grid = NSweepConfig(log10_min=4.0, log10_max=14.0, points=401).grid()
+        rates = run_finite_size_sweep(params, n_grid).series[1]
+        assert rates == [_reference_finite_size_rate(params, int(n)) for n in n_grid]
+        clamped = sum(
+            pessimistic_parameter_bounds(params, int(n)).transmittance_low == _T_FLOOR
+            for n in n_grid
+        )
+        assert clamped >= 40
+
+        l_grid = DistanceSweepConfig(points=3001).grid()
+        lengths, rates = run_keyrate_distance_sweep(params, l_grid).series
+        alpha = params.channel.attenuation_db_per_km
+        for length, rate in zip(lengths, rates):
+            i_ab, chi = _reference_terms(
+                params, 10.0 ** (-alpha * length / 10.0), params.excess_noise
+            )
+            assert rate == params.reconciliation_efficiency * i_ab - chi, length
+
+    def test_kept_terms_leave_the_fields_alone(self):
+        # The kept terms live in the instance __dict__, outside the fields:
+        # equality, hashing and the metadata dict do not see them.
+        params = perfect_detector_params()
+        before = dataclasses.asdict(params)
+        finite_size_key_rate(params, 10**11)
+        assert "_kernel" in vars(params) and "_nominal_mutual_information" in vars(params)
+        assert dataclasses.asdict(params) == before
+        assert params == perfect_detector_params()
+        assert hash(params) == hash(perfect_detector_params())
+        assert repr(params) == repr(perfect_detector_params())
+
+    def test_holevo_sum_matches_g_function(self):
+        rng = random.Random(17)
+        lams = [1.0, 2.0, 3.0, 1.0 + 1e-12, 1e9, float("nan")]
+        lams += [1.0 + rng.expovariate(1.0) for _ in range(400)]
+        for _ in range(2000):
+            l1, l2, l3, l4 = (rng.choice(lams) for _ in range(4))
+            expected = (
+                g_function((l1 - 1.0) / 2.0)
+                + g_function((l2 - 1.0) / 2.0)
+                - g_function((l3 - 1.0) / 2.0)
+                - g_function((l4 - 1.0) / 2.0)
+            )
+            got = _holevo_sum(l1, l2, l3, l4)
+            assert got == expected or (math.isnan(got) and math.isnan(expected))
