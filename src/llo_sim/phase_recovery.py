@@ -39,8 +39,8 @@ def wrap_phase(phi):
     phi = np.asarray(phi, dtype=float)
     if phi.size and -math.tau < phi.min() and phi.max() < math.tau:
         # fmod is the identity for |phi| < tau, so np.mod's result is phi + tau
-        # below 0 and phi + 0.0 (+0 for -0) otherwise: the same bits at a third
-        # of the cost.  NaN fails the test and takes np.mod.
+        # below 0 and phi + 0.0 (+0 for -0) otherwise: the same bits at about
+        # half the cost.  NaN fails the test and takes np.mod.
         wrapped = np.where(phi < 0.0, phi + math.tau, phi + 0.0)
     else:
         wrapped = np.mod(phi, math.tau)

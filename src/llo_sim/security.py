@@ -62,14 +62,17 @@ and radius, the epsilon terms of the correction, ``1 - robustness`` and
 ``beta``.  Each hoisted product is the leftmost operation of the expression it
 came from, so every rate keeps its float operations and its bits.  A term
 whose ``**`` can overflow at a valid point (``chi_het**2``) stays in the
-evaluation, where the overflow is reported with the point.  The record lives in the instance ``__dict__`` (a
-``functools.cached_property``), which ``fields``, ``asdict``, ``__eq__`` and
-``__hash__`` ignore, so a parameter set compares, hashes and prints as
-before.  The nominal I_AB (one full evaluation) is kept the same way, but only
-once a finite-size rate asks for it: the four corners are evaluated first, so
-every error is raised as before, and a failing evaluation keeps nothing.  The
-PE quantile ``Phi^-1(1 - eps_pe/2)`` (a few Newton steps) has its own small
-cache, shared by the parameter sets of one budget.
+evaluation, where the overflow is reported with the point.  The record lives
+in the instance ``__dict__`` (a ``functools.cached_property``), which
+``fields``, ``asdict``, ``__eq__`` and ``__hash__`` ignore, so a parameter set
+compares, hashes and prints as before.  The nominal I_AB (one full
+evaluation) is kept the same way, but only once a finite-size rate asks for
+it: the four corners are evaluated first, so every error is raised as before,
+and a failing evaluation keeps nothing.  The PE quantile ``Phi^-1(1 -
+eps_pe/2)`` (a few Newton steps) has its own small cache, shared by the
+parameter sets of one budget.  Building a parameter set evaluates the
+finite-size correction at ``n_pulses``, so a pulse count that overflows it is
+a configuration error.
 """
 
 from __future__ import annotations

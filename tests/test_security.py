@@ -589,7 +589,15 @@ class TestFastPathOracle:
             interleaved = [finite_size_key_rate(p, 10**11) for p in (a, b, a)]
             assert interleaved == [fresh[0], fresh[1], fresh[0]]
 
-    @pytest.mark.parametrize("params", [perfect_detector_params(), reference_params(25.0)])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            perfect_detector_params(),
+            reference_params(25.0),
+            # V = 3.5 is no power of 2, so a reassociated product would show.
+            replace(reference_params(10.0), modulation_variance=2.5),
+        ],
+    )
     def test_sweeps_bit_exact(self, params):
         # 401 pulse counts from 1e4, where the lower T bound sits at its floor,
         # to 1e14, and the distance sweep's 3,001 lengths.
