@@ -330,30 +330,29 @@ def _holevo_sum(lam1: float, lam2: float, lam3: float, lam4: float) -> float:
     branches of :func:`g_function` written out: four calls would cost a
     tenth of a finite-size rate.  Every ``lam`` comes from :func:`_eigenpair`,
     which clamps it to >= 1 (or passes NaN), so no ``x`` is negative."""
-    log, log1p, log2 = math.log, math.log1p, math.log2
     x = (lam1 - 1.0) / 2.0
     g1 = (
         0.0 if x == 0.0
-        else log2(x + 1.0) + x * log1p(1.0 / x) / _LN2 if x >= 1.0
-        else ((x + 1.0) * log1p(x) - x * log(x)) / _LN2
+        else math.log2(x + 1.0) + x * math.log1p(1.0 / x) / _LN2 if x >= 1.0
+        else ((x + 1.0) * math.log1p(x) - x * math.log(x)) / _LN2
     )
     x = (lam2 - 1.0) / 2.0
     g2 = (
         0.0 if x == 0.0
-        else log2(x + 1.0) + x * log1p(1.0 / x) / _LN2 if x >= 1.0
-        else ((x + 1.0) * log1p(x) - x * log(x)) / _LN2
+        else math.log2(x + 1.0) + x * math.log1p(1.0 / x) / _LN2 if x >= 1.0
+        else ((x + 1.0) * math.log1p(x) - x * math.log(x)) / _LN2
     )
     x = (lam3 - 1.0) / 2.0
     g3 = (
         0.0 if x == 0.0
-        else log2(x + 1.0) + x * log1p(1.0 / x) / _LN2 if x >= 1.0
-        else ((x + 1.0) * log1p(x) - x * log(x)) / _LN2
+        else math.log2(x + 1.0) + x * math.log1p(1.0 / x) / _LN2 if x >= 1.0
+        else ((x + 1.0) * math.log1p(x) - x * math.log(x)) / _LN2
     )
     x = (lam4 - 1.0) / 2.0
     g4 = (
         0.0 if x == 0.0
-        else log2(x + 1.0) + x * log1p(1.0 / x) / _LN2 if x >= 1.0
-        else ((x + 1.0) * log1p(x) - x * log(x)) / _LN2
+        else math.log2(x + 1.0) + x * math.log1p(1.0 / x) / _LN2 if x >= 1.0
+        else ((x + 1.0) * math.log1p(x) - x * math.log(x)) / _LN2
     )
     return g1 + g2 - g3 - g4
 
