@@ -28,18 +28,6 @@ from .experiments import (
 )
 from .security import finite_size_key_rate, key_rate_components
 
-COMMANDS = (
-    "phase-exp",
-    "weak-ref",
-    "remap-exp",
-    "laser-noise",
-    "keyrate-asymptotic",
-    "keyrate-finite",
-    "sweep-distance",
-    "sweep-n",
-    "all",
-)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -114,7 +102,7 @@ def _print_summary(result: ExperimentResult) -> None:
 
 def _keyrate_asymptotic_result(config: RunConfig) -> ExperimentResult:
     comp = key_rate_components(config.security)
-    metrics = {name: Metric(value, exact=True) for name, value in comp.items()}
+    metrics = {name: Metric(value) for name, value in comp.items()}
     return ExperimentResult(
         name="keyrate-asymptotic",
         scalar_metrics=metrics,
@@ -129,7 +117,7 @@ def _keyrate_finite_result(config: RunConfig) -> ExperimentResult:
     rate = finite_size_key_rate(config.security)
     return ExperimentResult(
         name="keyrate-finite",
-        scalar_metrics={"finite_size_rate": Metric(rate, exact=True)},
+        scalar_metrics={"finite_size_rate": Metric(rate)},
         series_columns=("n_pulses", "rate_bits_per_pulse"),
         series=([config.security.n_pulses], [rate]),
         metadata={"experiment": "keyrate-finite", "seed": config.seed,
@@ -137,35 +125,41 @@ def _keyrate_finite_result(config: RunConfig) -> ExperimentResult:
     )
 
 
+# Each command's runner, in the order ``all`` runs them.  The runners are
+# looked up as module globals at call time, so a wrapper set on this module
+# sees every call.
+_RUNNERS = {
+    "phase-exp": lambda config: run_bpsk_phase_experiment(
+        config.phase_exp, config.seed, config.threads
+    ),
+    "weak-ref": lambda config: run_weak_reference_sweep(
+        config.weak_ref, config.seed, config.threads
+    ),
+    "remap-exp": lambda config: run_quantum_remap_experiment(
+        config.remap, config.seed, config.threads
+    ),
+    "laser-noise": lambda config: run_laser_noise_sweep(
+        config.laser_noise, config.seed, config.threads
+    ),
+    "keyrate-asymptotic": _keyrate_asymptotic_result,
+    "keyrate-finite": _keyrate_finite_result,
+    "sweep-distance": lambda config: run_keyrate_distance_sweep(
+        config.security, config.distance_grid_km, seed=config.seed
+    ),
+    "sweep-n": lambda config: run_finite_size_sweep(
+        config.security, config.n_pulse_grid, seed=config.seed
+    ),
+}
+COMMANDS = (*_RUNNERS, "all")
+
+
 def dispatch(command: str, config: RunConfig) -> int:
     """Run ``command`` under ``config``; returns the process exit code."""
-    runners = {
-        "phase-exp": lambda: run_bpsk_phase_experiment(
-            config.phase_exp, config.seed, config.threads
-        ),
-        "weak-ref": lambda: run_weak_reference_sweep(
-            config.weak_ref, config.seed, config.threads
-        ),
-        "remap-exp": lambda: run_quantum_remap_experiment(
-            config.remap, config.seed, config.threads
-        ),
-        "laser-noise": lambda: run_laser_noise_sweep(
-            config.laser_noise, config.seed, config.threads
-        ),
-        "keyrate-asymptotic": lambda: _keyrate_asymptotic_result(config),
-        "keyrate-finite": lambda: _keyrate_finite_result(config),
-        "sweep-distance": lambda: run_keyrate_distance_sweep(
-            config.security, config.distance_grid_km, seed=config.seed
-        ),
-        "sweep-n": lambda: run_finite_size_sweep(
-            config.security, config.n_pulse_grid, seed=config.seed
-        ),
-    }
-    names = list(runners) if command == "all" else [command]
-    if any(name not in runners for name in names):
+    names = list(_RUNNERS) if command == "all" else [command]
+    if any(name not in _RUNNERS for name in names):
         raise ConfigError(f"unknown command {command!r}")
     for name in names:
-        result = runners[name]()
+        result = _RUNNERS[name](config)
         try:
             write_result(result, config.output_dir)
         except OSError as exc:

@@ -36,14 +36,7 @@ from .config import (
     WeakReferenceSweepConfig,
 )
 from .errors import DomainError, EstimationError
-from .link_sim import (
-    BPSKModulation,
-    NoModulation,
-    PulseTrainConfig,
-    RunSeeds,
-    fiber_transmittance,
-    simulate_run,
-)
+from .link_sim import PulseTrainConfig, RunSeeds, fiber_transmittance, simulate_run
 from .noise_models import phase_noise_variance, simulate_self_interference
 from .phase_recovery import (
     RecoveredRun,
@@ -62,13 +55,20 @@ from .security import SecurityParams, asymptotic_key_rate, finite_size_key_rate
 
 @dataclass(frozen=True)
 class Metric:
-    """One scalar result.  ``exact=True`` marks values computed without Monte
-    Carlo uncertainty (closed forms, deterministic statistics of a fixed run);
-    everything else carries a standard error from >= 10 sub-batches."""
+    """One scalar result.  A Monte Carlo metric carries the standard error of
+    its mean over the run's ``n_batches`` sub-batches (default 10), with
+    ``n_batches - 1`` degrees of freedom (:func:`batch_metric`).  A value
+    computed without Monte Carlo uncertainty (a closed form, a deterministic
+    statistic of a fixed run) has no standard error, and so is
+    :attr:`exact`."""
 
     value: float
     stderr: float | None = None
-    exact: bool = False
+
+    @property
+    def exact(self) -> bool:
+        """Whether the value is free of Monte Carlo uncertainty: no stderr."""
+        return self.stderr is None
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,12 @@ def write_result(result: ExperimentResult, output_dir) -> tuple[Path, Path]:
 def batch_metric(values: Sequence[float]) -> Metric:
     """Mean of per-batch estimates with the standard error of that mean.
 
-    A mean or spread beyond the float range raises :class:`EstimationError`.
+    A run has ``n_batches`` batches (default 10, at least 2), so the error is
+    estimated with ``n_batches - 1`` degrees of freedom and a metric's
+    deviation in units of it follows a t distribution, not a normal one: at
+    10 batches a 3-SE check rejects a correct run at about 1.5% of seeds, not
+    0.27%.  A mean or spread beyond the float range raises
+    :class:`EstimationError`.
     """
     arr = np.asarray(values, dtype=float)
     if arr.size < 2:
@@ -326,8 +331,10 @@ def _shot_noise_prediction(cfg) -> float:
 def _recovered_batch(
     config, modulation, reference_photons: float, n_pairs: int, seeds
 ) -> RecoveredRun:
-    """Simulate and recover one sub-batch; the :class:`RecoveredRun` carries
-    the encoded phase of each usable signal from the simulated block."""
+    """Simulate and recover one sub-batch of a train with ``modulation`` (a
+    :attr:`~llo_sim.link_sim.PulseTrainConfig.modulation`); the
+    :class:`RecoveredRun` carries the encoded phase of each usable signal from
+    the simulated block."""
     train = PulseTrainConfig(
         repetition_period_s=config.repetition_period_s,
         n_pairs=n_pairs,
@@ -350,11 +357,10 @@ def run_bpsk_phase_experiment(
     variances, the closed-form prediction they should match, and the
     uniformity p-value of the raw phases.
     """
-    modulation = BPSKModulation(*config.bpsk_phases)
     sizes = _batch_sizes(config.n_pairs, config.n_batches)
     recs = _map_ordered(
         lambda i: _recovered_batch(
-            config, modulation, config.reference_photons, sizes[i],
+            config, config.bpsk_phases, config.reference_photons, sizes[i],
             RunSeeds.from_seed(seed, "bpsk", i),
         ),
         range(config.n_batches), threads,
@@ -387,11 +393,9 @@ def run_bpsk_phase_experiment(
             "residual_variance_bit0": batch_metric([g[bit0] for g in groups]),
             "residual_variance_bit1": batch_metric([g[bit1] for g in groups]),
             "residual_variance_pooled": batch_metric(pooled),
-            "predicted_sigma_phi_lasers": Metric(laser_var, exact=True),
-            "predicted_residual_variance": Metric(
-                laser_var + _shot_noise_prediction(config), exact=True
-            ),
-            "raw_phase_uniformity_pvalue": Metric(p_uniform, exact=True),
+            "predicted_sigma_phi_lasers": Metric(laser_var),
+            "predicted_residual_variance": Metric(laser_var + _shot_noise_prediction(config)),
+            "raw_phase_uniformity_pvalue": Metric(p_uniform),
         },
         series_columns=(
             "bin_left_rad", "raw_bit0", "raw_bit1", "corrected_bit0", "corrected_bit1"
@@ -421,7 +425,6 @@ def run_weak_reference_sweep(
     That mirrors re-detecting one run at different reference powers and keeps
     the sweep's monotonicity free of trajectory-to-trajectory noise.
     """
-    modulation = BPSKModulation(*config.bpsk_phases)
     sizes = _batch_sizes(config.n_pairs, config.n_batches)
 
     def pooled_variance(task) -> float:
@@ -430,7 +433,9 @@ def run_weak_reference_sweep(
             RunSeeds.from_seed(seed, "weak-ref", i),
             detector=seed_sequence(seed, "weak-ref", i, "detector", point),
         )
-        rec = _recovered_batch(config, modulation, config.photon_numbers[point], sizes[i], seeds)
+        rec = _recovered_batch(
+            config, config.bpsk_phases, config.photon_numbers[point], sizes[i], seeds
+        )
         return _pooled_group_variance(rec)[1]
 
     n_points = len(config.photon_numbers)
@@ -474,7 +479,7 @@ def run_quantum_remap_experiment(
     sizes = _batch_sizes(config.n_pairs, config.n_batches)
     recs = _map_ordered(
         lambda i: _recovered_batch(
-            config, NoModulation(), config.reference_photons, sizes[i],
+            config, (0.0, 0.0), config.reference_photons, sizes[i],  # unmodulated
             RunSeeds.from_seed(seed, "remap", i),
         ),
         range(config.n_batches), threads,
@@ -493,7 +498,7 @@ def run_quantum_remap_experiment(
             "x_noise_variance_snu": batch_metric([np.var(x, ddof=1) for x, _ in remapped]),
             "p_noise_variance_snu": batch_metric([np.var(p, ddof=1) for _, p in remapped]),
             "sigma_phi_estimate": batch_metric(list(map(sigma_phi_from_quadratures, remapped))),
-            "raw_phase_uniformity_pvalue": Metric(p_uniform, exact=True),
+            "raw_phase_uniformity_pvalue": Metric(p_uniform),
         },
         series_columns=("index", "x_raw", "p_raw", "x_remapped", "p_remapped"),
         series=(range(scatter.shape[1]), *scatter),
@@ -539,11 +544,11 @@ def run_laser_noise_sweep(
         for delay, metric in zip(config.delays_s, by_delay):
             metrics[f"variance_{label}_{config.label(delay)}ns"] = metric
         slope, intercept, r2 = linear_fit(config.delays_s, [m.value for m in by_delay])
-        metrics[f"slope_{label}"] = Metric(slope, exact=True)
-        metrics[f"intercept_{label}"] = Metric(intercept, exact=True)
-        metrics[f"r_squared_{label}"] = Metric(r2, exact=True)
+        metrics[f"slope_{label}"] = Metric(slope)
+        metrics[f"intercept_{label}"] = Metric(intercept)
+        metrics[f"r_squared_{label}"] = Metric(r2)
         metrics[f"expected_slope_{label}"] = Metric(
-            0.0 if laser.is_noiseless else 2.0 / laser.coherence_time_s, exact=True
+            0.0 if laser.is_noiseless else 2.0 / laser.coherence_time_s
         )
 
     return ExperimentResult(
@@ -603,8 +608,8 @@ def run_keyrate_distance_sweep(
     return ExperimentResult(
         name="sweep-distance",
         scalar_metrics={
-            "secure_range_km": Metric(crossing, exact=True),
-            "rate_at_first_grid_point": Metric(rates[0], exact=True),
+            "secure_range_km": Metric(crossing),
+            "rate_at_first_grid_point": Metric(rates[0]),
         },
         series_columns=("fiber_length_km", "rate_bits_per_pulse"),
         series=(l_grid, rates),
@@ -645,7 +650,7 @@ def run_finite_size_sweep(
     return ExperimentResult(
         name="sweep-n",
         scalar_metrics={
-            "n_threshold": Metric(threshold, exact=True),
+            "n_threshold": Metric(threshold),
         },
         series_columns=("n_pulses", "rate_bits_per_pulse"),
         series=(n_grid, rates),

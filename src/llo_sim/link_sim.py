@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Literal, Union
+from typing import Iterator
 
 from ._lazy_numpy import np
 from ._seeding import as_generator, seed_sequence
@@ -75,36 +75,24 @@ class GaussianModulation:
 
 
 @dataclass(frozen=True)
-class BPSKModulation:
-    """Binary phase encoding with the deterministic 0101... pattern."""
-
-    phase0: float
-    phase1: float
-
-
-@dataclass(frozen=True)
-class NoModulation:
-    """Deterministic amplitude at phase 0 (used for calibration trains)."""
-
-
-Modulation = Union[GaussianModulation, BPSKModulation, NoModulation]
-
-
-@dataclass(frozen=True)
 class PulseTrainConfig:
     """Interleaved signal/reference schedule.
 
     ``repetition_period_s`` is the spacing between *consecutive* pulses (the
     signal-to-reference delay T_d); photon numbers are mean values per pulse
-    at the receiver.  For Gaussian modulation the signal photon number is
-    ignored (the modulation variance fixes it, mean V_A/2 photons).
+    at the receiver.  ``modulation`` is either a phase pair ``(phase0,
+    phase1)`` (rad), the binary encoding whose signals alternate 0101...
+    between the two phases at ``signal_photons``, or a
+    :class:`GaussianModulation`, which ignores the signal photon number (the
+    modulation variance fixes it, mean V_A/2 photons).  The default ``(0.0,
+    0.0)`` is an unmodulated train at phase 0.
     """
 
     repetition_period_s: float
     n_pairs: int
     signal_photons: float
     reference_photons: float
-    modulation: Modulation = NoModulation()
+    modulation: tuple[float, float] | GaussianModulation = (0.0, 0.0)
 
     def __post_init__(self) -> None:
         if not self.repetition_period_s > 0:
@@ -115,9 +103,8 @@ class PulseTrainConfig:
             raise ConfigError(f"n_pairs must be >= 1, got {self.n_pairs}")
         if self.signal_photons < 0 or self.reference_photons < 0:
             raise ConfigError("photon numbers must be >= 0")
-        if not isinstance(
-            self.modulation, (GaussianModulation, BPSKModulation, NoModulation)
-        ):
+        pair = isinstance(self.modulation, tuple) and len(self.modulation) == 2
+        if not (pair or isinstance(self.modulation, GaussianModulation)):
             raise ConfigError(f"unknown modulation {self.modulation!r}")
 
 
@@ -200,9 +187,6 @@ def fiber_transmittance(attenuation_db_per_km: float, length_km: float) -> float
     return 10.0 ** (-attenuation_db_per_km * length_km / 10.0)
 
 
-PulseKind = Literal["signal", "reference"]
-
-
 @dataclass(frozen=True)
 class QuadratureSample:
     """One heterodyne outcome in shot-noise units.
@@ -213,13 +197,9 @@ class QuadratureSample:
 
     x: float
     p: float
-    kind: PulseKind
+    kind: str  # "signal" or "reference"
     index: int
     true_phase: float | None = None
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.p)):
-            raise DomainError(f"non-finite quadratures ({self.x}, {self.p})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,20 +249,16 @@ def coherent_amplitude(photons: float) -> tuple[float, float]:
     return 2.0 * math.sqrt(photons), 0.0
 
 
-def _draw_symbols(modulation: Modulation, photons: float, indices: np.ndarray, rng):
-    """Alice's target quadratures and encoded phases: ``(x_a, p_a, phase)``."""
+def _draw_symbols(modulation, photons: float, indices: np.ndarray, rng):
+    """Alice's target quadratures and encoded phases: ``(x_a, p_a, phase)``
+    for a :attr:`PulseTrainConfig.modulation`."""
     n = indices.size
     if isinstance(modulation, GaussianModulation):
         sigma = math.sqrt(modulation.variance_snu)
         x_a = rng.normal(0.0, sigma, size=n)
         p_a = rng.normal(0.0, sigma, size=n)
         return x_a, p_a, np.arctan2(p_a, x_a)
-    if isinstance(modulation, BPSKModulation):
-        phases = np.where(indices % 2 == 0, modulation.phase0, modulation.phase1)
-    elif isinstance(modulation, NoModulation):
-        phases = np.zeros(n)
-    else:
-        raise ConfigError(f"unknown modulation {modulation!r}")
+    phases = np.where(indices % 2 == 0, *modulation)
     r = 2.0 * math.sqrt(photons)
     return r * np.cos(phases), r * np.sin(phases), phases
 

@@ -360,14 +360,14 @@ def _holevo_sum(lam1: float, lam2: float, lam3: float, lam4: float) -> float:
 class _Terms(NamedTuple):
     """One key-rate evaluation at a (transmittance, excess noise) point."""
 
-    chi_tot: float
     mutual_information: float
     symplectic_eigenvalues: tuple[float, float, float, float, float]
     holevo_bound: float
 
 
-# ``_tuple_new(_Terms, (...))`` builds a _Terms without the Python-level
-# __new__ of a NamedTuple, which took about 6% of an evaluation.
+# ``_tuple_new(_Terms, (...))`` builds a _Terms (or a PessimisticBounds)
+# without the Python-level __new__ of a NamedTuple, which took about 6% of an
+# evaluation.
 _tuple_new = tuple.__new__
 
 
@@ -411,7 +411,7 @@ def _evaluate(params: SecurityParams, t: float, excess_noise: float) -> _Terms:
             f"non-finite key-rate terms at T = {t:g}, excess noise = {excess_noise:g} SNU: "
             f"I_AB = {i_ab:g}, chi_BE = {chi:g}"
         )
-    return _tuple_new(_Terms, (chi_tot, i_ab, (lam1, lam2, lam3, lam4, 1.0), chi))
+    return _tuple_new(_Terms, (i_ab, (lam1, lam2, lam3, lam4, 1.0), chi))
 
 
 def _nominal(params: SecurityParams, transmittance: float | None = None) -> _Terms:
@@ -489,8 +489,7 @@ def key_rate_components(
     }
 
 
-@dataclass(frozen=True)
-class PessimisticBounds:
+class PessimisticBounds(NamedTuple):
     """Confidence rectangle for (transmittance, excess noise) after PE."""
 
     transmittance_low: float
@@ -532,9 +531,14 @@ def _two_sided_normal_quantile(eps: float) -> float:
     return math.sqrt(2.0) * x
 
 
-def _pe_rectangle(params: SecurityParams, n: int) -> tuple[float, float, float, float, int]:
-    """``(t_low, t_high, eps_low, eps_high, m)``: the arithmetic of
-    :func:`pessimistic_parameter_bounds`, with its checks."""
+def pessimistic_parameter_bounds(params: SecurityParams, n: int) -> PessimisticBounds:
+    """Gaussian confidence bounds on (T, excess noise) from ``m = pe_fraction *
+    n`` estimation samples at level ``eps_pe``, radii scaled by
+    ``pe_radius_scale``.
+
+    Each radius is ``z = Phi^-1(1 - eps_pe/2)`` standard errors, found by
+    :func:`_two_sided_normal_quantile` from ``math.erfc`` in log space.
+    """
     m = int(params.pe_fraction * n)
     if m < 2:
         raise DomainError(f"too few estimation samples: {m}")
@@ -572,23 +576,13 @@ def _pe_rectangle(params: SecurityParams, n: int) -> tuple[float, float, float, 
             f"parameter-estimation bounds overflow at T = {k.transmittance:g}, "
             f"excess noise = {k.excess_noise:g} SNU, over {m} estimation samples"
         )
-    return t_low, t_high, eps_low, eps_high, m
-
-
-def pessimistic_parameter_bounds(params: SecurityParams, n: int) -> PessimisticBounds:
-    """Gaussian confidence bounds on (T, excess noise) from ``pe_fraction * n``
-    estimation samples at level ``eps_pe``, radii scaled by ``pe_radius_scale``.
-
-    Each radius is ``z = Phi^-1(1 - eps_pe/2)`` standard errors, found by
-    :func:`_two_sided_normal_quantile` from ``math.erfc`` in log space.
-    """
-    return PessimisticBounds(*_pe_rectangle(params, n))
+    return _tuple_new(PessimisticBounds, (t_low, t_high, eps_low, eps_high, m))
 
 
 def worst_case_holevo(params: SecurityParams, n: int) -> float:
     """chi_worst: the largest Holevo bound over the confidence rectangle's
     corners (see module docstring for calibration caveats)."""
-    t_low, t_high, eps_low, eps_high, _ = _pe_rectangle(params, n)
+    t_low, t_high, eps_low, eps_high, _ = pessimistic_parameter_bounds(params, n)
     return max(
         _evaluate(params, t_low, eps_low).holevo_bound,
         _evaluate(params, t_low, eps_high).holevo_bound,

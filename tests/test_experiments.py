@@ -309,7 +309,7 @@ class TestResultIO:
             name="np",
             scalar_metrics={
                 "a": Metric(np.float32(0.1), np.float64(0.5)),
-                "b": Metric(np.int64(7), exact=True),
+                "b": Metric(np.int64(7)),
             },
             series_columns=("f32", "i64", "arr", "f64"),
             series=(

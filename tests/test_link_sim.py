@@ -6,10 +6,8 @@ import pytest
 from llo_sim._seeding import substream
 from llo_sim.errors import ConfigError, DomainError, ScheduleError
 from llo_sim.link_sim import (
-    BPSKModulation,
     ChannelDetector,
     GaussianModulation,
-    NoModulation,
     PulseBlock,
     PulseTrainConfig,
     RunSeeds,
@@ -72,14 +70,15 @@ class TestChannelDetector:
 
 class TestModulation:
     def test_none_gives_coherent_amplitude(self):
-        x_a, p_a, encoded = _draw_symbols(NoModulation(), 9.0, np.arange(1), substream(1))
-        assert (x_a[0], p_a[0]) == (2.0 * 3.0, 0.0)
-        assert encoded[0] == 0.0
+        # The default phase pair (0, 0) is an unmodulated train at phase 0.
+        modulation = PulseTrainConfig(20e-9, 2, 9.0, 9.0).modulation
+        x_a, p_a, encoded = _draw_symbols(modulation, 9.0, np.arange(3), substream(1))
+        assert x_a.tolist() == [6.0] * 3 and p_a.tolist() == [0.0] * 3
+        assert encoded.tobytes() == np.zeros(3).tobytes()
         assert coherent_amplitude(9.0) == (6.0, 0.0)
 
     def test_bpsk_pattern_and_angle(self):
-        mod = BPSKModulation(phase0=0.0, phase1=1.65)
-        x_a, p_a, (ph0, ph1) = _draw_symbols(mod, 4.0, np.arange(2), substream(1))
+        x_a, p_a, (ph0, ph1) = _draw_symbols((0.0, 1.65), 4.0, np.arange(2), substream(1))
         x1, p1 = x_a[1], p_a[1]
         assert ph0 == 0.0 and ph1 == 1.65
         assert math.atan2(p1, x1) == pytest.approx(1.65, rel=1e-12)
@@ -107,6 +106,11 @@ class TestModulation:
                 reference_photons=1.0,
                 modulation="qam",
             )
+
+    @pytest.mark.parametrize("modulation", [(0.0, 1.65, 3.1), (0.0,), [0.0, 1.65]])
+    def test_phase_pair_must_be_a_pair(self, modulation):
+        with pytest.raises(ConfigError, match="unknown modulation"):
+            PulseTrainConfig(20e-9, 2, 1.0, 1.0, modulation=modulation)
 
 
 class TestHeterodyneMeasure:

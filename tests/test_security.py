@@ -225,7 +225,7 @@ class TestMutualInformation:
                 transmittance_override=1.0, detector_efficiency=1.0, electronic_noise_snu=0.0
             ),
         )
-        assert _evaluate(params, 1.0, 0.0).chi_tot == 1.0
+        assert _noise_terms(1.0, params.channel.chi_het, 0.0)[1] == 1.0
         assert mutual_information(params) == 1.0
 
     def test_desk_check_at_50km(self):
