@@ -79,6 +79,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -90,6 +91,12 @@ SYMPLECTIC_TOL = 1e-9
 
 # The floor of a squared symplectic eigenvalue, 1 - SYMPLECTIC_TOL, once.
 _LAM2_FLOOR = 1.0 - SYMPLECTIC_TOL
+
+# The rounding of a discriminant ``s^2 - 4*prod``, in units of ``s * scale``
+# (:func:`_eigenpair`): ``s`` carries a few roundings of ``scale`` and
+# ``prod`` a few of its own size, about ``s^2/4`` near a double root, so 20
+# ulp bound it; 32 leave a margin.
+_DISC_ROUNDING = 32.0 * sys.float_info.epsilon
 
 #: Floor for the pessimistic transmittance bound.
 _T_FLOOR = 1e-12
@@ -384,22 +391,26 @@ def _evaluate(params: SecurityParams, t: float, excess_noise: float) -> _Terms:
     try:
         t2 = 2.0 * t
         v_line = v + chi_line
-        a = vv * (1.0 - t2) + t2 + (t * v_line) ** 2
+        tv2 = (t * v_line) ** 2
+        a = vv * (1.0 - t2) + t2 + tv2
         b = (t * (v * chi_line + 1.0)) ** 2
-        lam1, lam2 = _eigenpair(a, b, "lambda_1/2")
+        a_scale = vv + tv2  # the size of the terms that cancel in a
+        lam1, lam2 = _eigenpair(a, b, a_scale, "lambda_1/2")
 
         v_tot = v + chi_tot
         denom = (t * v_tot) ** 2
         sqrt_b = math.sqrt(b)
+        chi_het2 = chi_het**2  # not kept: an overflow here names the point
         c = (
-            a * chi_het**2  # not kept: an overflow here names the point
+            a * chi_het2
             + b
             + 1.0
             + two_chi_het * (v * sqrt_b + t * v_line)
             + t2 * vv_minus_1
         ) / denom
         d = ((v + sqrt_b * chi_het) ** 2) / denom
-        lam3, lam4 = _eigenpair(c, d, "lambda_3/4")
+        # c's other terms are positive; a's rounding enters it scaled.
+        lam3, lam4 = _eigenpair(c, d, c + a_scale * chi_het2 / denom, "lambda_3/4")
         chi = _holevo_sum(lam1, lam2, lam3, lam4)  # lambda_5 = 1 adds -G(0) = 0
         i_ab = math.log2(v_tot / (1.0 + chi_tot))
     except OverflowError as exc:
@@ -432,11 +443,21 @@ def symplectic_eigenvalues(params: SecurityParams) -> tuple[float, float, float,
     return _nominal(params).symplectic_eigenvalues
 
 
-def _eigenpair(s, prod, label):
+def _eigenpair(s, prod, scale, label):
     """Solve lam^2 = (s +- sqrt(s^2 - 4*prod)) / 2 with domain checks.
 
     The small root is recovered from the root product to avoid the
     cancellation that hits the subtractive formula when ``s^2 >> 4*prod``.
+
+    ``scale >= s`` is the size of the terms summed into ``s``, whose rounding
+    is a few ulp of ``scale``, so the discriminant's is at most ``e =
+    _DISC_ROUNDING * s * scale``.  That moves ``root`` by up to ``e /
+    max(root, sqrt(e))`` and each ``lam^2`` by half of it.  Near a double root
+    (T = 1 with no excess noise makes both pairs one) that is far more than
+    ``e``, enough to drop a small root of exactly 1 below the floor.  A small
+    root below the floor by no more than that move is taken as 1, and the
+    large one then as ``prod``, which carries no cancellation.  A pair that
+    passes the floor as computed keeps its bits.
     """
     # ``c if c > x else x`` is ``max(x, c)`` unrolled: x wins ties and NaN,
     # so NaN still propagates.
@@ -447,6 +468,10 @@ def _eigenpair(s, prod, label):
     root = math.sqrt(0.0 if 0.0 > disc else disc)
     sq_plus = 0.5 * (s + root)
     sq_minus = prod / sq_plus if sq_plus > 0.0 else 0.5 * (s - root)
+    if sq_minus < _LAM2_FLOOR:
+        e = _DISC_ROUNDING * abs(s * scale)
+        if e > 0.0 and sq_minus + 0.5 * e / max(root, math.sqrt(e)) >= _LAM2_FLOOR:
+            sq_plus, sq_minus = prod, 1.0
     if sq_plus < _LAM2_FLOOR:
         raise NumericalDomainError(
             f"unphysical symplectic eigenvalue for {label}: lam^2 = {sq_plus}"

@@ -230,6 +230,24 @@ class TestCliContract:
         assert rate == pytest.approx(expected, abs=0.01)
 
     @pytest.mark.parametrize(
+        "args",
+        [
+            # The PE rectangle clamped to T = 1 and no excess noise, where
+            # lambda_3/4 are a double root at 1 (once lam^2 = 0.99999998).
+            ["sweep-n", "--fiber-length", "25", "--set", "security.modulation_variance=1.7"],
+            # T just below 1 with no excess noise: lambda_1/2 nearly a double root.
+            [
+                "keyrate-asymptotic", "--fiber-length", "1e-5",
+                "--set", "security.modulation_variance=20", "--set", "security.sigma_phi=0",
+            ],
+        ],
+        ids=["n-sweep-clamped-pe-corner", "asymptotic-near-lossless"],
+    )
+    def test_near_double_root_is_valid(self, args, tmp_path, capsys):
+        assert main([*args, "--output-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
         "budget, expected", [("eps_sm=1e-300", -0.0599), ("eps_bar=5e-324", 0.0437)]
     )
     def test_tiny_epsilon_is_valid(self, budget, expected, tmp_path, capsys):

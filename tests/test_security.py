@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llo_sim._seeding import as_generator
 from llo_sim.config import BENCH_TRAIN, LO_LASER, SIGNAL_LASER, DistanceSweepConfig, NSweepConfig
@@ -28,6 +30,7 @@ from llo_sim.security import (
     _two_sided_normal_quantile,
     _noise_terms,
     SecurityParams,
+    _eigenpair,
     _evaluate,
     _holevo_sum,
     asymptotic_key_rate,
@@ -274,6 +277,32 @@ class TestSymplecticSpectrum:
         assert chi >= 0.0
         i_ab = mutual_information(params)
         assert asymptotic_key_rate(params) <= 0.95 * i_ab + 1e-15
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        v_a=st.floats(-3.0, 3.0).map(lambda y: 10.0**y),
+        eta=st.floats(-3.0, 0.0).map(lambda y: 10.0**y),
+        nu=st.just(0.0) | st.floats(-4.0, 1.0).map(lambda y: 10.0**y),
+    )
+    def test_clamped_pe_corner_is_physical(self, v_a, eta, nu):
+        # T = 1 with no excess noise, the corner a clamped PE rectangle
+        # reaches: both pairs are double roots at 1 that rounding splits.
+        params = SecurityParams(
+            modulation_variance=v_a,
+            channel=ChannelDetector(detector_efficiency=eta, electronic_noise_snu=nu),
+        )
+        terms = _evaluate(params, 1.0, 0.0)
+        assert all(lam >= 1.0 for lam in terms.symplectic_eigenvalues)
+        assert math.isfinite(terms.mutual_information)
+        assert abs(terms.holevo_bound) < 1e-6  # Eve learns nothing
+
+    @pytest.mark.parametrize("s,prod", [(1.9, 0.9), (1.8, 0.81), (2.0, 0.999)])
+    def test_unphysical_pair_still_raises(self, s, prod):
+        # Small roots of 0.9 (twice for the double root 1.8, 0.81) and 0.968,
+        # far beyond any rounding of s = scale.
+        with pytest.raises(NumericalDomainError, match="unphysical symplectic eigenvalue"):
+            _eigenpair(s, prod, s, "lambda_test")
 
 
 class TestAsymptoticRate:
