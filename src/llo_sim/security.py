@@ -92,10 +92,10 @@ SYMPLECTIC_TOL = 1e-9
 # The floor of a squared symplectic eigenvalue, 1 - SYMPLECTIC_TOL, once.
 _LAM2_FLOOR = 1.0 - SYMPLECTIC_TOL
 
-# The rounding of a discriminant ``s^2 - 4*prod``, in units of ``s * scale``
-# (:func:`_eigenpair`): ``s`` carries a few roundings of ``scale`` and
-# ``prod`` a few of its own size, about ``s^2/4`` near a double root, so 20
-# ulp bound it; 32 leave a margin.
+# A bound on the rounding of a discriminant ``s^2 - 4*prod``, in units of
+# ``s * scale`` (:func:`_eigenpair`).  ``s`` is off by a few ulp of ``scale``,
+# which squaring doubles, and ``4*prod``, about ``s^2`` where the bound
+# matters, by a few ulp of itself: about 20 ulp in all; 32 leave a margin.
 _DISC_ROUNDING = 32.0 * sys.float_info.epsilon
 
 #: Floor for the pessimistic transmittance bound.
