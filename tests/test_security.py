@@ -278,7 +278,6 @@ class TestSymplecticSpectrum:
         i_ab = mutual_information(params)
         assert asymptotic_key_rate(params) <= 0.95 * i_ab + 1e-15
 
-
     @settings(max_examples=300, deadline=None)
     @given(
         v_a=st.floats(-3.0, 3.0).map(lambda y: 10.0**y),
