@@ -34,25 +34,24 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="llo-sim",
         description="Simulator and key-rate calculator for CV-QKD with a local LO.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} command")
-        p.add_argument("--config", type=str, default=None,
-                       help="JSON configuration file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="master seed (fully determines stochastic output)")
-        p.add_argument("--output-dir", type=str, default=None,
-                       help="directory for result files")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: 1)")
-        p.add_argument("--fiber-length", type=float, default=None,
-                       help="channel fiber length in km")
-        p.add_argument("--n-pulses", type=int, default=None,
-                       help="pulse count for the finite-size rate")
-        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       dest="set_overrides",
-                       help="override any config key by dotted path, e.g. "
-                            "--set channel.detector_efficiency=0.6")
+    parser.add_argument("command", choices=COMMANDS, metavar="command",
+                        help=f"one of {', '.join(COMMANDS)}")
+    parser.add_argument("--config", type=str, default=None,
+                        help="JSON configuration file")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="master seed (fully determines stochastic output)")
+    parser.add_argument("--output-dir", type=str, default=None,
+                        help="directory for result files")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="worker threads (default: 1)")
+    parser.add_argument("--fiber-length", type=float, default=None,
+                        help="channel fiber length in km")
+    parser.add_argument("--n-pulses", type=int, default=None,
+                        help="pulse count for the finite-size rate")
+    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        dest="set_overrides",
+                        help="override any config key by dotted path, e.g. "
+                             "--set channel.detector_efficiency=0.6")
     return parser
 
 

@@ -1,10 +1,11 @@
 """Run configuration: the run's sections, their defaults and the JSON parser.
 
 The bench rig is stated once, in the constants below; the key-rate defaults
-live on :class:`SecurityParams` and :class:`EpsilonBudget`.  A section's keys
-are its dataclass's field names; values are checked against the annotations
-(numbers must be finite) and applied with ``dataclasses.replace``, so physical
-validation stays in ``__post_init__``.  Inherited fields are not keys: the
+live on :class:`SecurityParams` and :class:`EpsilonBudget`.  A section is a
+:class:`~llo_sim._record.Record` dataclass and its keys are the field names;
+values are checked against the annotations (numbers must be finite) and
+applied with ``dataclasses.replace``, so physical validation stays in
+``__post_init__``.  Inherited fields are not keys: the
 experiment sections take the lasers from ``laser_s`` / ``laser_l``; all but
 ``laser_noise`` take ``detector`` from ``experiments.detector`` and the pulse
 period from ``train``; ``phase_exp`` and ``weak_ref`` take ``n_pairs`` and the
@@ -21,10 +22,10 @@ import json
 import math
 import sys
 import typing
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+from ._record import Record
 from .errors import ConfigError
 from .link_sim import ChannelDetector, PulseTrainConfig
 from .noise_models import LaserModel, beat
@@ -117,8 +118,15 @@ def _check_pilot_aliasing(cfg) -> None:
 # Experiment sections
 
 
-@dataclass(frozen=True)
-class PhaseExperimentConfig:
+class PhaseExperimentConfig(Record):
+    """``config.experiments.phase_exp``: the binary phase-encoding run.
+
+    Inherited, so not keys: ``n_pairs``, ``repetition_period_s``,
+    ``signal_photons`` and ``reference_photons`` from ``train``,
+    ``laser_s`` / ``laser_l`` from the top-level lasers and ``detector``
+    from ``experiments.detector``.
+    """
+
     n_pairs: int = BENCH_TRAIN.n_pairs
     repetition_period_s: float = BENCH_TRAIN.repetition_period_s
     bpsk_phases: tuple[float, float] = BPSK_PHASES
@@ -139,8 +147,15 @@ class PhaseExperimentConfig:
         _check_pilot_aliasing(self)
 
 
-@dataclass(frozen=True)
-class WeakReferenceSweepConfig:
+class WeakReferenceSweepConfig(Record):
+    """``config.experiments.weak_ref``: the weak-reference photon-number sweep.
+
+    Inherited, so not keys: ``n_pairs``, ``repetition_period_s`` and
+    ``signal_photons`` from ``train``, ``bpsk_phases`` from ``phase_exp``,
+    ``laser_s`` / ``laser_l`` from the top-level lasers and ``detector``
+    from ``experiments.detector``.
+    """
+
     photon_numbers: tuple[float, ...] = (10000.0, 1000.0, 100.0)
     n_pairs: int = BENCH_TRAIN.n_pairs
     repetition_period_s: float = BENCH_TRAIN.repetition_period_s
@@ -164,8 +179,14 @@ class WeakReferenceSweepConfig:
         _check_pilot_aliasing(self)
 
 
-@dataclass(frozen=True)
-class RemapExperimentConfig:
+class RemapExperimentConfig(Record):
+    """``config.experiments.remap``: the quantum-signal remapping run.
+
+    Inherited, so not keys: ``repetition_period_s`` from ``train``,
+    ``laser_s`` / ``laser_l`` from the top-level lasers and ``detector``
+    from ``experiments.detector``.
+    """
+
     n_pairs: int = 24000
     repetition_period_s: float = BENCH_TRAIN.repetition_period_s
     signal_photons: float = 66.0
@@ -185,8 +206,13 @@ class RemapExperimentConfig:
         _check_pilot_aliasing(self)
 
 
-@dataclass(frozen=True)
-class LaserNoiseSweepConfig:
+class LaserNoiseSweepConfig(Record):
+    """``config.experiments.laser_noise``: the delayed self-interference sweep.
+
+    Inherited, so not keys: ``laser_s`` / ``laser_l`` from the top-level
+    lasers.
+    """
+
     delays_s: tuple[float, ...] = (5e-9, 20e-9, 25e-9)
     n_samples: int = 100000
     laser_s: LaserModel = SIGNAL_LASER
@@ -205,8 +231,11 @@ class LaserNoiseSweepConfig:
         _check_batches(self.n_samples, self.n_batches)
 
 
-@dataclass(frozen=True)
-class DistanceSweepConfig:
+class DistanceSweepConfig(Record):
+    """``config.experiments.distance_sweep``: the key-rate distance grid.
+    It inherits no field; the parser resolves it to
+    :attr:`RunConfig.distance_grid_km`."""
+
     min_km: float = 0.0
     max_km: float = 150.0
     points: int = 31
@@ -220,8 +249,11 @@ class DistanceSweepConfig:
         return _linspace(self.min_km, self.max_km, self.points)
 
 
-@dataclass(frozen=True)
-class NSweepConfig:
+class NSweepConfig(Record):
+    """``config.experiments.n_sweep``: the finite-size pulse-count grid.
+    It inherits no field; the parser resolves it to
+    :attr:`RunConfig.n_pulse_grid`."""
+
     log10_min: float = 6.0
     log10_max: float = 13.0
     points: int = 29
@@ -265,8 +297,7 @@ _NOISE_SPECS = ("linewidth_hz", "coherence_time_s", "delay_variance")
 _EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
 
 
-@dataclass(frozen=True, kw_only=True)
-class RunConfig:
+class RunConfig(Record, kw_only=True):
     """Fully resolved configuration for one CLI invocation."""
 
     seed: int = 1

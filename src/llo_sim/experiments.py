@@ -20,12 +20,13 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from . import __version__
 from ._lazy_numpy import np
+from ._record import Record
 from ._seeding import seed_sequence
 from .config import (
     DistanceSweepConfig,
@@ -53,8 +54,7 @@ from .security import SecurityParams, asymptotic_key_rate, finite_size_key_rate
 # Result containers and writers
 
 
-@dataclass(frozen=True)
-class Metric:
+class Metric(Record):
     """One scalar result.  A Monte Carlo metric carries the standard error of
     its mean over the run's ``n_batches`` sub-batches (default 10), with
     ``n_batches - 1`` degrees of freedom (:func:`batch_metric`).  A value
@@ -71,8 +71,7 @@ class Metric:
         return self.stderr is None
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(Record):
     """One experiment's scalar metrics, series and metadata.
 
     ``series`` holds one column per name in ``series_columns``: a list, a

@@ -28,17 +28,16 @@ in one kernel in :mod:`llo_sim.phase_recovery`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from ._lazy_numpy import np
+from ._record import Record
 from ._seeding import as_generator, seed_sequence
 from .errors import ConfigError, DomainError, ScheduleError
 from .noise_models import LaserModel, beat, sample_phase_trajectory
 
 
-@dataclass(frozen=True)
-class RunSeeds:
+class RunSeeds(Record):
     """Per-purpose random streams of one simulated run; ``laser`` drives its
     one relative-phase walk (:func:`llo_sim.noise_models.beat`).
 
@@ -63,8 +62,7 @@ class RunSeeds:
         )
 
 
-@dataclass(frozen=True)
-class GaussianModulation:
+class GaussianModulation(Record):
     """Bivariate Gaussian modulation of variance ``variance_snu`` (V_A)."""
 
     variance_snu: float
@@ -74,8 +72,7 @@ class GaussianModulation:
             raise ConfigError(f"V_A must be > 0, got {self.variance_snu}")
 
 
-@dataclass(frozen=True)
-class PulseTrainConfig:
+class PulseTrainConfig(Record):
     """Interleaved signal/reference schedule.
 
     ``repetition_period_s`` is the spacing between *consecutive* pulses (the
@@ -108,8 +105,7 @@ class PulseTrainConfig:
             raise ConfigError(f"unknown modulation {self.modulation!r}")
 
 
-@dataclass(frozen=True)
-class ChannelDetector:
+class ChannelDetector(Record):
     """Fibre channel plus heterodyne detector, and the one statement of the
     receiver model (module docstring): its properties give ``g``, ``N_0`` and
     ``chi_het``, and a detector change (homodyne, say) edits only them.
@@ -187,8 +183,7 @@ def fiber_transmittance(attenuation_db_per_km: float, length_km: float) -> float
     return 10.0 ** (-attenuation_db_per_km * length_km / 10.0)
 
 
-@dataclass(frozen=True)
-class QuadratureSample:
+class QuadratureSample(NamedTuple):
     """One heterodyne outcome in shot-noise units.
 
     ``true_phase`` is the unwrapped ground-truth LO-vs-signal phase offset at
@@ -202,8 +197,7 @@ class QuadratureSample:
     true_phase: float | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class PulseBlock:
+class PulseBlock(Record):
     """One run's pulses as arrays in schedule order R S R S ...: position ``k``
     is a reference when ``k`` is even, a signal when it is odd, so a block
     holds an even number of pulses.
@@ -218,6 +212,10 @@ class PulseBlock:
     p: np.ndarray
     true_phase: np.ndarray
     encoded_phase: np.ndarray
+
+    # Arrays have no single truth value, so blocks compare by identity.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __post_init__(self) -> None:
         for name in ("x", "p", "true_phase", "encoded_phase"):

@@ -17,14 +17,14 @@ parallel callers must derive per-trial sub-streams via
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._lazy_numpy import np
+from ._record import Record
 from ._seeding import as_generator
 from .errors import DomainError, NumericalDomainError
 
-@dataclass(frozen=True)
-class LaserModel:
+
+class LaserModel(Record):
     """One free-running laser: coherence time plus detuning.
 
     ``coherence_time_s = inf`` is the noiseless limit; :meth:`from_linewidth`

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from ._lazy_numpy import np
+from ._record import Record
 from .errors import DomainError, EstimationError, ScheduleError
 from .link_sim import PulseBlock
 
@@ -144,8 +144,7 @@ def sigma_phi_from_quadratures(samples) -> float:
     return (var_p - var_x) / mean_x**2
 
 
-@dataclass(frozen=True)
-class RecoveredRun:
+class RecoveredRun(Record):
     """Vectorised result of recovering one simulated run.
 
     Arrays cover the usable signals only: the final signal of a run has no

@@ -80,9 +80,9 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
+from ._record import Record
 from .errors import ConfigError, DomainError, NumericalDomainError
 from .link_sim import ChannelDetector
 
@@ -112,8 +112,7 @@ MIN_FINITE_SIZE_PULSES = 1000
 PE_RADIUS_SCALE_DEFAULT = 190.0
 
 
-@dataclass(frozen=True)
-class EpsilonBudget:
+class EpsilonBudget(Record):
     """Failure-probability budget of the composable proof."""
 
     eps: float = 1e-20
@@ -132,8 +131,7 @@ class EpsilonBudget:
                 raise ConfigError(f"{name} must be in (0, 1), got {value}")
 
 
-@dataclass(frozen=True)
-class SecurityParams:
+class SecurityParams(Record):
     """Everything needed to evaluate a key rate.
 
     ``sigma_phi`` is the phase-recovery noise variance; the channel-input
