@@ -1,8 +1,8 @@
 """Frozen records whose methods are shared rather than generated per class.
 
-``@dataclass(frozen=True)`` writes and compiles an ``__init__``,
+``dataclasses.dataclass(frozen=True)`` writes and compiles an ``__init__``,
 ``__repr__``, ``__eq__``, ``__hash__``, ``__setattr__`` and ``__delattr__``
-for each class, about 1 ms of import time apiece.  A :class:`Record`
+for each class, about 1 ms of import time per class.  A :class:`Record`
 subclass is decorated with those switched off, so it stays a dataclass to
 the standard library (``fields``, ``replace``, ``asdict``, ``is_dataclass``)
 and inherits one copy of each method from :class:`Record`, driven by its
