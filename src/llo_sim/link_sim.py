@@ -14,7 +14,7 @@ coherent-state input), and ``nu_el`` is electronic noise.  The trusted
 detector's noise at its input is ``chi_het = (1 + (1 - eta) + 2*nu_el)/eta``
 (Fossier et al., J. Phys. B 42, 114014 (2009)), so on a Gaussian-modulated
 ensemble Bob's per-quadrature variance is ``g**2 * (V + chi_tot)`` with
-``chi_tot = chi_line + chi_het/T`` (:func:`llo_sim.security._noise_terms`).
+``chi_tot = 1/T - 1 + eps + chi_het/T`` for an excess noise ``eps``.
 
 Pulse schedule (one run): R_0 S_0 R_1 S_1 ... with one repetition period
 between consecutive pulses, so signal ``i`` sits midway between references

@@ -51,35 +51,47 @@ V_A = 1, sigma_phi = 0.04, beta = 0.95); the default
 The nominal terms and each corner are one evaluation at a (T, excess noise)
 point.
 
+Symplectic eigenvalues
+----------------------
+With ``te = T*eps`` and ``loss = V_A*(1 - T)``, each pair of symplectic
+eigenvalues follows from its product and its difference, and both
+discriminants of the textbook quadratics are exact squares:
+
+    lam1*lam2 = 1 + loss + V*te              lam1 - lam2 = |te - loss|
+    D = T*(V + chi_tot) = 1 + chi_het + te + T*V_A
+    lam3*lam4 = (V + chi_het*lam1*lam2) / D
+    lam3 - lam4 = |chi_het*(te - loss) - te - loss - V_A*te| / D
+    I_AB = log2(1 + T*V_A / (1 + chi_het + te))
+
+with ``chi_tot = 1/T - 1 + eps + chi_het/T``.  No term divides by T, and
+each sums non-negative terms, apart from the difference inside each
+``|...|``, so :func:`_eigenpair` recovers each pair to a few ulp at any
+point, a double root included.
+
 Terms computed once per parameter set
 -------------------------------------
 A finite-size sweep evaluates the rate at thousands of pulse counts ``n`` for
 one :class:`SecurityParams`, and a distance sweep at thousands of
 transmittances.  Every term that depends on neither ``n`` nor the (T, excess
 noise) point is computed once, into a private record that the instance keeps
-(``SecurityParams._kernel``): V and its square, chi_het, the PE gain, noise
-and radius, the epsilon terms of the correction, ``1 - robustness`` and
-``beta``.  Each hoisted product is the leftmost operation of the expression it
-came from, so every rate keeps its float operations and its bits.  A term
-whose ``**`` can overflow at a valid point (``chi_het**2``) stays in the
-evaluation, where the overflow is reported with the point.  The record lives
-in the instance ``__dict__`` (a ``functools.cached_property``), which
-``fields``, ``asdict``, ``__eq__`` and ``__hash__`` ignore, so a parameter set
-compares, hashes and prints as before.  The nominal I_AB (one full
-evaluation) is kept the same way, but only once a finite-size rate asks for
-it: the four corners are evaluated first, so every error is raised as before,
-and a failing evaluation keeps nothing.  The PE quantile ``Phi^-1(1 -
-eps_pe/2)`` (a few Newton steps) has its own small cache, shared by the
-parameter sets of one budget.  Building a parameter set evaluates the
-finite-size correction at ``n_pulses``, so a pulse count that overflows it is
-a configuration error.
+(``SecurityParams._kernel``).  Each hoisted product is the leftmost operation
+of the expression it came from, so every rate keeps its float operations and
+its bits.  The record lives in the instance ``__dict__`` (a
+``functools.cached_property``), which ``fields``, ``asdict``, ``__eq__`` and
+``__hash__`` ignore, so a parameter set compares, hashes and prints as
+before.  The nominal I_AB (one full evaluation) is kept the same way, but
+only once a finite-size rate asks for it: the four corners are evaluated
+first, so every error is raised as before, and a failing evaluation keeps
+nothing.  The PE quantile ``Phi^-1(1 - eps_pe/2)`` (a few Newton steps) has
+its own small cache, shared by the parameter sets of one budget.  Building a
+parameter set evaluates the finite-size correction at ``n_pulses``, so a
+pulse count that overflows it is a configuration error.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import sys
 from typing import NamedTuple
 
 from ._record import Record
@@ -91,12 +103,6 @@ SYMPLECTIC_TOL = 1e-9
 
 # The floor of a squared symplectic eigenvalue, 1 - SYMPLECTIC_TOL, once.
 _LAM2_FLOOR = 1.0 - SYMPLECTIC_TOL
-
-# A bound on the rounding of a discriminant ``s^2 - 4*prod``, in units of
-# ``s * scale`` (:func:`_eigenpair`).  ``s`` is off by a few ulp of ``scale``,
-# which squaring doubles, and ``4*prod``, about ``s^2`` where the bound
-# matters, by a few ulp of itself: about 20 ulp in all; 32 leave a margin.
-_DISC_ROUNDING = 32.0 * sys.float_info.epsilon
 
 #: Floor for the pessimistic transmittance bound.
 _T_FLOOR = 1e-12
@@ -234,13 +240,10 @@ class SecurityParams(Record):
             raise ConfigError("discretization overflows the finite-size correction") from None
         return _Kernel(
             v=v,
-            vv=v * v,
-            vv_minus_1=v * v - 1.0,
+            v_a=self.modulation_variance,
             chi_het=chi_het,
-            two_chi_het=2.0 * chi_het,
             transmittance=channel.transmittance,
             excess_noise=excess_noise,
-            v_a=self.modulation_variance,
             eta=channel.detector_efficiency,
             nu=channel.electronic_noise_snu,
             gain=gain,
@@ -265,16 +268,13 @@ class SecurityParams(Record):
 class _Kernel(NamedTuple):
     """What :attr:`SecurityParams._kernel` holds; each entry is computed as
     the leftmost operation of the rate expression that reads it.
-    :func:`_evaluate` unpacks the first five fields in this order."""
+    :func:`_evaluate` unpacks the first three fields in this order."""
 
     v: float  # V = V_A + 1
-    vv: float  # v * v
-    vv_minus_1: float  # v * v - 1
+    v_a: float
     chi_het: float
-    two_chi_het: float  # 2 * chi_het
     transmittance: float  # the channel's
     excess_noise: float  # V_A * sigma_phi
-    v_a: float
     eta: float
     nu: float
     gain: float  # PE: g = sqrt(T*eta/2)
@@ -287,24 +287,6 @@ class _Kernel(NamedTuple):
     bar_term: float  # 2*log2(1/(2*eps_bar))
     robust: float  # 1 - robustness
     beta: float
-
-
-def _noise_terms(t: float, chi_het: float, excess_noise: float) -> tuple[float, float]:
-    """``(chi_line, chi_tot)``: the channel noise ``1/T - 1 + excess_noise`` and
-    the total ``chi_line + chi_het/T`` referred to the channel input, with the
-    detector noise ``chi_het`` of :class:`~llo_sim.link_sim.ChannelDetector`."""
-    if not 0 < t <= 1:
-        raise DomainError(f"transmittance must be in (0, 1], got {t}")
-    if excess_noise < 0:
-        raise DomainError(f"excess noise must be >= 0, got {excess_noise}")
-    chi_line = 1.0 / t - 1.0 + excess_noise
-    chi_tot = chi_line + chi_het / t
-    if not math.isfinite(chi_tot):
-        raise NumericalDomainError(
-            f"non-finite noise terms at T = {t:g}, excess noise = {excess_noise:g} SNU: "
-            f"chi_line = {chi_line:g}, chi_het = {chi_het:g}"
-        )
-    return chi_line, chi_tot
 
 
 def excess_noise_from_phase(v_a: float, sigma_phi: float) -> float:
@@ -379,42 +361,30 @@ _tuple_new = tuple.__new__
 def _evaluate(params: SecurityParams, t: float, excess_noise: float) -> _Terms:
     """I_AB (bits/pulse, both quadratures), the five symplectic eigenvalues of
     the collective-attack analysis and the Holevo bound chi_BE at ``(t,
-    excess_noise)``, with the detector of ``params.channel``.
+    excess_noise)``, with the detector of ``params.channel``, from the factored
+    forms of the module docstring.
 
-    A term that overflows or ends non-finite raises
-    :class:`NumericalDomainError` naming the point, so every rate fails alike.
+    Terms that end non-finite raise :class:`NumericalDomainError` naming the
+    point, so every rate fails alike.
     """
-    v, vv, vv_minus_1, chi_het, two_chi_het = params._kernel[:5]
-    chi_line, chi_tot = _noise_terms(t, chi_het, excess_noise)
-    try:
-        t2 = 2.0 * t
-        v_line = v + chi_line
-        tv2 = (t * v_line) ** 2
-        a = vv * (1.0 - t2) + t2 + tv2
-        b = (t * (v * chi_line + 1.0)) ** 2
-        a_scale = vv + tv2  # the size of the terms that cancel in a
-        lam1, lam2 = _eigenpair(a, b, a_scale, "lambda_1/2")
-
-        v_tot = v + chi_tot
-        denom = (t * v_tot) ** 2
-        sqrt_b = math.sqrt(b)
-        chi_het2 = chi_het**2  # not kept: an overflow here names the point
-        c = (
-            a * chi_het2
-            + b
-            + 1.0
-            + two_chi_het * (v * sqrt_b + t * v_line)
-            + t2 * vv_minus_1
-        ) / denom
-        d = ((v + sqrt_b * chi_het) ** 2) / denom
-        # c's other terms are positive; a's rounding enters it scaled.
-        lam3, lam4 = _eigenpair(c, d, c + a_scale * chi_het2 / denom, "lambda_3/4")
-        chi = _holevo_sum(lam1, lam2, lam3, lam4)  # lambda_5 = 1 adds -G(0) = 0
-        i_ab = math.log2(v_tot / (1.0 + chi_tot))
-    except OverflowError as exc:
-        raise NumericalDomainError(
-            f"key-rate terms overflow at T = {t:g}, excess noise = {excess_noise:g} SNU"
-        ) from exc
+    if not 0 < t <= 1:
+        raise DomainError(f"transmittance must be in (0, 1], got {t}")
+    if excess_noise < 0:
+        raise DomainError(f"excess noise must be >= 0, got {excess_noise}")
+    v, v_a, chi_het = params._kernel[:3]
+    te = t * excess_noise
+    loss = v_a * (1.0 - t)
+    prod = 1.0 + loss + v * te
+    lam1, lam2 = _eigenpair(prod, te - loss, "lambda_1/2")
+    denom = 1.0 + chi_het + te  # T * (1 + chi_tot)
+    d = denom + t * v_a  # T * (V + chi_tot)
+    lam3, lam4 = _eigenpair(
+        (v + chi_het * prod) / d,
+        (chi_het * (te - loss) - te - loss - v_a * te) / d,
+        "lambda_3/4",
+    )
+    chi = _holevo_sum(lam1, lam2, lam3, lam4)  # lambda_5 = 1 adds -G(0) = 0
+    i_ab = math.log1p(t * v_a / denom) / _LN2
     if not (math.isfinite(i_ab) and math.isfinite(chi)):
         raise NumericalDomainError(
             f"non-finite key-rate terms at T = {t:g}, excess noise = {excess_noise:g} SNU: "
@@ -441,45 +411,24 @@ def symplectic_eigenvalues(params: SecurityParams) -> tuple[float, float, float,
     return _nominal(params).symplectic_eigenvalues
 
 
-def _eigenpair(s, prod, scale, label):
-    """Solve lam^2 = (s +- sqrt(s^2 - 4*prod)) / 2 with domain checks.
+def _eigenpair(prod, diff, label):
+    """The symplectic eigenvalues ``(lam+, lam-)`` whose product is ``prod``
+    and whose difference is ``|diff|``, each clamped to >= 1.
 
-    The small root is recovered from the root product to avoid the
-    cancellation that hits the subtractive formula when ``s^2 >> 4*prod``.
-
-    ``scale >= s`` is the size of the terms summed into ``s``, whose rounding
-    is a few ulp of ``scale``, so the discriminant's is at most ``e =
-    _DISC_ROUNDING * s * scale``.  That moves ``root`` by up to ``e /
-    max(root, sqrt(e))`` and each ``lam^2`` by half of it.  Near a double root
-    (T = 1 with no excess noise makes both pairs one) that is far more than
-    ``e``, enough to drop a small root of exactly 1 below the floor.  A small
-    root below the floor by no more than that move is taken as 1, and the
-    large one then as ``prod``, which carries no cancellation.  A pair that
-    passes the floor as computed keeps its bits.
+    ``lam+ = |diff|/2 + hypot(diff/2, sqrt(prod))`` carries no cancellation
+    (halving first keeps a finite ``lam+`` from overflowing), and ``lam-``
+    comes from the product.  A ``lam-`` whose square falls below the floor
+    is an unphysical state, not rounding; NaN passes through.
     """
+    half = 0.5 * abs(diff)
+    lam_plus = half + math.hypot(half, math.sqrt(prod))
+    lam_minus = prod / lam_plus
+    if lam_minus * lam_minus < _LAM2_FLOOR:
+        raise NumericalDomainError(
+            f"unphysical symplectic eigenvalue for {label}: lam^2 = {lam_minus * lam_minus}"
+        )
     # ``c if c > x else x`` is ``max(x, c)`` unrolled: x wins ties and NaN,
     # so NaN still propagates.
-    s2 = s * s
-    disc = s2 - 4.0 * prod
-    if disc < -SYMPLECTIC_TOL * (1.0 if 1.0 > s2 else s2):
-        raise NumericalDomainError(f"negative discriminant for {label}: {disc}")
-    root = math.sqrt(0.0 if 0.0 > disc else disc)
-    sq_plus = 0.5 * (s + root)
-    sq_minus = prod / sq_plus if sq_plus > 0.0 else 0.5 * (s - root)
-    if sq_minus < _LAM2_FLOOR:
-        e = _DISC_ROUNDING * abs(s * scale)
-        if e > 0.0 and sq_minus + 0.5 * e / max(root, math.sqrt(e)) >= _LAM2_FLOOR:
-            sq_plus, sq_minus = prod, 1.0
-    if sq_plus < _LAM2_FLOOR:
-        raise NumericalDomainError(
-            f"unphysical symplectic eigenvalue for {label}: lam^2 = {sq_plus}"
-        )
-    lam_plus = math.sqrt(0.0 if 0.0 > sq_plus else sq_plus)
-    if sq_minus < _LAM2_FLOOR:
-        raise NumericalDomainError(
-            f"unphysical symplectic eigenvalue for {label}: lam^2 = {sq_minus}"
-        )
-    lam_minus = math.sqrt(0.0 if 0.0 > sq_minus else sq_minus)
     return (1.0 if 1.0 > lam_plus else lam_plus), (1.0 if 1.0 > lam_minus else lam_minus)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -150,7 +151,11 @@ class TestCliContract:
             # Key-rate terms that overflow a float.
             ["keyrate-asymptotic", "--set", "security.modulation_variance=1e200"],
             ["keyrate-finite", "--set", "security.sigma_phi=1e300"],
-            ["keyrate-asymptotic", "--set", "channel.detector_efficiency=1e-300"],
+            [
+                "keyrate-asymptotic",
+                "--set", "channel.detector_efficiency=1e-300",
+                "--set", "security.modulation_variance=1e10",
+            ],
             ["sweep-distance", "--set", "security.modulation_variance=1e200"],
             [
                 "keyrate-asymptotic",
@@ -188,7 +193,7 @@ class TestCliContract:
         ],
         ids=[
             "remap-zero-signal", "asymptotic-huge-variance", "finite-huge-sigma-phi",
-            "asymptotic-tiny-efficiency", "distance-sweep-huge-variance",
+            "asymptotic-huge-variance-over-tiny-efficiency", "distance-sweep-huge-variance",
             "asymptotic-infinite-excess-noise", "finite-huge-radius-scale", "finite-overflowing-radius-scale",
             "finite-overflowing-sigma-phi", "n-sweep-overflowing-sigma-phi",
             "finite-eps-far-below-eps-sm", "finite-tiny-eps",
@@ -240,12 +245,30 @@ class TestCliContract:
                 "keyrate-asymptotic", "--fiber-length", "1e-5",
                 "--set", "security.modulation_variance=20", "--set", "security.sigma_phi=0",
             ],
+            # Closer still, with a large V_A: the discriminant once rounded
+            # to -4.8e-8.
+            [
+                "keyrate-asymptotic", "--fiber-length", "1e-9",
+                "--set", "security.modulation_variance=10000", "--set", "security.sigma_phi=0",
+            ],
         ],
-        ids=["n-sweep-clamped-pe-corner", "asymptotic-near-lossless"],
+        ids=["n-sweep-clamped-pe-corner", "asymptotic-near-lossless", "asymptotic-nearer-lossless"],
     )
     def test_near_double_root_is_valid(self, args, tmp_path, capsys):
         assert main([*args, "--output-dir", str(tmp_path)]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_tiny_efficiency_is_valid(self, tmp_path, capsys):
+        # chi_het = 2.2e300 at T = 1 and V_A = 1 gives I_AB = 1/(chi_het*ln 2);
+        # chi_het**2 once overflowed.
+        code = main([
+            "keyrate-asymptotic", "--output-dir", str(tmp_path),
+            "--set", "channel.detector_efficiency=1e-300",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        i_ab = float(out.split("mutual_information = ")[1].split()[0])
+        assert i_ab == pytest.approx(1.0 / (2.2e300 * math.log(2.0)), rel=1e-8)
 
     @pytest.mark.parametrize(
         "budget, expected", [("eps_sm=1e-300", -0.0599), ("eps_bar=5e-324", 0.0437)]

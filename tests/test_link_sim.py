@@ -17,7 +17,6 @@ from llo_sim.link_sim import (
     _measure_arrays,
 )
 from llo_sim.noise_models import LaserModel, phase_noise_variance
-from llo_sim.security import _noise_terms
 
 BENCH_LASER_S = LaserModel.from_delay_variance(0.035, 20e-9)
 BENCH_LASER_L = LaserModel.from_delay_variance(0.044, 20e-9, center_detuning_hz=2.3e6)
@@ -258,7 +257,8 @@ class TestSimulateRun:
         )
         samples = simulate_run(train, (BENCH_LASER_S, BENCH_LASER_L), det, seed=31)
         xs = np.array([s.x for s in samples if s.kind == "signal"])
-        _, chi_tot = _noise_terms(det.transmittance, det.chi_het, 0.0)
+        t = det.transmittance
+        chi_tot = 1.0 / t - 1.0 + det.chi_het / t
         expected = det.amplitude_gain**2 * (v_a + 1.0 + chi_tot)
         se = expected * math.sqrt(2.0 / (xs.size - 1))
         assert abs(xs.var(ddof=1) - expected) < 3.0 * se

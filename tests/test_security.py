@@ -28,7 +28,6 @@ from llo_sim.security import (
     _T_FLOOR,
     EpsilonBudget,
     _two_sided_normal_quantile,
-    _noise_terms,
     SecurityParams,
     _eigenpair,
     _evaluate,
@@ -123,43 +122,74 @@ def _chi_het(eta: float) -> float:
     return ChannelDetector(detector_efficiency=eta, electronic_noise_snu=0.1).chi_het
 
 
+def _noise_budget_terms(t, eta, nu, v_a, excess_noise):
+    """``(lam1*lam2, lam3*lam4, I_AB)`` from the noise budget referred to the
+    channel input, in 60-digit decimal: ``chi_line = 1/T - 1 + eps`` and
+    ``chi_tot = chi_line + chi_het/T``."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        t, eta, nu, v_a, eps = map(decimal.Decimal, (t, eta, nu, v_a, excess_noise))
+        v = v_a + 1
+        chi_line = 1 / t - 1 + eps
+        chi_het = (2 - eta + 2 * nu) / eta
+        chi_tot = chi_line + chi_het / t
+        prod12 = t * (v * chi_line + 1)
+        prod34 = (v + chi_het * prod12) / (t * (v + chi_tot))
+        i_ab = ((v + chi_tot) / (1 + chi_tot)).ln() / decimal.Decimal(2).ln()
+        return float(prod12), float(prod34), float(i_ab)
+
+
 class TestNoiseBudget:
-    """The channel/detection noise decomposition: ``_noise_terms`` with the
-    detector noise of :class:`ChannelDetector`."""
+    """The factored forms of :func:`_evaluate` against the noise budget
+    referred to the channel input, with the detector noise of
+    :class:`ChannelDetector`, and the domain :func:`_evaluate` accepts."""
+
+    @staticmethod
+    def params(eta: float) -> SecurityParams:
+        return SecurityParams(
+            channel=ChannelDetector(detector_efficiency=eta, electronic_noise_snu=0.1)
+        )
+
+    @staticmethod
+    def check(params, t, excess_noise):
+        channel = params.channel
+        terms = _evaluate(params, t, excess_noise)
+        lam1, lam2, lam3, lam4, _ = terms.symplectic_eigenvalues
+        prod12, prod34, i_ab = _noise_budget_terms(
+            t, channel.detector_efficiency, channel.electronic_noise_snu,
+            params.modulation_variance, excess_noise,
+        )
+        assert lam1 * lam2 == pytest.approx(prod12, rel=1e-14, abs=0.0)
+        assert lam3 * lam4 == pytest.approx(prod34, rel=1e-14, abs=0.0)
+        assert terms.mutual_information == pytest.approx(i_ab, rel=1e-14, abs=0.0)
 
     def test_formulas(self):
-        t = 10 ** (-0.2 * 50.0 / 10.0)
-        chi_het = _chi_het(0.5)
-        chi_line, chi_tot = _noise_terms(t, chi_het, 0.04)
-        assert chi_line == pytest.approx(1.0 / t - 1.0 + 0.04, rel=1e-12)
-        assert chi_het == pytest.approx((1.0 + 0.5 + 0.2) / 0.5, rel=1e-12)
-        assert chi_tot == pytest.approx(chi_line + chi_het / t, rel=1e-12)
+        self.check(self.params(0.5), 10 ** (-0.2 * 50.0 / 10.0), 0.04)
 
     def test_chi_het_value(self):
         assert _chi_het(0.5) == pytest.approx(3.4, rel=1e-12)
 
     @pytest.mark.parametrize("t", [0.0, -0.5, 1.0 + 1e-12, math.nan])
     def test_transmittance_outside_unit_interval_rejected(self, t):
-        with pytest.raises(DomainError):
-            _noise_terms(t, _chi_het(0.5), 0.04)
+        with pytest.raises(DomainError, match=re.escape("transmittance must be in (0, 1]")):
+            _evaluate(self.params(0.5), t, 0.04)
 
     def test_negative_excess_noise_rejected(self):
-        with pytest.raises(DomainError):
-            _noise_terms(0.5, _chi_het(0.5), -1e-9)
+        with pytest.raises(DomainError, match="excess noise must be >= 0"):
+            _evaluate(self.params(0.5), 0.5, -1e-9)
 
     @pytest.mark.parametrize(
         "t, eta, excess_noise", [(1e-3, 1e-14, 1e20), (1e-12, 1e-14, 1e26), (1e-3, 1e-10, 1e19)]
     )
     def test_excess_noise_far_above_inverse_transmittance(self, t, eta, excess_noise):
-        # chi_line + 1 - excess_noise would cancel every digit of 1/T here.
-        chi_het = _chi_het(eta)
-        chi_line, chi_tot = _noise_terms(t, chi_het, excess_noise)
-        assert chi_tot == chi_line + chi_het / t
+        # 1/T - 1 + excess_noise would cancel every digit of 1/T here, and
+        # (V + chi_tot)/(1 + chi_tot) rounds to 1.
+        self.check(self.params(eta), t, excess_noise)
 
     @pytest.mark.parametrize("eta, excess_noise", [(1e-310, 0.04), (0.5, math.inf)])
     def test_non_finite_terms_rejected_naming_the_point(self, eta, excess_noise):
         with pytest.raises(NumericalDomainError, match="T = 0.5, excess noise = "):
-            _noise_terms(0.5, _chi_het(eta), excess_noise)
+            _evaluate(self.params(eta), 0.5, excess_noise)
 
 
 class TestExcessNoiseFromSimulation:
@@ -228,7 +258,7 @@ class TestMutualInformation:
                 transmittance_override=1.0, detector_efficiency=1.0, electronic_noise_snu=0.0
             ),
         )
-        assert _noise_terms(1.0, params.channel.chi_het, 0.0)[1] == 1.0
+        assert params.channel.chi_het == 1.0  # chi_tot at T = 1, eps = 0
         assert mutual_information(params) == 1.0
 
     def test_desk_check_at_50km(self):
@@ -286,7 +316,7 @@ class TestSymplecticSpectrum:
     )
     def test_clamped_pe_corner_is_physical(self, v_a, eta, nu):
         # T = 1 with no excess noise, the corner a clamped PE rectangle
-        # reaches: both pairs are double roots at 1 that rounding splits.
+        # reaches: both pairs are double roots at 1.
         params = SecurityParams(
             modulation_variance=v_a,
             channel=ChannelDetector(detector_efficiency=eta, electronic_noise_snu=nu),
@@ -294,14 +324,124 @@ class TestSymplecticSpectrum:
         terms = _evaluate(params, 1.0, 0.0)
         assert all(lam >= 1.0 for lam in terms.symplectic_eigenvalues)
         assert math.isfinite(terms.mutual_information)
-        assert abs(terms.holevo_bound) < 1e-6  # Eve learns nothing
+        assert abs(terms.holevo_bound) < 1e-13  # Eve learns nothing
 
-    @pytest.mark.parametrize("s,prod", [(1.9, 0.9), (1.8, 0.81), (2.0, 0.999)])
-    def test_unphysical_pair_still_raises(self, s, prod):
-        # Small roots of 0.9 (twice for the double root 1.8, 0.81) and 0.968,
-        # far beyond any rounding of s = scale.
+    @settings(max_examples=500, deadline=None)
+    @given(
+        t=st.floats(-300.0, 0.0).map(lambda y: 10.0**y)
+        | st.floats(-17.0, -1.0).map(lambda y: 1.0 - 10.0**y)
+        | st.floats(0.0, 1.0, exclude_min=True),
+        excess_noise=st.floats(-300.0, 300.0).map(lambda y: 10.0**y) | st.floats(0.0),
+        eta=st.floats(-300.0, 0.0).map(lambda y: 10.0**y) | st.floats(0.0, 1.0, exclude_min=True),
+        nu=st.floats(-300.0, 300.0).map(lambda y: 10.0**y) | st.floats(0.0),
+        v_a=st.floats(-300.0, 300.0).map(lambda y: 10.0**y) | st.floats(0.0),
+    )
+    def test_no_valid_point_is_unphysical(self, t, excess_noise, eta, nu, v_a):
+        # Every point SecurityParams accepts: finite terms, or an error for
+        # terms that leave the floats, never an unphysical eigenvalue.
+        params = SecurityParams(
+            modulation_variance=v_a,
+            sigma_phi=0.0,
+            channel=ChannelDetector(detector_efficiency=eta, electronic_noise_snu=nu),
+        )
+        try:
+            terms = _evaluate(params, t, excess_noise)
+        except NumericalDomainError as exc:
+            assert str(exc).startswith("non-finite key-rate terms"), exc
+        else:
+            assert all(lam >= 1.0 for lam in terms.symplectic_eigenvalues)
+            assert math.isfinite(terms.mutual_information) and terms.mutual_information >= 0.0
+            assert math.isfinite(terms.holevo_bound)
+
+    @pytest.mark.parametrize("diff,prod", [(0.0, 0.81), (1.9, 0.9), (1.8, 0.81), (2.0, 0.999)])
+    def test_unphysical_pair_still_raises(self, diff, prod):
+        # A product below 1 leaves the small root below 1: 0.9 twice at the
+        # double root, else 0.41 to 0.42.
         with pytest.raises(NumericalDomainError, match="unphysical symplectic eigenvalue"):
-            _eigenpair(s, prod, s, "lambda_test")
+            _eigenpair(prod, diff, "lambda_test")
+
+
+def _symplectic_spectrum(gamma):
+    """Symplectic eigenvalues of a covariance matrix in (x1, p1, x2, p2, ...)
+    order, as ``|eig(i*Omega*gamma)|``, each once, in descending order."""
+    modes = gamma.shape[0] // 2
+    omega = np.kron(np.eye(modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    nus = np.sort(np.abs(np.linalg.eigvals(1j * omega @ gamma)))[::-1]
+    return nus[::2]
+
+
+def _oracle_spectrum(t, excess_noise, eta, nu, v_a):
+    """``(lam1, lam2)`` of Alice and Bob after the channel, and ``(lam3,
+    lam4, lam5)`` of Alice and the trusted detector's modes once Bob's
+    heterodyne is known, from covariance matrices (Lodewyck et al., PRA 76,
+    042305 (2007); Fossier et al., J. Phys. B 42, 114014 (2009)).
+
+    The detector mixes half (F) of an EPR pair (F, G) of variance ``1 +
+    2*nu/(1 - eta)`` into Bob's mode on a beam splitter of transmittance
+    ``eta``; at ``eta = 1`` there is no such pair, and ``nu`` must be 0.
+    """
+    v = v_a + 1.0
+    eye, z = np.eye(2), np.diag([1.0, -1.0])
+    c_ab = math.sqrt(t * (v * v - 1.0))
+    b = t * (v + 1.0 / t - 1.0 + excess_noise)
+    gamma = np.block([[v * eye, c_ab * z], [c_ab * z, b * eye]])  # A, B
+    spectrum_ab = _symplectic_spectrum(gamma)
+    if eta < 1.0:
+        w = 1.0 + 2.0 * nu / (1.0 - eta)
+        c_fg = math.sqrt(w * w - 1.0)
+        zero = np.zeros((4, 4))
+        detector = np.block([[w * eye, c_fg * z], [c_fg * z, w * eye]])  # F, G
+        gamma = np.block([[gamma, zero], [zero, detector]])  # A, B, F, G
+        r, s = math.sqrt(eta), math.sqrt(1.0 - eta)
+        splitter = np.eye(8)
+        splitter[2:6, 2:6] = np.block([[r * eye, s * eye], [-s * eye, r * eye]])
+        gamma = splitter @ gamma @ splitter.T
+    else:
+        assert nu == 0.0
+    rest = [0, 1, *range(4, gamma.shape[0])]  # A, F, G
+    c = gamma[np.ix_(rest, [2, 3])]
+    conditional = gamma[np.ix_(rest, rest)] - c @ np.linalg.inv(gamma[2:4, 2:4] + eye) @ c.T
+    return spectrum_ab, _symplectic_spectrum(conditional)
+
+
+class TestCovarianceOracle:
+    """The closed forms of :func:`_evaluate` against symplectic eigenvalues
+    taken from the covariance matrices they stand for."""
+
+    GRID = [
+        (t, excess_noise, eta, nu, v_a)
+        for t in (1.0, 1.0 - 1e-7, 0.9, 0.5, 0.1, 1e-3)
+        for excess_noise in (0.0, 1e-3, 0.04, 1.0)
+        for eta, nu in ((1.0, 0.0), (0.6, 0.0), (0.5, 0.1), (0.1, 0.01), (0.9, 2.0))
+        for v_a in (0.5, 1.0, 4.0, 100.0)
+    ]
+
+    @staticmethod
+    def check(t, excess_noise, eta, nu, v_a):
+        params = SecurityParams(
+            modulation_variance=v_a,
+            sigma_phi=0.0,
+            channel=ChannelDetector(detector_efficiency=eta, electronic_noise_snu=nu),
+        )
+        lams = _evaluate(params, t, excess_noise).symplectic_eigenvalues
+        spectrum_ab, spectrum_conditional = _oracle_spectrum(t, excess_noise, eta, nu, v_a)
+        # At eta = 1 the conditional state is Alice's mode alone: lam4 = lam5 = 1.
+        padded = np.concatenate([spectrum_conditional, np.ones(3 - spectrum_conditional.size)])
+        np.testing.assert_allclose(lams[:2], spectrum_ab, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(sorted(lams[2:], reverse=True), padded, rtol=1e-9, atol=0.0)
+
+    def test_grid(self):
+        for point in self.GRID:
+            try:
+                self.check(*point)
+            except AssertionError as exc:
+                raise AssertionError(f"at (T, eps, eta, nu, V_A) = {point}: {exc}") from None
+
+    def test_near_double_root(self):
+        # lambda_1/2 a near-double root that the old discriminant form took
+        # 4.2e-7 off.
+        self.check(0.9999999548921152, 0.0, 0.11681167888884303, 0.011656845191048421,
+                   717.0562356575974)
 
 
 class TestAsymptoticRate:
@@ -492,50 +632,38 @@ class TestFiniteSizeRate:
         assert finite_size_key_rate(perfect_detector_params(), 10**9) < 0.0
 
 
-def _reference_eigenpair(s, prod, label):
-    disc = s * s - 4.0 * prod
-    if disc < -1e-9 * max(s * s, 1.0):
-        raise NumericalDomainError(f"negative discriminant for {label}: {disc}")
-    root = math.sqrt(max(disc, 0.0))
-    sq_plus = 0.5 * (s + root)
-    sq_minus = prod / sq_plus if sq_plus > 0.0 else 0.5 * (s - root)
-    lams = []
-    for sq in (sq_plus, sq_minus):
-        if sq < 1.0 - 1e-9:
-            raise NumericalDomainError(f"unphysical symplectic eigenvalue for {label}")
-        lams.append(max(math.sqrt(max(sq, 0.0)), 1.0))
-    return lams[0], lams[1]
+def _reference_eigenpair(prod, diff, label):
+    lam_plus = abs(diff) / 2.0 + math.hypot(diff / 2.0, math.sqrt(prod))
+    lam_minus = prod / lam_plus
+    if lam_minus**2 < 1.0 - 1e-9:
+        raise NumericalDomainError(f"unphysical symplectic eigenvalue for {label}")
+    return max(lam_plus, 1.0), max(lam_minus, 1.0)
 
 
 def _reference_terms(params, t, excess_noise):
-    """(I_AB, chi_BE) as the per-corner noise-budget form computed them."""
+    """(I_AB, chi_BE) from the factored forms, written out plainly."""
     eta = params.channel.detector_efficiency
     nu = params.channel.electronic_noise_snu
-    chi_line = 1.0 / t - 1.0 + excess_noise
+    v_a = params.modulation_variance
+    v = v_a + 1.0
     chi_het = (1.0 + (1.0 - eta) + 2.0 * nu) / eta
-    chi_tot = chi_line + chi_het / t
-    v = params.V
-    a = v * v * (1.0 - 2.0 * t) + 2.0 * t + (t * (v + chi_line)) ** 2
-    b = (t * (v * chi_line + 1.0)) ** 2
-    lam1, lam2 = _reference_eigenpair(a, b, "lambda_1/2")
-    denom = (t * (v + chi_tot)) ** 2
-    sqrt_b = math.sqrt(b)
-    c = (
-        a * chi_het**2
-        + b
-        + 1.0
-        + 2.0 * chi_het * (v * sqrt_b + t * (v + chi_line))
-        + 2.0 * t * (v * v - 1.0)
-    ) / denom
-    d = ((v + sqrt_b * chi_het) ** 2) / denom
-    lam3, lam4 = _reference_eigenpair(c, d, "lambda_3/4")
+    te = t * excess_noise
+    loss = v_a * (1.0 - t)
+    prod = 1.0 + loss + v * te
+    lam1, lam2 = _reference_eigenpair(prod, te - loss, "lambda_1/2")
+    d = 1.0 + chi_het + te + t * v_a
+    lam3, lam4 = _reference_eigenpair(
+        (v + chi_het * prod) / d,
+        (chi_het * (te - loss) - te - loss - v_a * te) / d,
+        "lambda_3/4",
+    )
     chi = (
         g_function((lam1 - 1.0) / 2.0)
         + g_function((lam2 - 1.0) / 2.0)
         - g_function((lam3 - 1.0) / 2.0)
         - g_function((lam4 - 1.0) / 2.0)
     )
-    return math.log2((v + chi_tot) / (1.0 + chi_tot)), chi
+    return math.log1p(t * v_a / (1.0 + chi_het + te)) / math.log(2.0), chi
 
 
 def _reference_finite_size_rate(params, n):
