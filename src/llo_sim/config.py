@@ -27,7 +27,7 @@ from typing import Callable
 
 from ._record import Record
 from .errors import ConfigError
-from .link_sim import ChannelDetector, PulseTrainConfig
+from .link_sim import MIN_REMAP_SIGNALS, MIN_SYMBOL_SIGNALS, ChannelDetector, PulseTrainConfig
 from .noise_models import LaserModel, beat
 from .security import SecurityParams
 
@@ -53,12 +53,32 @@ BPSK_PHASES = (0.0, 1.65)
 # Section checks
 
 
-def _check_batches(n_items: int, n_batches: int) -> None:
-    """Every Monte Carlo metric needs >= 2 batches of >= 2 items each."""
+# Each batch drops its last signal (no closing reference), so a batch of n
+# pairs has n - 1 signals, and the bits alternate, so the rarer bit has
+# (n - 1) // 2 of them.
+_BPSK_MIN_PAIRS = 2 * MIN_SYMBOL_SIGNALS + 1
+_REMAP_MIN_PAIRS = MIN_REMAP_SIGNALS + 1
+
+
+def batch_size(total: int, n_batches: int, i: int) -> int:
+    """The items of batch ``i`` when ``total`` split into ``n_batches``: the
+    first ``total % n_batches`` batches take one more.  Every Monte Carlo
+    runner splits its run this way."""
+    base, extra = divmod(total, n_batches)
+    return base + (1 if i < extra else 0)
+
+
+def _check_batches(n_items: int, n_batches: int, minimum: int) -> None:
+    """Every Monte Carlo metric needs >= 2 batches, and its estimator needs
+    ``minimum`` items in the smallest."""
     if n_batches < 2:
         raise ConfigError(f"n_batches must be >= 2 for a standard error, got {n_batches}")
-    if n_items // n_batches < 2:
-        raise ConfigError(f"n_batches: {n_items} items cannot fill {n_batches} batches")
+    smallest = batch_size(n_items, n_batches, n_batches - 1)
+    if smallest < minimum:
+        raise ConfigError(
+            f"n_batches: {n_items} items in {n_batches} batches leave {smallest} in the "
+            f"smallest, need >= {minimum}"
+        )
 
 
 def _check_at_least(minimum: int, **values: int) -> None:
@@ -103,7 +123,7 @@ def _check_pilot_aliasing(cfg) -> None:
     last pulse of the longest batch, bound it."""
     period = cfg.repetition_period_s
     limit = 1.0 / (4.0 * period)
-    longest = -(-cfg.n_pairs // cfg.n_batches)
+    longest = batch_size(cfg.n_pairs, cfg.n_batches, 0)
     relative = beat(cfg.laser_s, cfg.laser_l)
     for t in (0.0, (2 * longest - 1) * period):
         frequency = relative.center_detuning_hz + 2.0 * relative.drift_rate_hz_per_s * t
@@ -141,7 +161,7 @@ class PhaseExperimentConfig(Record):
     uniformity_stride: int = 100
 
     def __post_init__(self) -> None:
-        _check_batches(self.n_pairs, self.n_batches)
+        _check_batches(self.n_pairs, self.n_batches, _BPSK_MIN_PAIRS)
         _check_at_least(1, histogram_bins=self.histogram_bins)
         _check_uniformity_test(self)
         _check_pilot_aliasing(self)
@@ -175,7 +195,7 @@ class WeakReferenceSweepConfig(Record):
         if not self.photon_numbers:
             raise ConfigError("photon_numbers must not be empty")
         _check_sweep_points("photon_numbers", self.photon_numbers, self.label)
-        _check_batches(self.n_pairs, self.n_batches)
+        _check_batches(self.n_pairs, self.n_batches, _BPSK_MIN_PAIRS)
         _check_pilot_aliasing(self)
 
 
@@ -200,7 +220,7 @@ class RemapExperimentConfig(Record):
     uniformity_stride: int = 100
 
     def __post_init__(self) -> None:
-        _check_batches(self.n_pairs, self.n_batches)
+        _check_batches(self.n_pairs, self.n_batches, _REMAP_MIN_PAIRS)
         _check_at_least(0, scatter_rows=self.scatter_rows)
         _check_uniformity_test(self)
         _check_pilot_aliasing(self)
@@ -228,7 +248,7 @@ class LaserNoiseSweepConfig(Record):
         if len(self.delays_s) < 2:
             raise ConfigError(f"delays_s needs >= 2 delays, got {len(self.delays_s)}")
         _check_sweep_points("delays_s", self.delays_s, self.label)
-        _check_batches(self.n_samples, self.n_batches)
+        _check_batches(self.n_samples, self.n_batches, 2)  # for a sample variance
 
 
 class DistanceSweepConfig(Record):
@@ -464,6 +484,13 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
                   modulation=BENCH_TRAIN.modulation)
     channel = _walk(ChannelDetector, *root("channel"), SecurityParams().channel)
     security = _walk(SecurityParams, *root("security"), channel=channel)
+    # SecurityParams accepts V_A = 0 for rate checks, but a run estimates its
+    # parameters, which needs a modulated signal.
+    if security.modulation_variance == 0:
+        raise ConfigError(
+            "config.security: modulation_variance must be > 0 for parameter estimation, "
+            "got 0.0"
+        )
 
     experiments = dict(_object(*root("experiments"), _EXPERIMENTS))
     experiment = functools.partial(_section, experiments, "config.experiments")

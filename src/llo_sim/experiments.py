@@ -35,6 +35,7 @@ from .config import (
     PhaseExperimentConfig,
     RemapExperimentConfig,
     WeakReferenceSweepConfig,
+    batch_size,
 )
 from .errors import DomainError, EstimationError
 from .link_sim import PulseTrainConfig, RunSeeds, fiber_transmittance, simulate_run
@@ -295,11 +296,6 @@ def _map_ordered(fn: Callable, args: Sequence, threads: int) -> list:
         return list(pool.map(fn, args))
 
 
-def _batch_sizes(total: int, n_batches: int) -> list[int]:
-    base, extra = divmod(total, n_batches)
-    return [base + (1 if i < extra else 0) for i in range(n_batches)]
-
-
 def _pooled_group_variance(rec: RecoveredRun) -> tuple[dict[float, float], float]:
     """Per-symbol circular residual variances of one recovered run plus their
     pooled value."""
@@ -356,10 +352,10 @@ def run_bpsk_phase_experiment(
     variances, the closed-form prediction they should match, and the
     uniformity p-value of the raw phases.
     """
-    sizes = _batch_sizes(config.n_pairs, config.n_batches)
     recs = _map_ordered(
         lambda i: _recovered_batch(
-            config, config.bpsk_phases, config.reference_photons, sizes[i],
+            config, config.bpsk_phases, config.reference_photons,
+            batch_size(config.n_pairs, config.n_batches, i),
             RunSeeds.from_seed(seed, "bpsk", i),
         ),
         range(config.n_batches), threads,
@@ -424,8 +420,6 @@ def run_weak_reference_sweep(
     That mirrors re-detecting one run at different reference powers and keeps
     the sweep's monotonicity free of trajectory-to-trajectory noise.
     """
-    sizes = _batch_sizes(config.n_pairs, config.n_batches)
-
     def pooled_variance(task) -> float:
         point, i = task
         seeds = replace(
@@ -433,7 +427,8 @@ def run_weak_reference_sweep(
             detector=seed_sequence(seed, "weak-ref", i, "detector", point),
         )
         rec = _recovered_batch(
-            config, config.bpsk_phases, config.photon_numbers[point], sizes[i], seeds
+            config, config.bpsk_phases, config.photon_numbers[point],
+            batch_size(config.n_pairs, config.n_batches, i), seeds,
         )
         return _pooled_group_variance(rec)[1]
 
@@ -475,10 +470,10 @@ def run_quantum_remap_experiment(
     variances in shot-noise units, and the phase-noise variance estimated
     from the P/X variance asymmetry.
     """
-    sizes = _batch_sizes(config.n_pairs, config.n_batches)
     recs = _map_ordered(
         lambda i: _recovered_batch(
-            config, (0.0, 0.0), config.reference_photons, sizes[i],  # unmodulated
+            config, (0.0, 0.0), config.reference_photons,  # unmodulated
+            batch_size(config.n_pairs, config.n_batches, i),
             RunSeeds.from_seed(seed, "remap", i),
         ),
         range(config.n_batches), threads,
@@ -520,14 +515,14 @@ def run_laser_noise_sweep(
     """Delayed self-interference variance vs delay, per laser, with the
     linear fit whose slope estimates 2/tau_c."""
     lasers = {"signal": config.laser_s, "lo": config.laser_l}
-    per_batch = config.n_samples // config.n_batches
     n_delays = len(config.delays_s)
     tasks = list(itertools.product(lasers, range(n_delays), range(config.n_batches)))
 
     def worker(task):
-        label, d_idx, _ = task
+        label, d_idx, i = task
         return simulate_self_interference(
-            lasers[label], config.delays_s[d_idx], per_batch,
+            lasers[label], config.delays_s[d_idx],
+            batch_size(config.n_samples, config.n_batches, i),
             seed_sequence(seed, "laser-noise", *task),
         )
 

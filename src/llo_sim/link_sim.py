@@ -36,6 +36,14 @@ from ._seeding import as_generator, seed_sequence
 from .errors import ConfigError, DomainError, ScheduleError
 from .noise_models import LaserModel, beat, sample_phase_trajectory
 
+# The smallest inputs of two phase-recovery estimators, stated below both
+# phase_recovery and config so that a config can size its batches without
+# loading the estimators.
+#: Signals per encoded symbol that ``phase_recovery.residual_variance`` needs.
+MIN_SYMBOL_SIGNALS = 2
+#: Signals that ``phase_recovery.sigma_phi_from_quadratures`` needs.
+MIN_REMAP_SIGNALS = 100
+
 
 class RunSeeds(Record):
     """Per-purpose random streams of one simulated run; ``laser`` drives its

@@ -26,7 +26,7 @@ import warnings
 from ._lazy_numpy import np
 from ._record import Record
 from .errors import DomainError, EstimationError, ScheduleError
-from .link_sim import PulseBlock
+from .link_sim import MIN_REMAP_SIGNALS, MIN_SYMBOL_SIGNALS, PulseBlock
 
 
 #: Above this residual variance (rad^2) the linearised circular statistics
@@ -106,9 +106,10 @@ def residual_variance(corrected, encoded) -> dict[float, float]:
     # sorted(set(...)) rather than np.unique, whose numpy 2.x path imports numpy.ma
     for symbol in sorted(set(encoded.tolist())):
         deviations = wrap_phase(corrected[encoded == symbol] - symbol)
-        if deviations.size < 2:
+        if deviations.size < MIN_SYMBOL_SIGNALS:
             raise EstimationError(
-                f"symbol group {symbol} has {deviations.size} samples, need >= 2"
+                f"symbol group {symbol} has {deviations.size} samples, "
+                f"need >= {MIN_SYMBOL_SIGNALS}"
             )
         mean = math.atan2(np.mean(np.sin(deviations)), np.mean(np.cos(deviations)))
         centred = wrap_phase(deviations - mean)
@@ -127,13 +128,14 @@ def sigma_phi_from_quadratures(samples) -> float:
     """Phase-noise variance from remapped quadratures of an unmodulated train.
 
     Implements ``(Var[p'] - Var[x']) / mean[x']^2``.  ``samples`` is an
-    ``(x, p)`` pair of arrays.  Requires at least 100 samples and a mean X
+    ``(x, p)`` pair of arrays.  Requires at least
+    :data:`~llo_sim.link_sim.MIN_REMAP_SIGNALS` samples and a mean X
     quadrature that is resolvable above its own standard error.
     """
     x, p = (np.asarray(q, dtype=float) for q in samples)
     n = x.size
-    if n < 100:
-        raise EstimationError(f"need >= 100 samples, got {n}")
+    if n < MIN_REMAP_SIGNALS:
+        raise EstimationError(f"need >= {MIN_REMAP_SIGNALS} samples, got {n}")
     mean_x = float(np.mean(x))
     var_x = float(np.var(x, ddof=1))
     var_p = float(np.var(p, ddof=1))

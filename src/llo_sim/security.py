@@ -49,7 +49,7 @@ pulses at the reference configuration: 10 km fibre, perfect detectors,
 V_A = 1, sigma_phi = 0.04, beta = 0.95); the default
 :data:`PE_RADIUS_SCALE_DEFAULT` is calibrated to put it near 1e11 pulses.
 The nominal terms and each corner are one evaluation at a (T, excess noise)
-point.
+point, the tuple ``(I_AB, (lam1, ..., lam5), chi_BE)`` of :func:`_evaluate`.
 
 Symplectic eigenvalues
 ----------------------
@@ -62,6 +62,7 @@ discriminants of the textbook quadratics are exact squares:
     lam3*lam4 = (V + chi_het*lam1*lam2) / D
     lam3 - lam4 = |chi_het*(te - loss) - te - loss - V_A*te| / D
     I_AB = log2(1 + T*V_A / (1 + chi_het + te))
+    chi_BE = G((lam1-1)/2) + G((lam2-1)/2) - G((lam3-1)/2) - G((lam4-1)/2)
 
 with ``chi_tot = 1/T - 1 + eps + chi_het/T``.  No term divides by T, and
 each sums non-negative terms, apart from the difference inside each
@@ -312,57 +313,13 @@ def g_function(x: float) -> float:
     return ((x + 1.0) * math.log1p(x) - x * math.log(x)) / _LN2
 
 
-def _holevo_sum(lam1: float, lam2: float, lam3: float, lam4: float) -> float:
-    """``G(x1) + G(x2) - G(x3) - G(x4)`` for ``xi = (lami - 1)/2``, with the
-    branches of :func:`g_function` written out: four calls would cost a
-    tenth of a finite-size rate.  Every ``lam`` comes from :func:`_eigenpair`,
-    which clamps it to >= 1 (or passes NaN), so no ``x`` is negative."""
-    x = (lam1 - 1.0) / 2.0
-    g1 = (
-        0.0 if x == 0.0
-        else math.log2(x + 1.0) + x * math.log1p(1.0 / x) / _LN2 if x >= 1.0
-        else ((x + 1.0) * math.log1p(x) - x * math.log(x)) / _LN2
-    )
-    x = (lam2 - 1.0) / 2.0
-    g2 = (
-        0.0 if x == 0.0
-        else math.log2(x + 1.0) + x * math.log1p(1.0 / x) / _LN2 if x >= 1.0
-        else ((x + 1.0) * math.log1p(x) - x * math.log(x)) / _LN2
-    )
-    x = (lam3 - 1.0) / 2.0
-    g3 = (
-        0.0 if x == 0.0
-        else math.log2(x + 1.0) + x * math.log1p(1.0 / x) / _LN2 if x >= 1.0
-        else ((x + 1.0) * math.log1p(x) - x * math.log(x)) / _LN2
-    )
-    x = (lam4 - 1.0) / 2.0
-    g4 = (
-        0.0 if x == 0.0
-        else math.log2(x + 1.0) + x * math.log1p(1.0 / x) / _LN2 if x >= 1.0
-        else ((x + 1.0) * math.log1p(x) - x * math.log(x)) / _LN2
-    )
-    return g1 + g2 - g3 - g4
-
-
-class _Terms(NamedTuple):
-    """One key-rate evaluation at a (transmittance, excess noise) point."""
-
-    mutual_information: float
-    symplectic_eigenvalues: tuple[float, float, float, float, float]
-    holevo_bound: float
-
-
-# ``_tuple_new(_Terms, (...))`` builds a _Terms (or a PessimisticBounds)
-# without the Python-level __new__ of a NamedTuple, which took about 6% of an
-# evaluation.
-_tuple_new = tuple.__new__
-
-
-def _evaluate(params: SecurityParams, t: float, excess_noise: float) -> _Terms:
-    """I_AB (bits/pulse, both quadratures), the five symplectic eigenvalues of
-    the collective-attack analysis and the Holevo bound chi_BE at ``(t,
-    excess_noise)``, with the detector of ``params.channel``, from the factored
-    forms of the module docstring.
+def _evaluate(
+    params: SecurityParams, t: float, excess_noise: float
+) -> tuple[float, tuple[float, float, float, float, float], float]:
+    """``(i_ab, (lam1, ..., lam5), chi)``: I_AB (bits/pulse, both quadratures),
+    the five symplectic eigenvalues of the collective-attack analysis and the
+    Holevo bound chi_BE at ``(t, excess_noise)``, with the detector of
+    ``params.channel``, from the factored forms of the module docstring.
 
     Terms that end non-finite raise :class:`NumericalDomainError` naming the
     point, so every rate fails alike.
@@ -383,18 +340,21 @@ def _evaluate(params: SecurityParams, t: float, excess_noise: float) -> _Terms:
         (chi_het * (te - loss) - te - loss - v_a * te) / d,
         "lambda_3/4",
     )
-    chi = _holevo_sum(lam1, lam2, lam3, lam4)  # lambda_5 = 1 adds -G(0) = 0
+    chi = (  # lambda_5 = 1 adds -G(0) = 0
+        g_function((lam1 - 1.0) / 2.0) + g_function((lam2 - 1.0) / 2.0)
+        - g_function((lam3 - 1.0) / 2.0) - g_function((lam4 - 1.0) / 2.0)
+    )
     i_ab = math.log1p(t * v_a / denom) / _LN2
     if not (math.isfinite(i_ab) and math.isfinite(chi)):
         raise NumericalDomainError(
             f"non-finite key-rate terms at T = {t:g}, excess noise = {excess_noise:g} SNU: "
             f"I_AB = {i_ab:g}, chi_BE = {chi:g}"
         )
-    return _tuple_new(_Terms, (i_ab, (lam1, lam2, lam3, lam4, 1.0), chi))
+    return i_ab, (lam1, lam2, lam3, lam4, 1.0), chi
 
 
-def _nominal(params: SecurityParams, transmittance: float | None = None) -> _Terms:
-    """The evaluation at ``transmittance`` (default: the channel's)."""
+def _nominal(params: SecurityParams, transmittance: float | None = None):
+    """The :func:`_evaluate` tuple at ``transmittance`` (default: the channel's)."""
     k = params._kernel
     if transmittance is None:
         transmittance = k.transmittance
@@ -403,12 +363,12 @@ def _nominal(params: SecurityParams, transmittance: float | None = None) -> _Ter
 
 def mutual_information(params: SecurityParams) -> float:
     """Alice-Bob mutual information (bits/pulse) over both quadratures."""
-    return _nominal(params).mutual_information
+    return _nominal(params)[0]
 
 
 def symplectic_eigenvalues(params: SecurityParams) -> tuple[float, float, float, float, float]:
     """The five symplectic eigenvalues of the collective-attack analysis."""
-    return _nominal(params).symplectic_eigenvalues
+    return _nominal(params)[1]
 
 
 def _eigenpair(prod, diff, label):
@@ -434,7 +394,7 @@ def _eigenpair(prod, diff, label):
 
 def holevo_bound(params: SecurityParams) -> float:
     """Holevo bound chi_BE (bits/pulse) on Eve's information about Bob."""
-    return _nominal(params).holevo_bound
+    return _nominal(params)[2]
 
 
 def asymptotic_key_rate(params: SecurityParams, transmittance: float | None = None) -> float:
@@ -443,8 +403,8 @@ def asymptotic_key_rate(params: SecurityParams, transmittance: float | None = No
 
     May be negative; callers decide whether to clamp.
     """
-    terms = _nominal(params, transmittance)
-    return params._kernel.beta * terms.mutual_information - terms.holevo_bound
+    i_ab, _, chi = _nominal(params, transmittance)
+    return params._kernel.beta * i_ab - chi
 
 
 def key_rate_components(
@@ -452,12 +412,11 @@ def key_rate_components(
 ) -> dict[str, float]:
     """I_AB, chi_BE and the asymptotic rate in one call (for reporting), at
     ``transmittance`` (default: the channel's)."""
-    terms = _nominal(params, transmittance)
+    i_ab, _, chi = _nominal(params, transmittance)
     return {
-        "mutual_information": terms.mutual_information,
-        "holevo_bound": terms.holevo_bound,
-        "asymptotic_rate": params.reconciliation_efficiency * terms.mutual_information
-        - terms.holevo_bound,
+        "mutual_information": i_ab,
+        "holevo_bound": chi,
+        "asymptotic_rate": params.reconciliation_efficiency * i_ab - chi,
     }
 
 
@@ -548,7 +507,7 @@ def pessimistic_parameter_bounds(params: SecurityParams, n: int) -> PessimisticB
             f"parameter-estimation bounds overflow at T = {k.transmittance:g}, "
             f"excess noise = {k.excess_noise:g} SNU, over {m} estimation samples"
         )
-    return _tuple_new(PessimisticBounds, (t_low, t_high, eps_low, eps_high, m))
+    return PessimisticBounds(t_low, t_high, eps_low, eps_high, m)
 
 
 def worst_case_holevo(params: SecurityParams, n: int) -> float:
@@ -556,10 +515,10 @@ def worst_case_holevo(params: SecurityParams, n: int) -> float:
     corners (see module docstring for calibration caveats)."""
     t_low, t_high, eps_low, eps_high, _ = pessimistic_parameter_bounds(params, n)
     return max(
-        _evaluate(params, t_low, eps_low).holevo_bound,
-        _evaluate(params, t_low, eps_high).holevo_bound,
-        _evaluate(params, t_high, eps_low).holevo_bound,
-        _evaluate(params, t_high, eps_high).holevo_bound,
+        _evaluate(params, t_low, eps_low)[2],
+        _evaluate(params, t_low, eps_high)[2],
+        _evaluate(params, t_high, eps_low)[2],
+        _evaluate(params, t_high, eps_high)[2],
     )
 
 

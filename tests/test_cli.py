@@ -548,6 +548,24 @@ BAD_CONFIGS = [
     ("phase-exp", None, ["channel.fiber_length_km=1e5"], "config.channel: fiber length"),
     ("sweep-distance", None, ["experiments.distance_sweep.max_km=1.7e308"],
      "config.experiments.distance_sweep: max_km"),
+    # The smallest batch must hold what its estimator needs: 5 pairs for two
+    # signals per bit, 101 pairs for 100 remapped signals.
+    ("phase-exp", None,
+     ["train.n_pairs=40", "experiments.phase_exp.uniformity_stride=1",
+      "experiments.phase_exp.uniformity_bins=2"],
+     "config.experiments.phase_exp: n_batches"),
+    ("weak-ref", None,
+     ["train.n_pairs=45", "experiments.phase_exp.n_batches=5",
+      "experiments.phase_exp.uniformity_stride=1", "experiments.phase_exp.uniformity_bins=2"],
+     "config.experiments.weak_ref: n_batches"),
+    ("remap-exp", None,
+     ["experiments.remap.n_pairs=1000", "experiments.remap.uniformity_stride=10"],
+     "config.experiments.remap: n_batches"),
+    ("keyrate-finite", None, ["security.modulation_variance=0"],
+     "config.security: modulation_variance"),
+    ("sweep-n", None, ["security.modulation_variance=0"],
+     "config.security: modulation_variance"),
+    ("all", None, ["security.modulation_variance=0"], "config.security: modulation_variance"),
 ]
 
 

@@ -6,6 +6,7 @@ from decimal import Context, Decimal
 import numpy as np
 import pytest
 
+from llo_sim import experiments
 from llo_sim._seeding import substream
 from llo_sim.config import (
     DistanceSweepConfig,
@@ -210,6 +211,22 @@ class TestLaserNoiseSweep:
         res = run_laser_noise_sweep(SMALL_NOISE, seed=23, threads=1)
         assert res.series_columns == ("laser", "delay_s", "variance", "stderr")
         assert len(res.series_rows) == 2 * len(SMALL_NOISE.delays_s)
+
+    def test_batches_cover_every_sample(self, monkeypatch):
+        # 20,005 samples in 10 batches: the first five take one more, none is dropped.
+        sizes = []
+        simulate = experiments.simulate_self_interference
+
+        def recording(laser, delay_s, n_samples, seed):
+            sizes.append(n_samples)
+            return simulate(laser, delay_s, n_samples, seed)
+
+        monkeypatch.setattr(experiments, "simulate_self_interference", recording)
+        config = replace(SMALL_NOISE, n_samples=20005)
+        run_laser_noise_sweep(config, seed=23, threads=1)
+        series = [sizes[k : k + 10] for k in range(0, len(sizes), 10)]
+        assert len(series) == 2 * len(config.delays_s)
+        assert all(batches == [2001] * 5 + [2000] * 5 for batches in series)
 
 
 class TestKeyRateSweeps:
