@@ -7,9 +7,8 @@ subclass is decorated with those switched off, so it stays a dataclass to
 the standard library (``fields``, ``replace``, ``asdict``, ``is_dataclass``)
 and inherits one copy of each method from :class:`Record`, driven by its
 ``__dataclass_fields__``.  They behave as the generated methods of a frozen
-dataclass: arguments bind by position or keyword, with defaults, and a
-``kw_only=True`` class keyword makes every field keyword-only; fields are set
-with ``object.__setattr__`` before ``__post_init__`` runs; ``==`` compares
+dataclass: arguments bind by position or keyword, with defaults; fields are
+set with ``object.__setattr__`` before ``__post_init__`` runs; ``==`` compares
 the field tuples of two instances of one class and is ``NotImplemented``
 across classes; ``hash`` is the field tuple's; ``repr`` is
 ``Name(field=value, ...)``; assigning or deleting an attribute raises
@@ -25,33 +24,31 @@ from dataclasses import MISSING, FrozenInstanceError
 
 
 class Record:
-    """Base of the frozen records: ``class Name(Record)``, or
-    ``class Name(Record, kw_only=True)`` for keyword-only fields."""
+    """Base of the frozen records: ``class Name(Record)``."""
 
-    def __init_subclass__(cls, kw_only: bool = False, **kwargs) -> None:
+    def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        dataclasses.dataclass(cls, init=False, repr=False, eq=False, kw_only=kw_only)
+        dataclasses.dataclass(cls, init=False, repr=False, eq=False)
         fields = dataclasses.fields(cls)
         cls._record_names = tuple(f.name for f in fields)
-        cls._record_positional = tuple(f.name for f in fields if not f.kw_only)
         cls._record_defaults = {f.name: f.default for f in fields if f.default is not MISSING}
 
     def __init__(self, *args, **kwargs) -> None:
         cls = type(self)
-        positional = cls._record_positional
-        if len(args) > len(positional):
+        names = cls._record_names
+        if len(args) > len(names):
             raise TypeError(
-                f"{cls.__qualname__}.__init__() takes {len(positional)} positional "
+                f"{cls.__qualname__}.__init__() takes {len(names)} positional "
                 f"argument(s) but {len(args)} were given"
             )
-        for name, value in zip(positional, args):
+        for name, value in zip(names, args):
             if name in kwargs:
                 raise TypeError(
                     f"{cls.__qualname__}.__init__() got multiple values for argument {name!r}"
                 )
             kwargs[name] = value
         defaults = cls._record_defaults
-        for name in cls._record_names:
+        for name in names:
             value = kwargs.pop(name, MISSING)
             if value is MISSING:
                 value = defaults.get(name, MISSING)

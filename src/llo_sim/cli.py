@@ -143,10 +143,10 @@ _RUNNERS = {
     "keyrate-asymptotic": _keyrate_asymptotic_result,
     "keyrate-finite": _keyrate_finite_result,
     "sweep-distance": lambda config: run_keyrate_distance_sweep(
-        config.security, config.distance_grid_km, seed=config.seed
+        config.security, config.distance_sweep.grid(), seed=config.seed
     ),
     "sweep-n": lambda config: run_finite_size_sweep(
-        config.security, config.n_pulse_grid, seed=config.seed
+        config.security, config.n_sweep.grid(), seed=config.seed
     ),
 }
 COMMANDS = (*_RUNNERS, "all")

@@ -4,8 +4,9 @@ The bench rig is stated once, in the constants below; the key-rate defaults
 live on :class:`SecurityParams` and :class:`EpsilonBudget`.  A section is a
 :class:`~llo_sim._record.Record` dataclass and its keys are the field names;
 values are checked against the annotations (numbers must be finite) and
-applied with ``dataclasses.replace``, so physical validation stays in
-``__post_init__``.  Inherited fields are not keys: the
+applied with ``dataclasses.replace``, so physical validation, of a sweep's
+grid ends and a pulse train too, stays in ``__post_init__``.  Inherited
+fields are not keys: the
 experiment sections take the lasers from ``laser_s`` / ``laser_l``; all but
 ``laser_noise`` take ``detector`` from ``experiments.detector`` and the pulse
 period from ``train``; ``phase_exp`` and ``weak_ref`` take ``n_pairs`` and the
@@ -100,6 +101,25 @@ def _check_sweep_points(name: str, points, label: Callable[[float], str]) -> Non
         raise ConfigError(f"{name} must label distinct result metrics, got {labels}")
 
 
+_MAX_GRID_POINTS = 10_000  # a sweep builds its grid in memory; this bounds it
+
+
+def _check_grid(sweep, lo: str, hi: str, top: float) -> None:
+    """A sweep grid rises over 2 to :data:`_MAX_GRID_POINTS` points from field
+    ``lo`` to field ``hi``, its exact ends (:func:`_linspace`), to ``top``."""
+    if not getattr(sweep, hi) > getattr(sweep, lo) or not 2 <= sweep.points <= _MAX_GRID_POINTS:
+        raise ConfigError(f"need {hi} > {lo} and 2 <= points <= {_MAX_GRID_POINTS}")
+    if not math.isfinite(top):
+        raise ConfigError("grid must be finite")
+
+
+def _check_train(cfg) -> None:
+    """:class:`PulseTrainConfig`'s checks, run once rather than per batch."""
+    PulseTrainConfig(
+        cfg.repetition_period_s, cfg.n_pairs, cfg.signal_photons, cfg.reference_photons
+    )
+
+
 def _check_uniformity_test(cfg) -> None:
     """:func:`~llo_sim.experiments.uniformity_pvalue` needs >= 2 bins and >= 5
     thinned raw phases per bin.  Each batch drops its last signal (no closing
@@ -165,6 +185,9 @@ class PhaseExperimentConfig(Record):
         _check_at_least(1, histogram_bins=self.histogram_bins)
         _check_uniformity_test(self)
         _check_pilot_aliasing(self)
+        _check_train(self)
+        if not min(self.signal_photons, self.reference_photons) > 0:  # see _shot_noise_prediction
+            raise ConfigError("photon numbers must be > 0 for the shot-noise prediction")
 
 
 class WeakReferenceSweepConfig(Record):
@@ -224,6 +247,7 @@ class RemapExperimentConfig(Record):
         _check_at_least(0, scatter_rows=self.scatter_rows)
         _check_uniformity_test(self)
         _check_pilot_aliasing(self)
+        _check_train(self)
 
 
 class LaserNoiseSweepConfig(Record):
@@ -252,9 +276,8 @@ class LaserNoiseSweepConfig(Record):
 
 
 class DistanceSweepConfig(Record):
-    """``config.experiments.distance_sweep``: the key-rate distance grid.
-    It inherits no field; the parser resolves it to
-    :attr:`RunConfig.distance_grid_km`."""
+    """``config.experiments.distance_sweep``: the key-rate distance grid,
+    built by :meth:`grid` when the sweep runs.  It inherits no field."""
 
     min_km: float = 0.0
     max_km: float = 150.0
@@ -263,6 +286,7 @@ class DistanceSweepConfig(Record):
     def __post_init__(self) -> None:
         if self.min_km < 0:
             raise ConfigError(f"min_km must be >= 0, got {self.min_km}")
+        _check_grid(self, "min_km", "max_km", self.max_km)
 
     def grid(self) -> list[float]:
         """``points`` evenly spaced lengths, bit for bit ``np.linspace``'s."""
@@ -270,13 +294,19 @@ class DistanceSweepConfig(Record):
 
 
 class NSweepConfig(Record):
-    """``config.experiments.n_sweep``: the finite-size pulse-count grid.
-    It inherits no field; the parser resolves it to
-    :attr:`RunConfig.n_pulse_grid`."""
+    """``config.experiments.n_sweep``: the finite-size pulse-count grid,
+    built by :meth:`grid` when the sweep runs.  It inherits no field."""
 
     log10_min: float = 6.0
     log10_max: float = 13.0
     points: int = 29
+
+    def __post_init__(self) -> None:
+        try:
+            top = 10.0 ** self.log10_max
+        except OverflowError:  # beyond the float range
+            top = math.inf
+        _check_grid(self, "log10_min", "log10_max", top)
 
     def grid(self) -> list[float]:
         """``points`` log-spaced pulse counts ``10.0 ** y``, ``y`` on the linear
@@ -285,8 +315,7 @@ class NSweepConfig(Record):
         The latter picks a SIMD kernel by CPU, so its last bit depends on the
         host, and it is the less accurate: on a 4,000-point grid numpy 2.4's
         AVX-512 kernel matched a 60-digit reference at 3,798 points, ``pow``
-        at 3,995.  Raises :class:`OverflowError` when a point exceeds the
-        float range."""
+        at 3,995."""
         return [10.0 ** y for y in _linspace(self.log10_min, self.log10_max, self.points)]
 
 
@@ -309,7 +338,6 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
 # Parsing
 
 _MAX_SEED = 2**64 - 1
-_MAX_GRID_POINTS = 10_000  # the grids are built at parse time; this bounds their memory
 _EXPERIMENTS = (
     "detector", "phase_exp", "weak_ref", "remap", "laser_noise", "distance_sweep", "n_sweep",
 )
@@ -317,19 +345,19 @@ _NOISE_SPECS = ("linewidth_hz", "coherence_time_s", "delay_variance")
 _EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
 
 
-class RunConfig(Record, kw_only=True):
+class RunConfig(Record):
     """Fully resolved configuration for one CLI invocation."""
 
-    seed: int = 1
-    output_dir: str = "results"
-    threads: int = 1
     security: SecurityParams
     phase_exp: PhaseExperimentConfig
     weak_ref: WeakReferenceSweepConfig
     remap: RemapExperimentConfig
     laser_noise: LaserNoiseSweepConfig
-    distance_grid_km: tuple[float, ...]
-    n_pulse_grid: tuple[float, ...]
+    distance_sweep: DistanceSweepConfig
+    n_sweep: NSweepConfig
+    seed: int = 1
+    output_dir: str = "results"
+    threads: int = 1
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed <= _MAX_SEED:
@@ -419,24 +447,6 @@ def _laser(data, path: str, default: LaserModel) -> LaserModel:
     return _walk(LaserModel, rest, path, default, coherence_time_s=tc)
 
 
-def _grid(cls, data, path: str) -> tuple[float, ...]:
-    """A sweep section resolved to its grid."""
-    sweep = _walk(cls, data, path)
-    lo, hi, n = vars(sweep).values()
-    if not hi > lo or not 2 <= n <= _MAX_GRID_POINTS:
-        lo_key, hi_key, n_key = cls.__dataclass_fields__
-        raise ConfigError(
-            f"{path}: need {hi_key} > {lo_key} and 2 <= {n_key} <= {_MAX_GRID_POINTS}"
-        )
-    try:
-        grid = tuple(sweep.grid())
-    except OverflowError as exc:  # a log-grid point beyond the float range
-        raise ConfigError(f"{path}: grid must be finite") from exc
-    if not all(map(math.isfinite, grid)):
-        raise ConfigError(f"{path}: grid must be finite")
-    return grid
-
-
 def _section(parent: dict, path: str, name: str) -> tuple[object, str]:
     return parent.pop(name, {}), f"{path}.{name}"
 
@@ -508,18 +518,19 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
     )
     remap = _walk(RemapExperimentConfig, *experiment("remap"), **rig_run)
     laser_noise = _walk(LaserNoiseSweepConfig, *experiment("laser_noise"), **lasers)
-    distance_grid = _grid(DistanceSweepConfig, *experiment("distance_sweep"))
+    distance_sweep = _walk(DistanceSweepConfig, *experiment("distance_sweep"))
     try:  # the sweep clears any transmittance override, as run_keyrate_distance_sweep does
         dataclasses.replace(
-            channel, fiber_length_km=distance_grid[-1], transmittance_override=None
+            channel, fiber_length_km=distance_sweep.max_km, transmittance_override=None
         )
     except ConfigError as exc:
         raise ConfigError(f"config.experiments.distance_sweep: max_km: {exc}") from exc
-    n_grid = _grid(NSweepConfig, *experiment("n_sweep"))
+    n_sweep = _walk(NSweepConfig, *experiment("n_sweep"))
     # Both ends of the sweep must pass the checks of security.n_pulses: the
     # smallest leaves the fewest estimation samples, the largest the largest
     # finite-size terms.
-    for key, n in (("log10_min", int(n_grid[0])), ("log10_max", int(n_grid[-1]))):
+    for key in ("log10_min", "log10_max"):
+        n = int(10.0 ** getattr(n_sweep, key))  # the grid's exact end
         try:
             dataclasses.replace(security, n_pulses=n)
         except ConfigError as exc:
@@ -528,5 +539,5 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
     return _walk(
         RunConfig, data, "config", security=security, phase_exp=phase_exp,
         weak_ref=weak_ref, remap=remap, laser_noise=laser_noise,
-        distance_grid_km=distance_grid, n_pulse_grid=n_grid,
+        distance_sweep=distance_sweep, n_sweep=n_sweep,
     )

@@ -73,20 +73,20 @@ Terms computed once per parameter set
 -------------------------------------
 A finite-size sweep evaluates the rate at thousands of pulse counts ``n`` for
 one :class:`SecurityParams`, and a distance sweep at thousands of
-transmittances.  Every term that depends on neither ``n`` nor the (T, excess
-noise) point is computed once, into a private record that the instance keeps
-(``SecurityParams._kernel``).  Each hoisted product is the leftmost operation
-of the expression it came from, so every rate keeps its float operations and
-its bits.  The record lives in the instance ``__dict__`` (a
+transmittances.  Every derived term that depends on neither ``n`` nor the
+(T, excess noise) point, the PE quantile ``Phi^-1(1 - eps_pe/2)`` (a few
+Newton steps) among them, is computed once, into a private record that the
+instance keeps (``SecurityParams._kernel``); a parameter, or one operation on
+one, is read from the parameter set where it is used.  Each hoisted term is
+the leftmost operation of its expression, so every rate keeps its float
+operations and its bits.  The record lives in the instance ``__dict__`` (a
 ``functools.cached_property``), which ``fields``, ``asdict``, ``__eq__`` and
 ``__hash__`` ignore, so a parameter set compares, hashes and prints as
 before.  The nominal I_AB (one full evaluation) is kept the same way, but
 only once a finite-size rate asks for it: the four corners are evaluated
 first, so every error is raised as before, and a failing evaluation keeps
-nothing.  The PE quantile ``Phi^-1(1 - eps_pe/2)`` (a few Newton steps) has
-its own small cache, shared by the parameter sets of one budget.  Building a
-parameter set evaluates the finite-size correction at ``n_pulses``, so a
-pulse count that overflows it is a configuration error.
+nothing.  Building a parameter set evaluates the finite-size correction at
+``n_pulses``, so a pulse count that overflows it is a configuration error.
 """
 
 from __future__ import annotations
@@ -219,12 +219,8 @@ class SecurityParams(Record):
         """The terms of every rate that depend on neither ``n`` nor the (T,
         excess noise) point (module docstring)."""
         channel = self.channel
-        v = self.V
-        chi_het = channel.chi_het
         gain = channel.amplitude_gain
         excess_noise = self.excess_noise
-        sigma2 = channel.noise_snu + gain * gain * excess_noise  # measured conditional noise
-        z = _two_sided_normal_quantile(self.epsilons.eps_pe) * self.pe_radius_scale
         eb = self.epsilons
         d = self.discretization
         # Each epsilon enters through its log2, so no budget can underflow:
@@ -240,23 +236,16 @@ class SecurityParams(Record):
         except OverflowError:
             raise ConfigError("discretization overflows the finite-size correction") from None
         return _Kernel(
-            v=v,
-            v_a=self.modulation_variance,
-            chi_het=chi_het,
+            chi_het=channel.chi_het,
             transmittance=channel.transmittance,
             excess_noise=excess_noise,
-            eta=channel.detector_efficiency,
-            nu=channel.electronic_noise_snu,
             gain=gain,
-            sigma2=sigma2,
-            z=z,
-            z_sigma2=z * sigma2,
+            sigma2=channel.noise_snu + gain * gain * excess_noise,
+            z=_two_sided_normal_quantile(eb.eps_pe) * self.pe_radius_scale,
             aep_bracket=aep_bracket,
             aep_tail=aep_tail,
             neg_log2_eps=-log2_eps,
             bar_term=2.0 * (-1.0 - log2_bar),
-            robust=1.0 - self.robustness,
-            beta=self.reconciliation_efficiency,
         )
 
     @functools.cached_property
@@ -267,27 +256,19 @@ class SecurityParams(Record):
 
 
 class _Kernel(NamedTuple):
-    """What :attr:`SecurityParams._kernel` holds; each entry is computed as
-    the leftmost operation of the rate expression that reads it.
-    :func:`_evaluate` unpacks the first three fields in this order."""
+    """What :attr:`SecurityParams._kernel` holds: derived terms only, each the
+    leftmost operation of the rate expression that reads it."""
 
-    v: float  # V = V_A + 1
-    v_a: float
     chi_het: float
     transmittance: float  # the channel's
     excess_noise: float  # V_A * sigma_phi
-    eta: float
-    nu: float
     gain: float  # PE: g = sqrt(T*eta/2)
-    sigma2: float  # PE: N_0 + g**2 * excess noise
+    sigma2: float  # PE: measured conditional noise N_0 + g**2 * excess noise
     z: float  # PE radius in standard errors, times pe_radius_scale
-    z_sigma2: float  # z * sigma2
     aep_bracket: float  # the factor of sqrt(2n) in D_aep
     aep_tail: float  # 4*eps_sm*d/eps
     neg_log2_eps: float  # log2(1/eps)
     bar_term: float  # 2*log2(1/(2*eps_bar))
-    robust: float  # 1 - robustness
-    beta: float
 
 
 def excess_noise_from_phase(v_a: float, sigma_phi: float) -> float:
@@ -318,8 +299,8 @@ def _evaluate(
 ) -> tuple[float, tuple[float, float, float, float, float], float]:
     """``(i_ab, (lam1, ..., lam5), chi)``: I_AB (bits/pulse, both quadratures),
     the five symplectic eigenvalues of the collective-attack analysis and the
-    Holevo bound chi_BE at ``(t, excess_noise)``, with the detector of
-    ``params.channel``, from the factored forms of the module docstring.
+    Holevo bound chi_BE at ``(t, excess_noise)``, with V_A and the detector's
+    chi_het of ``params``, from the factored forms of the module docstring.
 
     Terms that end non-finite raise :class:`NumericalDomainError` naming the
     point, so every rate fails alike.
@@ -328,7 +309,9 @@ def _evaluate(
         raise DomainError(f"transmittance must be in (0, 1], got {t}")
     if excess_noise < 0:
         raise DomainError(f"excess noise must be >= 0, got {excess_noise}")
-    v, v_a, chi_het = params._kernel[:3]
+    v_a = params.modulation_variance
+    v = v_a + 1.0
+    chi_het = params._kernel.chi_het
     te = t * excess_noise
     loss = v_a * (1.0 - t)
     prod = 1.0 + loss + v * te
@@ -404,7 +387,7 @@ def asymptotic_key_rate(params: SecurityParams, transmittance: float | None = No
     May be negative; callers decide whether to clamp.
     """
     i_ab, _, chi = _nominal(params, transmittance)
-    return params._kernel.beta * i_ab - chi
+    return params.reconciliation_efficiency * i_ab - chi
 
 
 def key_rate_components(
@@ -446,7 +429,6 @@ def _log_erfc(x: float) -> tuple[float, float]:
     return -x * x - math.log(ratio), ratio
 
 
-@functools.lru_cache(maxsize=8)
 def _two_sided_normal_quantile(eps: float) -> float:
     """``z = Phi^-1(1 - eps/2)``: Newton's method on ``log erfc(z/sqrt(2)) =
     log(eps)``, which stays finite down to ``eps = 5e-324``.  ``log erfc`` is
@@ -473,13 +455,15 @@ def pessimistic_parameter_bounds(params: SecurityParams, n: int) -> PessimisticB
     m = int(params.pe_fraction * n)
     if m < 2:
         raise DomainError(f"too few estimation samples: {m}")
-    k = params._kernel
-    if k.v_a == 0:
+    v_a = params.modulation_variance
+    if v_a == 0:
         raise DomainError("parameter estimation requires V_A > 0")
-    eta, nu, gain, sigma2 = k.eta, k.nu, k.gain, k.sigma2
+    eta, nu = params.channel.detector_efficiency, params.channel.electronic_noise_snu
+    k = params._kernel
+    gain, sigma2 = k.gain, k.sigma2
     try:
-        d_gain = k.z * math.sqrt(sigma2 / (m * k.v_a))
-        d_sigma2 = k.z_sigma2 * math.sqrt(2.0 / m)
+        d_gain = k.z * math.sqrt(sigma2 / (m * v_a))
+        d_sigma2 = k.z * sigma2 * math.sqrt(2.0 / m)
 
         # ``c if c > x else x`` is ``max(x, c)`` unrolled (and ``<`` is ``min``),
         # as in _eigenpair: x wins ties and NaN.
@@ -547,4 +531,6 @@ def finite_size_key_rate(params: SecurityParams, n: int | None = None) -> float:
         )
 
     chi = worst_case_holevo(params, n)  # before I_AB, so its errors come first
-    return k.robust * (k.beta * params._nominal_mutual_information - chi - correction)
+    return (1.0 - params.robustness) * (
+        params.reconciliation_efficiency * params._nominal_mutual_information - chi - correction
+    )

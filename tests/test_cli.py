@@ -75,10 +75,10 @@ class TestParseConfig:
 
     def test_grids_resolved(self):
         cfg = parse_config()
-        assert cfg.distance_grid_km[0] == 0.0
-        assert cfg.distance_grid_km[-1] == 150.0
-        assert cfg.n_pulse_grid[0] == pytest.approx(1e6)
-        assert cfg.n_pulse_grid[-1] == pytest.approx(1e13)
+        assert cfg.distance_sweep.grid()[0] == 0.0
+        assert cfg.distance_sweep.grid()[-1] == 150.0
+        assert cfg.n_sweep.grid()[0] == pytest.approx(1e6)
+        assert cfg.n_sweep.grid()[-1] == pytest.approx(1e13)
 
 
 class TestCliContract:
@@ -566,6 +566,16 @@ BAD_CONFIGS = [
     ("sweep-n", None, ["security.modulation_variance=0"],
      "config.security: modulation_variance"),
     ("all", None, ["security.modulation_variance=0"], "config.security: modulation_variance"),
+    # The pulse trains are checked when their sections are built, so no batch
+    # divides by a zero photon number or writes a result before a bad one.
+    ("phase-exp", None, ["train.signal_photons=0"],
+     "config.experiments.phase_exp: photon numbers must be > 0"),
+    ("phase-exp", None, ["train.reference_photons=0"],
+     "config.experiments.phase_exp: photon numbers must be > 0"),
+    ("remap-exp", None, ["experiments.remap.signal_photons=-1"],
+     "config.experiments.remap: photon numbers must be >= 0"),
+    ("all", None, ["experiments.remap.reference_photons=-1"],
+     "config.experiments.remap: photon numbers must be >= 0"),
 ]
 
 

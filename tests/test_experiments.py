@@ -15,6 +15,7 @@ from llo_sim.config import (
     PhaseExperimentConfig,
     RemapExperimentConfig,
     WeakReferenceSweepConfig,
+    _linspace,
 )
 from llo_sim.errors import ConfigError, DomainError, EstimationError
 from llo_sim.experiments import (
@@ -307,8 +308,38 @@ class TestSweepGrids:
             lo = float(rng.choice([0.0, 10.0 ** rng.uniform(-320, 300)]))
             hi = lo + float(10.0 ** rng.uniform(-320, 300))
             n = int(rng.integers(2, 5000))
-            grid = DistanceSweepConfig(lo, hi, n).grid()
+            grid = _linspace(lo, hi, n)  # hi may round to lo, which a section rejects
             assert np.array(grid).tobytes() == np.linspace(lo, hi, n).tobytes(), (lo, hi, n)
+
+    @pytest.mark.parametrize(
+        "cls,fields,message",
+        [
+            (DistanceSweepConfig, {"max_km": 0.0}, "need max_km > min_km"),
+            (DistanceSweepConfig, {"min_km": 5.0, "max_km": 5.0}, "need max_km > min_km"),
+            (DistanceSweepConfig, {"points": 1}, "2 <= points <= 10000"),
+            (DistanceSweepConfig, {"points": 10001}, "2 <= points <= 10000"),
+            (DistanceSweepConfig, {"max_km": math.inf}, "grid must be finite"),
+            (NSweepConfig, {"log10_max": 6.0}, "need log10_max > log10_min"),
+            (NSweepConfig, {"log10_max": math.nan}, "need log10_max > log10_min"),
+            (NSweepConfig, {"points": 1}, "2 <= points <= 10000"),
+            (NSweepConfig, {"points": 10001}, "2 <= points <= 10000"),
+            (NSweepConfig, {"log10_max": 309.0}, "grid must be finite"),
+            (NSweepConfig, {"log10_max": math.inf}, "grid must be finite"),
+        ],
+    )
+    def test_sections_check_their_grid(self, cls, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            cls(**fields)
+
+    def test_largest_sections_build_finite_grids(self):
+        # The checks read only the ends: the grid rises from one to the other.
+        for sweep in (
+            DistanceSweepConfig(max_km=1.7e308, points=10000),
+            NSweepConfig(log10_min=-300.0, log10_max=308.0, points=10000),
+        ):
+            grid = sweep.grid()
+            assert len(grid) == 10000 and all(map(math.isfinite, grid))
+            assert grid == sorted(grid)
 
     @pytest.mark.parametrize("points", [29, 4000])
     def test_n_grid_within_an_ulp_of_exact_powers(self, points):

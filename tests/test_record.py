@@ -10,7 +10,7 @@ import pytest
 
 import llo_sim
 from llo_sim._record import Record
-from llo_sim.config import NSweepConfig, RunConfig
+from llo_sim.config import NSweepConfig
 from llo_sim.errors import ConfigError
 from llo_sim.experiments import Metric
 from llo_sim.link_sim import ChannelDetector, PulseBlock, QuadratureSample
@@ -99,11 +99,6 @@ def test_argument_binding():
         LaserModel(1.0, coherence_time_s=2.0)
     with pytest.raises(TypeError, match="positional"):
         LaserModel(1.0, 0.0, 0.0, 0.0)
-
-
-def test_run_config_is_keyword_only():
-    with pytest.raises(TypeError, match="takes 0 positional"):
-        RunConfig(1)
 
 
 def test_cached_properties_live_in_the_instance_dict():

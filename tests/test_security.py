@@ -737,7 +737,6 @@ class TestFastPathOracle:
             fresh = []
             for params in (a, b):
                 # A replaced copy is a new instance that computes its own kept terms.
-                _two_sided_normal_quantile.cache_clear()
                 fresh.append(finite_size_key_rate(replace(params), 10**11))
             assert fresh[0] != fresh[1]
             interleaved = [finite_size_key_rate(p, 10**11) for p in (a, b, a)]
