@@ -4,14 +4,14 @@ The bench rig is stated once, in the constants below; the key-rate defaults
 live on :class:`SecurityParams` and :class:`EpsilonBudget`.  A section is a
 :class:`~llo_sim._record.Record` dataclass and its keys are the field names;
 values are checked against the annotations (numbers must be finite) and
-applied with ``dataclasses.replace``, so physical validation, of a sweep's
-grid ends and a pulse train too, stays in ``__post_init__``.  Inherited
-fields are not keys: the
-experiment sections take the lasers from ``laser_s`` / ``laser_l``; all but
-``laser_noise`` take ``detector`` from ``experiments.detector`` and the pulse
-period from ``train``; ``phase_exp`` and ``weak_ref`` take ``n_pairs`` and the
-photon numbers from ``train`` and ``weak_ref`` takes ``bpsk_phases`` from
-``phase_exp``.  A bad value raises :class:`ConfigError` naming its JSON path
+applied with ``dataclasses.replace``, so physical validation stays in
+``__post_init__`` (a sweep's grid ends and a pulse train's photon numbers
+too).  Inherited fields are not keys: the experiment sections take the lasers
+from ``laser_s`` / ``laser_l``; all but ``laser_noise`` take ``detector`` from
+``experiments.detector`` and the pulse period from ``train``; ``phase_exp``
+and ``weak_ref`` take ``n_pairs`` and the photon numbers from ``train`` and
+``weak_ref`` takes ``bpsk_phases`` from ``phase_exp``.  A bad value raises
+:class:`ConfigError` naming its JSON path
 (``config.channel.fiber_length_km: ...``); the CLI exits 2.
 """
 
@@ -105,11 +105,12 @@ _MAX_GRID_POINTS = 10_000  # a sweep builds its grid in memory; this bounds it
 
 
 def _check_grid(sweep, lo: str, hi: str, top: float) -> None:
-    """A sweep grid rises over 2 to :data:`_MAX_GRID_POINTS` points from field
-    ``lo`` to field ``hi``, its exact ends (:func:`_linspace`), to ``top``."""
+    """A sweep's grid rises from field ``lo`` to field ``hi``, its exact ends
+    (:func:`_linspace`), over 2 to :data:`_MAX_GRID_POINTS` points; ``lo`` and
+    ``top``, its top point, must be finite, so no grid is built to check it."""
     if not getattr(sweep, hi) > getattr(sweep, lo) or not 2 <= sweep.points <= _MAX_GRID_POINTS:
         raise ConfigError(f"need {hi} > {lo} and 2 <= points <= {_MAX_GRID_POINTS}")
-    if not math.isfinite(top):
+    if not (math.isfinite(getattr(sweep, lo)) and math.isfinite(top)):
         raise ConfigError("grid must be finite")
 
 

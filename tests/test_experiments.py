@@ -325,6 +325,7 @@ class TestSweepGrids:
             (NSweepConfig, {"points": 10001}, "2 <= points <= 10000"),
             (NSweepConfig, {"log10_max": 309.0}, "grid must be finite"),
             (NSweepConfig, {"log10_max": math.inf}, "grid must be finite"),
+            (NSweepConfig, {"log10_min": -math.inf}, "grid must be finite"),
         ],
     )
     def test_sections_check_their_grid(self, cls, fields, message):
