@@ -114,11 +114,14 @@ def _check_grid(sweep, lo: str, hi: str, top: float) -> None:
         raise ConfigError("grid must be finite")
 
 
-def _check_train(cfg) -> None:
-    """:class:`PulseTrainConfig`'s checks, run once rather than per batch."""
+def _check_train(cfg, use: str) -> None:
+    """:class:`PulseTrainConfig`'s checks, run once rather than per batch, then
+    both photon numbers > 0, which ``use`` needs."""
     PulseTrainConfig(
         cfg.repetition_period_s, cfg.n_pairs, cfg.signal_photons, cfg.reference_photons
     )
+    if not min(cfg.signal_photons, cfg.reference_photons) > 0:
+        raise ConfigError(f"photon numbers must be > 0 for {use}")
 
 
 def _check_uniformity_test(cfg) -> None:
@@ -186,9 +189,7 @@ class PhaseExperimentConfig(Record):
         _check_at_least(1, histogram_bins=self.histogram_bins)
         _check_uniformity_test(self)
         _check_pilot_aliasing(self)
-        _check_train(self)
-        if not min(self.signal_photons, self.reference_photons) > 0:  # see _shot_noise_prediction
-            raise ConfigError("photon numbers must be > 0 for the shot-noise prediction")
+        _check_train(self, "the shot-noise prediction")  # see _shot_noise_prediction
 
 
 class WeakReferenceSweepConfig(Record):
@@ -248,7 +249,7 @@ class RemapExperimentConfig(Record):
         _check_at_least(0, scatter_rows=self.scatter_rows)
         _check_uniformity_test(self)
         _check_pilot_aliasing(self)
-        _check_train(self)
+        _check_train(self, "the remap estimate of sigma_phi")
 
 
 class LaserNoiseSweepConfig(Record):

@@ -132,7 +132,7 @@ def result_to_json(result: ExperimentResult) -> str:
         "metrics": {
             name: {
                 "value": _json_safe(m.value),
-                "stderr": _json_safe(m.stderr) if m.stderr is not None else None,
+                "stderr": _json_safe(m.stderr),
                 "exact": m.exact,
             }
             for name, m in result.scalar_metrics.items()
@@ -288,7 +288,7 @@ def uniformity_pvalue(phases, *, n_bins: int, stride: int) -> float:
 def _map_ordered(fn: Callable, args: Sequence, threads: int) -> list:
     """Apply ``fn`` over ``args`` preserving order on up to ``threads``
     threads.  Results are identical at any thread count."""
-    if threads <= 1 or len(args) <= 1:
+    if threads <= 1:
         return [fn(a) for a in args]
     from concurrent.futures import ThreadPoolExecutor  # imported only where a pool runs
 
@@ -447,7 +447,7 @@ def run_weak_reference_sweep(
         },
         series_columns=("reference_photons", "residual_variance", "stderr"),
         series=(
-            np.asarray(config.photon_numbers, dtype=float),
+            config.photon_numbers,
             [m.value for m in per_point],
             [m.stderr for m in per_point],
         ),
@@ -541,9 +541,7 @@ def run_laser_noise_sweep(
         metrics[f"slope_{label}"] = Metric(slope)
         metrics[f"intercept_{label}"] = Metric(intercept)
         metrics[f"r_squared_{label}"] = Metric(r2)
-        metrics[f"expected_slope_{label}"] = Metric(
-            0.0 if laser.is_noiseless else 2.0 / laser.coherence_time_s
-        )
+        metrics[f"expected_slope_{label}"] = Metric(2.0 / laser.coherence_time_s)
 
     return ExperimentResult(
         name="laser-noise",
@@ -551,7 +549,7 @@ def run_laser_noise_sweep(
         series_columns=("laser", "delay_s", "variance", "stderr"),
         series=(
             [label for label in lasers for _ in config.delays_s],
-            np.tile(np.asarray(config.delays_s, dtype=float), len(lasers)),
+            list(config.delays_s) * len(lasers),
             [m.value for m in series],
             [m.stderr for m in series],
         ),
@@ -621,7 +619,7 @@ def run_finite_size_sweep(
     n_grid = [float(n) for n in (NSweepConfig().grid() if n_grid is None else n_grid)]
 
     def rate_at(n: float) -> float:
-        return finite_size_key_rate(params, int(n))
+        return finite_size_key_rate(params, n)
 
     rates = [rate_at(n) for n in n_grid]
 

@@ -303,7 +303,7 @@ def simulate_run(
 
     n = train.n_pairs
     times = np.arange(2 * n, dtype=float) * train.repetition_period_s
-    phi0 = float(as_generator(seeds.phase0).uniform(0.0, math.tau))
+    phi0 = as_generator(seeds.phase0).uniform(0.0, math.tau)
     phi = phi0 + sample_phase_trajectory(beat(*lasers), times, seeds.laser)
 
     x_a, p_a, encoded = _draw_symbols(

@@ -3,8 +3,9 @@
 A free-running laser with Lorentzian lineshape accumulates phase deviations
 whose variance grows linearly with elapsed time, ``Var[dtheta(t)] = 2 t /
 tau_c``, where the coherence time relates to the linewidth by ``tau_c =
-1 / (pi * linewidth)``; a :class:`LaserModel` keeps ``tau_c`` only.  The
-receiver sees one relative phase, the :func:`beat` of the LO and signal
+1 / (pi * linewidth)``; a :class:`LaserModel` keeps ``tau_c`` only, and the
+noiseless laser is ``tau_c = inf`` in the same formulas (``2 t / inf = 0``).
+The receiver sees one relative phase, the :func:`beat` of the LO and signal
 lasers.  This module generates such trajectories on arbitrary (sparse) time
 grids and simulates the delayed self-interference measurement used to
 characterise a laser from its own beat note.
@@ -27,11 +28,12 @@ from .errors import DomainError, NumericalDomainError
 class LaserModel(Record):
     """One free-running laser: coherence time plus detuning.
 
-    ``coherence_time_s = inf`` is the noiseless limit; :meth:`from_linewidth`
-    converts a Lorentzian FWHM.  ``center_detuning_hz`` is this laser's
-    contribution to the beat frequency against the other laser;
-    ``drift_rate_hz_per_s`` adds a slow linear chirp so the accumulated
-    deterministic phase is ``2*pi*(f0 + r*t)*t``.
+    ``coherence_time_s = inf`` is the noiseless limit, which only :func:`beat`
+    and the ``from_*`` constructors state apart, as there the general formula
+    would divide by zero; :meth:`from_linewidth` converts a Lorentzian FWHM.
+    ``center_detuning_hz`` is this laser's contribution to the beat frequency
+    against the other laser; ``drift_rate_hz_per_s`` adds a slow linear chirp
+    so the accumulated deterministic phase is ``2*pi*(f0 + r*t)*t``.
     """
 
     coherence_time_s: float
@@ -77,10 +79,6 @@ class LaserModel(Record):
         """Lorentzian FWHM (Hz), 0 for the noiseless laser."""
         return 1.0 / (math.pi * self.coherence_time_s)
 
-    @property
-    def is_noiseless(self) -> bool:
-        return math.isinf(self.coherence_time_s)
-
 
 def beat(laser_s: LaserModel, laser_l: LaserModel) -> LaserModel:
     """The LO-minus-signal phase of two independent lasers, as one laser.
@@ -103,8 +101,6 @@ def phase_noise_variance(t: float, laser: LaserModel) -> float:
     """Variance (rad^2) of the accumulated phase deviation after time ``t``."""
     if t < 0:
         raise DomainError(f"elapsed time must be >= 0, got {t}")
-    if laser.is_noiseless:
-        return 0.0
     return 2.0 * t / laser.coherence_time_s
 
 
@@ -113,28 +109,24 @@ def sample_phase_trajectory(laser: LaserModel, times, seed) -> np.ndarray:
     one entry per timestamp.
 
     Increments between consecutive timestamps are independent zero-mean
-    Gaussians of variance ``2*dt/tau_c``; on top of the random walk the phase
-    advances deterministically by ``2*pi*(f0 + r*t)*t`` from the detuning and
-    drift.  Timestamps must start at 0 and be strictly increasing.
+    Gaussians of variance ``2*dt/tau_c`` (drawn, and scaled to 0, at ``tau_c =
+    inf``); on top of the random walk the phase advances deterministically by
+    ``2*pi*(f0 + r*t)*t`` from the detuning and drift.  Timestamps must start
+    at 0 and be strictly increasing.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise DomainError("times must be a non-empty 1-d sequence")
     if times[0] != 0.0:
         raise DomainError(f"times must start at 0, got {times[0]}")
-    if np.any(np.diff(times) <= 0):
+    dts = np.diff(times)
+    if np.any(dts <= 0):
         raise DomainError("times must be strictly increasing")
 
-    if laser.is_noiseless:
-        wiener = np.zeros_like(times)
-    else:
-        rng = as_generator(seed)
-        dts = np.diff(times)
-        increments = rng.standard_normal(dts.size) * np.sqrt(
-            2.0 * dts / laser.coherence_time_s
-        )
-        wiener = np.concatenate(([0.0], np.cumsum(increments)))
-
+    increments = as_generator(seed).standard_normal(dts.size) * np.sqrt(
+        2.0 * dts / laser.coherence_time_s
+    )
+    wiener = np.concatenate(([0.0], np.cumsum(increments)))
     deterministic = math.tau * (
         laser.center_detuning_hz + laser.drift_rate_hz_per_s * times
     ) * times

@@ -206,11 +206,6 @@ class SecurityParams(Record):
             )
 
     @property
-    def V(self) -> float:
-        """Total signal variance V = V_A + 1 (SNU)."""
-        return self.modulation_variance + 1.0
-
-    @property
     def excess_noise(self) -> float:
         return excess_noise_from_phase(self.modulation_variance, self.sigma_phi)
 
@@ -390,12 +385,9 @@ def asymptotic_key_rate(params: SecurityParams, transmittance: float | None = No
     return params.reconciliation_efficiency * i_ab - chi
 
 
-def key_rate_components(
-    params: SecurityParams, transmittance: float | None = None
-) -> dict[str, float]:
-    """I_AB, chi_BE and the asymptotic rate in one call (for reporting), at
-    ``transmittance`` (default: the channel's)."""
-    i_ab, _, chi = _nominal(params, transmittance)
+def key_rate_components(params: SecurityParams) -> dict[str, float]:
+    """I_AB, chi_BE and the asymptotic rate in one call (for reporting)."""
+    i_ab, _, chi = _nominal(params)
     return {
         "mutual_information": i_ab,
         "holevo_bound": chi,

@@ -141,10 +141,11 @@ class TestCliContract:
     @pytest.mark.parametrize(
         "args",
         [
-            # Zero-amplitude signals make the remap estimator ill-conditioned.
+            # A signal too faint to resolve leaves the remap estimator
+            # ill-conditioned (a zero one is a config error, in BAD_CONFIGS).
             [
                 "remap-exp", "--seed", "3",
-                "--set", "experiments.remap.signal_photons=0",
+                "--set", "experiments.remap.signal_photons=1e-4",
                 "--set", "experiments.remap.n_pairs=2000",
                 "--set", "experiments.remap.uniformity_stride=20",
             ],
@@ -192,7 +193,7 @@ class TestCliContract:
             ],
         ],
         ids=[
-            "remap-zero-signal", "asymptotic-huge-variance", "finite-huge-sigma-phi",
+            "remap-faint-signal", "asymptotic-huge-variance", "finite-huge-sigma-phi",
             "asymptotic-huge-variance-over-tiny-efficiency", "distance-sweep-huge-variance",
             "asymptotic-infinite-excess-noise", "finite-huge-radius-scale", "finite-overflowing-radius-scale",
             "finite-overflowing-sigma-phi", "n-sweep-overflowing-sigma-phi",
@@ -576,6 +577,13 @@ BAD_CONFIGS = [
      "config.experiments.remap: photon numbers must be >= 0"),
     ("all", None, ["experiments.remap.reference_photons=-1"],
      "config.experiments.remap: photon numbers must be >= 0"),
+    # The remap estimate needs a signal mean and a phase reference.
+    ("remap-exp", None, ["experiments.remap.signal_photons=0"],
+     "config.experiments.remap: photon numbers must be > 0"),
+    ("remap-exp", None, ["experiments.remap.reference_photons=0"],
+     "config.experiments.remap: photon numbers must be > 0"),
+    ("all", None, ["experiments.remap.signal_photons=0"],
+     "config.experiments.remap: photon numbers must be > 0"),
 ]
 
 

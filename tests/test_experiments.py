@@ -213,6 +213,22 @@ class TestLaserNoiseSweep:
         assert res.series_columns == ("laser", "delay_s", "variance", "stderr")
         assert len(res.series_rows) == 2 * len(SMALL_NOISE.delays_s)
 
+    def test_noiseless_lasers(self):
+        """tau_c = inf runs the one Wiener path: the expected slope is 0, and
+        an undetuned noiseless laser measures exactly 0 at every delay."""
+        from llo_sim.noise_models import LaserModel
+
+        config = replace(
+            SMALL_NOISE,
+            laser_s=LaserModel.noiseless(),
+            laser_l=LaserModel.noiseless(center_detuning_hz=2.3e6),
+        )
+        res = run_laser_noise_sweep(config, seed=23, threads=1)
+        for label in ("signal", "lo"):
+            assert res.scalar_metrics[f"expected_slope_{label}"].value == 0.0
+        signal = [row[2:] for row in res.series_rows if row[0] == "signal"]
+        assert signal == [(0.0, 0.0)] * len(config.delays_s)
+
     def test_batches_cover_every_sample(self, monkeypatch):
         # 20,005 samples in 10 batches: the first five take one more, none is dropped.
         sizes = []

@@ -65,7 +65,6 @@ class TestLaserModel:
             LaserModel.noiseless(center_detuning_hz=1e6),
             LaserModel.from_linewidth(0.0, center_detuning_hz=1e6),
         ):
-            assert laser.is_noiseless
             assert laser.linewidth_hz == 0.0
             assert math.isinf(laser.coherence_time_s)
             assert laser.center_detuning_hz == 1e6
