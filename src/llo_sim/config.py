@@ -116,12 +116,16 @@ def _check_grid(sweep, lo: str, hi: str, top: float) -> None:
 
 def _check_train(cfg, use: str) -> None:
     """:class:`PulseTrainConfig`'s checks, run once rather than per batch, then
-    both photon numbers > 0, which ``use`` needs."""
+    both photon numbers ``n`` and their squared mean amplitudes at Bob,
+    ``2*T*eta*n`` at ``cfg.detector``, > 0, which ``use`` needs."""
     PulseTrainConfig(
         cfg.repetition_period_s, cfg.n_pairs, cfg.signal_photons, cfg.reference_photons
     )
     if not min(cfg.signal_photons, cfg.reference_photons) > 0:
         raise ConfigError(f"photon numbers must be > 0 for {use}")
+    two_gain = 2.0 * cfg.detector.power_gain  # 2*T*eta*n as _shot_noise_prediction forms it
+    if not min(two_gain * cfg.signal_photons, two_gain * cfg.reference_photons) > 0:
+        raise ConfigError(f"squared detected amplitudes 2*T*eta*n must be > 0 for {use}")
 
 
 def _check_uniformity_test(cfg) -> None:
@@ -496,13 +500,6 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
                   modulation=BENCH_TRAIN.modulation)
     channel = _walk(ChannelDetector, *root("channel"), SecurityParams().channel)
     security = _walk(SecurityParams, *root("security"), channel=channel)
-    # SecurityParams accepts V_A = 0 for rate checks, but a run estimates its
-    # parameters, which needs a modulated signal.
-    if security.modulation_variance == 0:
-        raise ConfigError(
-            "config.security: modulation_variance must be > 0 for parameter estimation, "
-            "got 0.0"
-        )
 
     experiments = dict(_object(*root("experiments"), _EXPERIMENTS))
     experiment = functools.partial(_section, experiments, "config.experiments")

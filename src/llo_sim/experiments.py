@@ -541,7 +541,7 @@ def run_laser_noise_sweep(
         metrics[f"slope_{label}"] = Metric(slope)
         metrics[f"intercept_{label}"] = Metric(intercept)
         metrics[f"r_squared_{label}"] = Metric(r2)
-        metrics[f"expected_slope_{label}"] = Metric(2.0 / laser.coherence_time_s)
+        metrics[f"expected_slope_{label}"] = Metric(phase_noise_variance(1.0, laser))
 
     return ExperimentResult(
         name="laser-noise",

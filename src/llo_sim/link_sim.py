@@ -21,8 +21,9 @@ between consecutive pulses, so signal ``i`` sits midway between references
 ``i`` and ``i+1``.  Pulse duration is collapsed to an instant; photon numbers
 are specified at the receiver input.  A run is one :class:`PulseBlock` of
 arrays in that order, the one place the schedule is stated: a pulse's kind
-follows from its position.  The phase sign convention of pilot recovery lives
-in one kernel in :mod:`llo_sim.phase_recovery`.
+follows from its position.  Detection and remapping turn quadratures by the one
+:func:`rotate`, so their sign convention is the sign of the sine passed to it;
+that of pilot recovery lives in one kernel in :mod:`llo_sim.phase_recovery`.
 """
 
 from __future__ import annotations
@@ -265,16 +266,20 @@ def _draw_symbols(modulation, photons: float, indices: np.ndarray, rng):
         p_a = rng.normal(0.0, sigma, size=n)
         return x_a, p_a, np.arctan2(p_a, x_a)
     phases = np.where(indices % 2 == 0, *modulation)
-    r = 2.0 * math.sqrt(photons)
+    r = coherent_amplitude(photons)[0]
     return r * np.cos(phases), r * np.sin(phases), phases
+
+
+def rotate(x, p, c, s):
+    """``(x, p)`` rotated by the angle whose cosine and sine are ``c`` and ``s``."""
+    return x * c - p * s, x * s + p * c
 
 
 def _measure_arrays(x_in, p_in, phi, det: ChannelDetector, rng):
     """Vectorised heterodyne measurement; rng=None gives the noise-free mean."""
     scale = det.amplitude_gain
-    c, s = np.cos(phi), np.sin(phi)
-    x = scale * (x_in * c + p_in * s)
-    p = scale * (-x_in * s + p_in * c)
+    x, p = rotate(x_in, p_in, np.cos(phi), -np.sin(phi))
+    x, p = scale * x, scale * p
     if rng is not None:
         sigma = math.sqrt(det.noise_snu)
         x = x + rng.normal(0.0, sigma, size=np.shape(x))

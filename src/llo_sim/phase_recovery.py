@@ -12,7 +12,8 @@ Sign conventions, fixed once here and used everywhere:
 * Raw signal phases are the plain ``atan2(p, x)`` (i.e. ``theta_enc - phi``),
   so the correction is an addition: ``corrected = raw + interpolated_phi``.
 * :func:`remap_quadratures` rotates by ``+phi`` and undoes the measurement
-  rotation.
+  rotation: both call :func:`llo_sim.link_sim.rotate`, the remapping with
+  ``+sin(phi)`` and the measurement with ``-sin(phi)``.
 
 The R S R S schedule of a run is stated in :class:`llo_sim.link_sim.PulseBlock`.
 All angles live in the principal range (-pi, pi].
@@ -26,7 +27,7 @@ import warnings
 from ._lazy_numpy import np
 from ._record import Record
 from .errors import DomainError, EstimationError, ScheduleError
-from .link_sim import MIN_REMAP_SIGNALS, MIN_SYMBOL_SIGNALS, PulseBlock
+from .link_sim import MIN_REMAP_SIGNALS, MIN_SYMBOL_SIGNALS, PulseBlock, rotate
 
 
 #: Above this residual variance (rad^2) the linearised circular statistics
@@ -72,9 +73,7 @@ def _midpoints(ref_phases: np.ndarray) -> tuple[np.ndarray, int]:
 
 def remap_quadratures(x_b, p_b, phi):
     """Rotate measured quadratures by ``+phi`` (scalars or arrays)."""
-    c, s = np.cos(phi), np.sin(phi)
-    x = x_b * c - p_b * s
-    p = x_b * s + p_b * c
+    x, p = rotate(x_b, p_b, np.cos(phi), np.sin(phi))
     if np.ndim(x) == 0:
         return float(x), float(p)
     return x, p

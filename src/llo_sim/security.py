@@ -150,11 +150,7 @@ class SecurityParams(Record):
     modulation_variance: float = 1.0
     reconciliation_efficiency: float = 0.95
     sigma_phi: float = 0.04
-    channel: ChannelDetector = ChannelDetector(
-        attenuation_db_per_km=0.2,
-        detector_efficiency=0.5,
-        electronic_noise_snu=0.1,
-    )
+    channel: ChannelDetector = ChannelDetector(detector_efficiency=0.5, electronic_noise_snu=0.1)
     epsilons: EpsilonBudget = EpsilonBudget()
     discretization: int = 5
     robustness: float = 0.0
@@ -163,8 +159,6 @@ class SecurityParams(Record):
     pe_radius_scale: float = PE_RADIUS_SCALE_DEFAULT
 
     def __post_init__(self) -> None:
-        # V_A = 0 is allowed here (degenerate no-modulation rate checks);
-        # GaussianModulation keeps the strict > 0 requirement for simulation.
         if self.modulation_variance < 0:
             raise ConfigError(f"V_A must be >= 0, got {self.modulation_variance}")
         if not 0 < self.reconciliation_efficiency <= 1:
@@ -204,6 +198,8 @@ class SecurityParams(Record):
                 f"n_pulses {self.n_pulses:.6g} overflows the finite-size correction "
                 f"to {correction:g}"
             )
+        if self.modulation_variance == 0:  # pessimistic_parameter_bounds divides by V_A
+            raise ConfigError("modulation_variance must be > 0 for parameter estimation, got 0.0")
 
     @property
     def excess_noise(self) -> float:
@@ -448,8 +444,6 @@ def pessimistic_parameter_bounds(params: SecurityParams, n: int) -> PessimisticB
     if m < 2:
         raise DomainError(f"too few estimation samples: {m}")
     v_a = params.modulation_variance
-    if v_a == 0:
-        raise DomainError("parameter estimation requires V_A > 0")
     eta, nu = params.channel.detector_efficiency, params.channel.electronic_noise_snu
     k = params._kernel
     gain, sigma2 = k.gain, k.sigma2
@@ -476,7 +470,7 @@ def pessimistic_parameter_bounds(params: SecurityParams, n: int) -> PessimisticB
             math.isfinite(t_low) and math.isfinite(t_high)
             and math.isfinite(eps_low) and math.isfinite(eps_high)
         )
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # t_low * eta / 2.0 may underflow to 0
         finite = False
     if not finite:
         raise NumericalDomainError(

@@ -168,6 +168,9 @@ class TestCliContract:
             ["keyrate-finite", "--set", "security.pe_radius_scale=1e308"],
             ["keyrate-finite", "--set", "security.sigma_phi=1e308"],
             ["sweep-n", "--set", "security.sigma_phi=1e308"],
+            # A subnormal efficiency: t_low * eta / 2 underflows to 0.
+            ["keyrate-finite", "--set", "channel.detector_efficiency=5e-324"],
+            ["sweep-n", "--set", "channel.detector_efficiency=5e-324"],
             # An eps far below eps_sm turns the finite-size correction negative;
             # at 1e-300 eps**2 once underflowed to a ZeroDivisionError.
             ["keyrate-finite", "--set", "security.epsilons.eps=1e-30"],
@@ -197,6 +200,7 @@ class TestCliContract:
             "asymptotic-huge-variance-over-tiny-efficiency", "distance-sweep-huge-variance",
             "asymptotic-infinite-excess-noise", "finite-huge-radius-scale", "finite-overflowing-radius-scale",
             "finite-overflowing-sigma-phi", "n-sweep-overflowing-sigma-phi",
+            "finite-subnormal-efficiency", "n-sweep-subnormal-efficiency",
             "finite-eps-far-below-eps-sm", "finite-tiny-eps",
             "n-sweep-eps-far-below-eps-sm",
             "laser-noise-tiny-delays", "laser-noise-huge-delays", "laser-noise-large-delays",
@@ -584,6 +588,16 @@ BAD_CONFIGS = [
      "config.experiments.remap: photon numbers must be > 0"),
     ("all", None, ["experiments.remap.signal_photons=0"],
      "config.experiments.remap: photon numbers must be > 0"),
+    # A squared mean amplitude at Bob, 2*T*eta*n, that underflows to 0.
+    ("phase-exp", None, ["experiments.detector.transmittance_override=5e-324"],
+     "config.experiments.phase_exp: squared detected amplitudes"),
+    ("phase-exp", None,
+     ["train.signal_photons=1e-300", "experiments.detector.transmittance_override=1e-300"],
+     "config.experiments.phase_exp: squared detected amplitudes"),
+    ("remap-exp", None,
+     ["experiments.remap.signal_photons=1e-300",
+      "experiments.detector.transmittance_override=1e-300"],
+     "config.experiments.remap: squared detected amplitudes"),
 ]
 
 

@@ -7,12 +7,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from llo_sim._seeding import as_generator
 from llo_sim.config import BENCH_TRAIN, LO_LASER, SIGNAL_LASER, DistanceSweepConfig, NSweepConfig
-from llo_sim.errors import ConfigError, DomainError, NumericalDomainError
+from llo_sim.errors import ConfigError, DomainError, LLOSimError, NumericalDomainError
 from llo_sim.experiments import run_finite_size_sweep, run_keyrate_distance_sweep
 from llo_sim.link_sim import (
     ChannelDetector,
@@ -242,9 +242,10 @@ class TestExcessNoiseFromSimulation:
 
 
 class TestMutualInformation:
-    def test_no_modulation_no_information(self):
-        params = replace(reference_params(25.0), modulation_variance=0.0, sigma_phi=0.0)
-        assert mutual_information(params) == pytest.approx(0.0, abs=1e-12)
+    def test_no_modulation_rejected(self):
+        # Parameter estimation divides by V_A, so no key-rate input has V_A = 0.
+        with pytest.raises(ConfigError, match="modulation_variance must be > 0"):
+            SecurityParams(modulation_variance=0.0)
 
     def test_unit_formula_point(self):
         # V = 3 with chi_tot = 1 (T = 1, eps = 0, eta = 1, nu_el = 0) gives
@@ -332,7 +333,8 @@ class TestSymplecticSpectrum:
         excess_noise=st.floats(-300.0, 300.0).map(lambda y: 10.0**y) | st.floats(0.0),
         eta=st.floats(-300.0, 0.0).map(lambda y: 10.0**y) | st.floats(0.0, 1.0, exclude_min=True),
         nu=st.floats(-300.0, 300.0).map(lambda y: 10.0**y) | st.floats(0.0),
-        v_a=st.floats(-300.0, 300.0).map(lambda y: 10.0**y) | st.floats(0.0),
+        v_a=st.floats(-300.0, 300.0).map(lambda y: 10.0**y)
+        | st.floats(0.0, exclude_min=True),
     )
     def test_no_valid_point_is_unphysical(self, t, excess_noise, eta, nu, v_a):
         # Every point SecurityParams accepts: finite terms, or an error for
@@ -449,10 +451,6 @@ class TestAsymptoticRate:
     def test_zero_crossing_bracketed(self):
         assert asymptotic_key_rate(reference_params(110.0)) > 0.0
         assert asymptotic_key_rate(reference_params(140.0)) < 0.0
-
-    def test_no_modulation_no_key(self):
-        params = replace(reference_params(25.0), modulation_variance=0.0)
-        assert asymptotic_key_rate(params) <= 0.0
 
     def test_monotone_in_distance(self):
         rates = [asymptotic_key_rate(reference_params(l)) for l in np.arange(0, 151, 10.0)]
@@ -628,6 +626,53 @@ class TestFiniteSizeRate:
         tight = replace(perfect_detector_params(), pe_radius_scale=1.0)
         assert finite_size_key_rate(tight, 10**9) > 0.0
         assert finite_size_key_rate(perfect_detector_params(), 10**9) < 0.0
+
+
+# Log-uniform down to the smallest subnormal, 5e-324.
+def _down_to_subnormal(top: float):
+    return st.floats(-323.3, top).map(lambda y: 10.0**y)
+
+
+class TestNumericalDomainContract:
+    """Every rate of a valid parameter set is a float or an LLOSimError: no
+    other exception escapes, at any float scale."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t=_down_to_subnormal(0.0),
+        eta=_down_to_subnormal(0.0),
+        nu=_down_to_subnormal(300.0) | st.just(0.0),
+        v_a=_down_to_subnormal(300.0),
+        sigma_phi=_down_to_subnormal(300.0) | st.just(0.0),
+        pe_radius_scale=_down_to_subnormal(300.0),
+        eps=st.tuples(*[_down_to_subnormal(-0.01)] * 4),
+        n=st.floats(3.0, 18.0).map(lambda y: int(10.0**y)),
+    )
+    @example(t=1.0, eta=5e-324, nu=0.1, v_a=1.0, sigma_phi=0.04, pe_radius_scale=190.0,
+             eps=(1e-20, 1e-21, 1e-21, 1e-41), n=10**11)
+    @example(t=1.0, eta=5e-324, nu=0.1, v_a=1.0, sigma_phi=0.04, pe_radius_scale=8.5e-69,
+             eps=(1e-20, 1e-21, 1e-21, 1e-41), n=10**11)
+    def test_rates_return_a_float_or_raise_llo_sim_error(
+        self, t, eta, nu, v_a, sigma_phi, pe_radius_scale, eps, n
+    ):
+        try:
+            params = SecurityParams(
+                modulation_variance=v_a,
+                sigma_phi=sigma_phi,
+                channel=ChannelDetector(
+                    transmittance_override=t, detector_efficiency=eta, electronic_noise_snu=nu
+                ),
+                epsilons=EpsilonBudget(*eps),
+                pe_radius_scale=pe_radius_scale,
+            )
+        except ConfigError:
+            reject()
+        for rate in (lambda: finite_size_key_rate(params, n), lambda: asymptotic_key_rate(params)):
+            try:
+                value = rate()
+            except LLOSimError:
+                continue
+            assert isinstance(value, float)
 
 
 def _reference_eigenpair(prod, diff, label):
