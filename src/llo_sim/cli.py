@@ -102,23 +102,20 @@ def _print_summary(result: ExperimentResult) -> None:
 def _keyrate_asymptotic_result(config: RunConfig) -> ExperimentResult:
     comp = key_rate_components(config.security)
     metrics = {name: Metric(value) for name, value in comp.items()}
+    length = config.security.channel.fiber_length_km
     return ExperimentResult(
-        name="keyrate-asymptotic",
         scalar_metrics=metrics,
-        series_columns=("fiber_length_km", "rate_bits_per_pulse"),
-        series=([config.security.channel.fiber_length_km], [comp["asymptotic_rate"]]),
+        series={"fiber_length_km": [length], "rate_bits_per_pulse": [comp["asymptotic_rate"]]},
         metadata={"experiment": "keyrate-asymptotic", "seed": config.seed,
-                  "fiber_length_km": config.security.channel.fiber_length_km},
+                  "fiber_length_km": length},
     )
 
 
 def _keyrate_finite_result(config: RunConfig) -> ExperimentResult:
     rate = finite_size_key_rate(config.security)
     return ExperimentResult(
-        name="keyrate-finite",
         scalar_metrics={"finite_size_rate": Metric(rate)},
-        series_columns=("n_pulses", "rate_bits_per_pulse"),
-        series=([config.security.n_pulses], [rate]),
+        series={"n_pulses": [config.security.n_pulses], "rate_bits_per_pulse": [rate]},
         metadata={"experiment": "keyrate-finite", "seed": config.seed,
                   "n_pulses": config.security.n_pulses},
     )

@@ -114,17 +114,17 @@ def _check_grid(sweep, lo: str, hi: str, top: float) -> None:
         raise ConfigError("grid must be finite")
 
 
-def _check_train(cfg, use: str) -> None:
-    """:class:`PulseTrainConfig`'s checks, run once rather than per batch, then
-    both photon numbers ``n`` and their squared mean amplitudes at Bob,
-    ``2*T*eta*n`` at ``cfg.detector``, > 0, which ``use`` needs."""
+def _check_train(cfg, reference_photons: float, use: str) -> None:
+    """:class:`PulseTrainConfig`'s checks on ``cfg``'s train at ``reference_photons``,
+    run once rather than per batch, then both photon numbers ``n`` and their squared
+    mean amplitudes at Bob, ``2*T*eta*n`` at ``cfg.detector``, > 0, which ``use`` needs."""
     PulseTrainConfig(
-        cfg.repetition_period_s, cfg.n_pairs, cfg.signal_photons, cfg.reference_photons
+        cfg.repetition_period_s, cfg.n_pairs, cfg.signal_photons, reference_photons
     )
-    if not min(cfg.signal_photons, cfg.reference_photons) > 0:
+    if not min(cfg.signal_photons, reference_photons) > 0:
         raise ConfigError(f"photon numbers must be > 0 for {use}")
     two_gain = 2.0 * cfg.detector.power_gain  # 2*T*eta*n as _shot_noise_prediction forms it
-    if not min(two_gain * cfg.signal_photons, two_gain * cfg.reference_photons) > 0:
+    if not min(two_gain * cfg.signal_photons, two_gain * reference_photons) > 0:
         raise ConfigError(f"squared detected amplitudes 2*T*eta*n must be > 0 for {use}")
 
 
@@ -193,7 +193,7 @@ class PhaseExperimentConfig(Record):
         _check_at_least(1, histogram_bins=self.histogram_bins)
         _check_uniformity_test(self)
         _check_pilot_aliasing(self)
-        _check_train(self, "the shot-noise prediction")  # see _shot_noise_prediction
+        _check_train(self, self.reference_photons, "the shot-noise prediction")
 
 
 class WeakReferenceSweepConfig(Record):
@@ -226,6 +226,8 @@ class WeakReferenceSweepConfig(Record):
         _check_sweep_points("photon_numbers", self.photon_numbers, self.label)
         _check_batches(self.n_pairs, self.n_batches, _BPSK_MIN_PAIRS)
         _check_pilot_aliasing(self)
+        for photons in self.photon_numbers:
+            _check_train(self, photons, "the weak-reference sweep")
 
 
 class RemapExperimentConfig(Record):
@@ -253,7 +255,7 @@ class RemapExperimentConfig(Record):
         _check_at_least(0, scatter_rows=self.scatter_rows)
         _check_uniformity_test(self)
         _check_pilot_aliasing(self)
-        _check_train(self, "the remap estimate of sigma_phi")
+        _check_train(self, self.reference_photons, "the remap estimate of sigma_phi")
 
 
 class LaserNoiseSweepConfig(Record):

@@ -75,28 +75,28 @@ class Metric(Record):
 class ExperimentResult(Record):
     """One experiment's scalar metrics, series and metadata.
 
-    ``series`` holds one column per name in ``series_columns``: a list, a
+    ``series`` maps each column name to its column, in CSV order: a list, a
     ``range`` or a 1-d numpy array, all of one length.  Columns are kept as
     built, never copied into rows, so the writer can stream them to disk.
+    The experiment's name is ``metadata["experiment"]``.
     """
 
-    name: str
     scalar_metrics: dict[str, Metric]
-    series_columns: tuple[str, ...]
-    series: Sequence[Sequence]
+    series: dict[str, Sequence]
     metadata: dict
 
     def __post_init__(self) -> None:
-        lengths = {len(column) for column in self.series}
-        if len(self.series) != len(self.series_columns) or len(lengths) > 1:
-            raise ValueError(
-                f"series needs one column of one length per name in {self.series_columns}"
-            )
+        if len({len(column) for column in self.series.values()}) > 1:
+            raise ValueError(f"series columns {list(self.series)} must share one length")
+
+    @property
+    def name(self) -> str:
+        return self.metadata["experiment"]
 
     @property
     def series_rows(self) -> list[tuple]:
         """The series as row tuples (the columns zipped)."""
-        return list(zip(*self.series))
+        return list(zip(*self.series.values()))
 
 
 def _float_types() -> tuple[type, ...]:
@@ -157,10 +157,11 @@ def _csv_chunks(result: ExperimentResult) -> Iterator[str]:
     when numpy is loaded (without it no numpy cell can exist, so writing never
     imports numpy), ``%s`` for anything else.
     """
-    yield ",".join(result.series_columns) + "\n"
-    n_rows = len(result.series[0]) if result.series else 0
+    yield ",".join(result.series) + "\n"
+    columns = list(result.series.values())
+    n_rows = len(columns[0]) if columns else 0
     for start in range(0, n_rows, CSV_CHUNK_ROWS):
-        chunk = [column[start : start + CSV_CHUNK_ROWS] for column in result.series]
+        chunk = [column[start : start + CSV_CHUNK_ROWS] for column in columns]
         chunk = [c.tolist() if hasattr(c, "tolist") else c for c in chunk]
         if start == 0:
             floats = _float_types()
@@ -169,7 +170,7 @@ def _csv_chunks(result: ExperimentResult) -> Iterator[str]:
 
 
 def result_to_csv(result: ExperimentResult) -> str:
-    """The series as CSV: a header of ``series_columns``, then one line per
+    """The series as CSV: a header of the column names, then one line per
     row, formatted as :func:`write_result` writes it.  No rows give the header
     only."""
     return "".join(_csv_chunks(result))
@@ -376,14 +377,11 @@ def run_bpsk_phase_experiment(
 
     bit0, bit1 = config.bpsk_phases
     edges = np.linspace(0.0, math.tau, config.histogram_bins + 1)
-    columns = [edges[:-1]] + [
-        np.histogram(np.mod(phases[encoded_all == bit], math.tau), bins=edges)[0]
-        for phases in (raw_all, corrected_all)
-        for bit in (bit0, bit1)
-    ]
+
+    def histogram(phases, bit):
+        return np.histogram(np.mod(phases[encoded_all == bit], math.tau), bins=edges)[0]
 
     return ExperimentResult(
-        name="phase-exp",
         scalar_metrics={
             "residual_variance_bit0": batch_metric([g[bit0] for g in groups]),
             "residual_variance_bit1": batch_metric([g[bit1] for g in groups]),
@@ -392,10 +390,12 @@ def run_bpsk_phase_experiment(
             "predicted_residual_variance": Metric(laser_var + _shot_noise_prediction(config)),
             "raw_phase_uniformity_pvalue": Metric(p_uniform),
         },
-        series_columns=(
-            "bin_left_rad", "raw_bit0", "raw_bit1", "corrected_bit0", "corrected_bit1"
-        ),
-        series=columns,
+        series={
+            "bin_left_rad": edges[:-1],
+            "raw_bit0": histogram(raw_all, bit0), "raw_bit1": histogram(raw_all, bit1),
+            "corrected_bit0": histogram(corrected_all, bit0),
+            "corrected_bit1": histogram(corrected_all, bit1),
+        },
         metadata=_metadata(
             "phase-exp", seed, config,
             dropped_boundary_pulses=config.n_batches,
@@ -440,17 +440,15 @@ def run_weak_reference_sweep(
     per_point = [batch_metric(values) for values in pooled]
 
     return ExperimentResult(
-        name="weak-ref",
         scalar_metrics={
             f"residual_variance_nref_{config.label(n_ref)}": metric
             for n_ref, metric in zip(config.photon_numbers, per_point)
         },
-        series_columns=("reference_photons", "residual_variance", "stderr"),
-        series=(
-            config.photon_numbers,
-            [m.value for m in per_point],
-            [m.stderr for m in per_point],
-        ),
+        series={
+            "reference_photons": config.photon_numbers,
+            "residual_variance": [m.value for m in per_point],
+            "stderr": [m.stderr for m in per_point],
+        },
         metadata=_metadata("weak-ref", seed, config),
     )
 
@@ -487,15 +485,17 @@ def run_quantum_remap_experiment(
         [(rec.signal_x, rec.signal_p, *xp) for rec, xp in zip(recs, remapped)], axis=1
     )[:, : config.scatter_rows]
     return ExperimentResult(
-        name="remap-exp",
         scalar_metrics={
             "x_noise_variance_snu": batch_metric([np.var(x, ddof=1) for x, _ in remapped]),
             "p_noise_variance_snu": batch_metric([np.var(p, ddof=1) for _, p in remapped]),
             "sigma_phi_estimate": batch_metric(list(map(sigma_phi_from_quadratures, remapped))),
             "raw_phase_uniformity_pvalue": Metric(p_uniform),
         },
-        series_columns=("index", "x_raw", "p_raw", "x_remapped", "p_remapped"),
-        series=(range(scatter.shape[1]), *scatter),
+        series={
+            "index": range(scatter.shape[1]),
+            "x_raw": scatter[0], "p_raw": scatter[1],
+            "x_remapped": scatter[2], "p_remapped": scatter[3],
+        },
         metadata=_metadata(
             "remap-exp", seed, config,
             dropped_boundary_pulses=config.n_batches,
@@ -544,15 +544,13 @@ def run_laser_noise_sweep(
         metrics[f"expected_slope_{label}"] = Metric(phase_noise_variance(1.0, laser))
 
     return ExperimentResult(
-        name="laser-noise",
         scalar_metrics=metrics,
-        series_columns=("laser", "delay_s", "variance", "stderr"),
-        series=(
-            [label for label in lasers for _ in config.delays_s],
-            list(config.delays_s) * len(lasers),
-            [m.value for m in series],
-            [m.stderr for m in series],
-        ),
+        series={
+            "laser": [label for label in lasers for _ in config.delays_s],
+            "delay_s": list(config.delays_s) * len(lasers),
+            "variance": [m.value for m in series],
+            "stderr": [m.stderr for m in series],
+        },
         metadata=_metadata("laser-noise", seed, config),
     )
 
@@ -598,13 +596,11 @@ def run_keyrate_distance_sweep(
             break
 
     return ExperimentResult(
-        name="sweep-distance",
         scalar_metrics={
             "secure_range_km": Metric(crossing),
             "rate_at_first_grid_point": Metric(rates[0]),
         },
-        series_columns=("fiber_length_km", "rate_bits_per_pulse"),
-        series=(l_grid, rates),
+        series={"fiber_length_km": l_grid, "rate_bits_per_pulse": rates},
         metadata=_metadata("sweep-distance", seed, params, l_grid=l_grid),
     )
 
@@ -640,12 +636,10 @@ def run_finite_size_sweep(
             break
 
     return ExperimentResult(
-        name="sweep-n",
         scalar_metrics={
             "n_threshold": Metric(threshold),
         },
-        series_columns=("n_pulses", "rate_bits_per_pulse"),
-        series=(n_grid, rates),
+        series={"n_pulses": n_grid, "rate_bits_per_pulse": rates},
         metadata=_metadata("sweep-n", seed, params, n_grid=n_grid),
     )
 

@@ -107,7 +107,7 @@ class PulseTrainConfig(Record):
             )
         if self.n_pairs < 1:
             raise ConfigError(f"n_pairs must be >= 1, got {self.n_pairs}")
-        if self.signal_photons < 0 or self.reference_photons < 0:
+        if not (self.signal_photons >= 0 and self.reference_photons >= 0):
             raise ConfigError("photon numbers must be >= 0")
         pair = isinstance(self.modulation, tuple) and len(self.modulation) == 2
         if not (pair or isinstance(self.modulation, GaussianModulation)):
@@ -131,11 +131,11 @@ class ChannelDetector(Record):
     electronic_noise_snu: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.attenuation_db_per_km < 0:
+        if not self.attenuation_db_per_km >= 0:
             raise ConfigError(
                 f"attenuation must be >= 0 dB/km, got {self.attenuation_db_per_km}"
             )
-        if self.fiber_length_km < 0:
+        if not self.fiber_length_km >= 0:
             raise ConfigError(
                 f"fiber length must be >= 0 km, got {self.fiber_length_km}"
             )
@@ -143,7 +143,7 @@ class ChannelDetector(Record):
             raise ConfigError(
                 f"detector efficiency must be in (0, 1], got {self.detector_efficiency}"
             )
-        if self.electronic_noise_snu < 0:
+        if not self.electronic_noise_snu >= 0:
             raise ConfigError(
                 f"electronic noise must be >= 0 SNU, got {self.electronic_noise_snu}"
             )

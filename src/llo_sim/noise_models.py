@@ -97,9 +97,9 @@ def beat(laser_s: LaserModel, laser_l: LaserModel) -> LaserModel:
     )
 
 
-def phase_noise_variance(t: float, laser: LaserModel) -> float:
-    """Variance (rad^2) of the accumulated phase deviation after time ``t``."""
-    if t < 0:
+def phase_noise_variance(t, laser: LaserModel):
+    """Variance (rad^2) of the phase deviation accumulated over time ``t``, a float or an array."""
+    if np.any(t < 0):
         raise DomainError(f"elapsed time must be >= 0, got {t}")
     return 2.0 * t / laser.coherence_time_s
 
@@ -109,10 +109,10 @@ def sample_phase_trajectory(laser: LaserModel, times, seed) -> np.ndarray:
     one entry per timestamp.
 
     Increments between consecutive timestamps are independent zero-mean
-    Gaussians of variance ``2*dt/tau_c`` (drawn, and scaled to 0, at ``tau_c =
-    inf``); on top of the random walk the phase advances deterministically by
-    ``2*pi*(f0 + r*t)*t`` from the detuning and drift.  Timestamps must start
-    at 0 and be strictly increasing.
+    Gaussians of variance :func:`phase_noise_variance` over each gap (drawn,
+    and scaled to 0, at ``tau_c = inf``); on top of that walk the phase
+    advances deterministically by ``2*pi*(f0 + r*t)*t`` from the detuning
+    and drift.  Timestamps must start at 0 and be strictly increasing.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -124,7 +124,7 @@ def sample_phase_trajectory(laser: LaserModel, times, seed) -> np.ndarray:
         raise DomainError("times must be strictly increasing")
 
     increments = as_generator(seed).standard_normal(dts.size) * np.sqrt(
-        2.0 * dts / laser.coherence_time_s
+        phase_noise_variance(dts, laser)
     )
     wiener = np.concatenate(([0.0], np.cumsum(increments)))
     deterministic = math.tau * (

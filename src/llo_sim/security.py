@@ -159,14 +159,14 @@ class SecurityParams(Record):
     pe_radius_scale: float = PE_RADIUS_SCALE_DEFAULT
 
     def __post_init__(self) -> None:
-        if self.modulation_variance < 0:
+        if not self.modulation_variance >= 0:
             raise ConfigError(f"V_A must be >= 0, got {self.modulation_variance}")
         if not 0 < self.reconciliation_efficiency <= 1:
             raise ConfigError(
                 "reconciliation efficiency must be in (0, 1], "
                 f"got {self.reconciliation_efficiency}"
             )
-        if self.sigma_phi < 0:
+        if not self.sigma_phi >= 0:
             raise ConfigError(f"sigma_phi must be >= 0, got {self.sigma_phi}")
         if self.discretization < 1:
             raise ConfigError(f"discretization must be >= 1, got {self.discretization}")
@@ -474,7 +474,7 @@ def pessimistic_parameter_bounds(params: SecurityParams, n: int) -> PessimisticB
         finite = False
     if not finite:
         raise NumericalDomainError(
-            f"parameter-estimation bounds overflow at T = {k.transmittance:g}, "
+            f"parameter-estimation bounds leave the float range at T = {k.transmittance:g}, "
             f"excess noise = {k.excess_noise:g} SNU, over {m} estimation samples"
         )
     return PessimisticBounds(t_low, t_high, eps_low, eps_high, m)

@@ -211,6 +211,29 @@ class TestCliContract:
         assert code == 1
         assert "numerical error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--threads", "0"], "config: threads must be >= 1, got 0"),
+            (["--set", "novalue"], "--set expects KEY=VALUE, got 'novalue'"),
+            (["--set", "=3"], "--set expects a non-empty key, got '=3'"),
+        ],
+        ids=["zero-threads", "set-without-equals", "set-without-key"],
+    )
+    def test_bad_argument_exits_2(self, args, message, tmp_path, capsys):
+        assert main(["keyrate-asymptotic", *args, "--output-dir", str(tmp_path / "out")]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys):
+        config_file = tmp_path / "conf.json"
+        config_file.write_text("[1, 2]")
+        args = ["keyrate-asymptotic", "--config", str(config_file),
+                "--output-dir", str(tmp_path / "out")]
+        assert main(args) == 2
+        assert f"config error: {config_file}: top level must be an object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_overflowing_n_pulses_is_a_config_error(self, tmp_path, capsys):
         # Pulse counts whose finite-size correction overflows a float are
         # rejected when the configuration is read, before any rate runs.
@@ -326,10 +349,11 @@ def _child_env() -> dict:
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
-def _run_child(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports this ``llo_sim``."""
+def _run_child(code: str, *args: str, options=()) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter, started with the interpreter
+    ``options``, that imports this ``llo_sim``."""
     return subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *options, "-c", code, *args],
         env=_child_env(), capture_output=True, text=True, timeout=300,
     )
 
@@ -337,6 +361,7 @@ def _run_child(code: str, *args: str) -> subprocess.CompletedProcess:
 CLOSED_FORM_COMMANDS = ("keyrate-asymptotic", "keyrate-finite", "sweep-distance", "sweep-n")
 RUN_MAIN = "from llo_sim.cli import main\nsys.exit(main(sys.argv[1:]))\n"
 BLOCK_NUMPY = "sys.modules['numpy'] = None  # any import of numpy now raises\n"
+BLOCK_HASHLIB = "sys.modules['hashlib'] = None\n"
 NUMPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')"
 
 
@@ -356,6 +381,29 @@ class TestWithoutNumpy:
         for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            "keyrate-asymptotic --fiber-length 50",
+            "keyrate-finite --fiber-length 10 --n-pulses 1000000000000",
+            "sweep-distance --set experiments.distance_sweep.points=3001",
+            "sweep-n --set experiments.n_sweep.points=10000",
+            "sweep-n --fiber-length 10 --set channel.detector_efficiency=1.0 "
+            "--set channel.electronic_noise_snu=0.0 --set experiments.n_sweep.points=4000",
+            "sweep-n --fiber-length 25 --set security.modulation_variance=1.7",
+            "keyrate-asymptotic --fiber-length 1e-9 --set security.modulation_variance=10000 "
+            "--set security.sigma_phi=0",
+        ],
+    )
+    def test_closed_form_run_needs_neither_numpy_nor_hashlib(self, tmp_path, args):
+        # Large grids, a clamped PE corner and a near-double root: no path of
+        # the closed forms imports numpy or hashlib, or warns.
+        child = _run_child(
+            "import sys\n" + BLOCK_NUMPY + BLOCK_HASHLIB + RUN_MAIN,
+            *args.split(), "--output-dir", str(tmp_path), options=("-W", "error"),
+        )
+        assert child.returncode == 0, child.stderr
+
     def test_cli_import_executes_no_numpy(self):
         child = _run_child(f"import sys\nimport llo_sim.cli\nprint({NUMPY_MODULES})\n")
         assert child.returncode == 0, child.stderr
@@ -365,8 +413,8 @@ class TestWithoutNumpy:
         code = (
             "import sys\n"
             "from llo_sim.experiments import ExperimentResult, Metric, write_result\n"
-            "result = ExperimentResult('w', {'m': Metric(0.5, 0.1)}, ('a', 'b'),\n"
-            "                          ([1.5, float('nan')], [2, 3]), {'seed': 0, 'g': [1.0]})\n"
+            "result = ExperimentResult({'m': Metric(0.5, 0.1)}, {'a': [1.5, float('nan')], 'b': [2, 3]},\n"
+            "                          {'experiment': 'w', 'seed': 0, 'g': [1.0]})\n"
             "write_result(result, sys.argv[1])\n"
             f"print({NUMPY_MODULES})\n"
         )
@@ -598,6 +646,29 @@ BAD_CONFIGS = [
      ["experiments.remap.signal_photons=1e-300",
       "experiments.detector.transmittance_override=1e-300"],
      "config.experiments.remap: squared detected amplitudes"),
+    # The weak-reference sweep corrects its signals with each of its reference
+    # photon numbers in turn, so each obeys the same two rules.
+    ("weak-ref", None, ["experiments.weak_ref.photon_numbers=[1000,0]"],
+     "config.experiments.weak_ref: photon numbers must be > 0 for the weak-reference sweep"),
+    ("weak-ref", None,
+     ["experiments.weak_ref.photon_numbers=[1000,1e-300]",
+      "experiments.detector.transmittance_override=1e-300"],
+     "config.experiments.weak_ref: squared detected amplitudes"),
+    # Each rule of SecurityParams, through the parser.
+    ("keyrate-finite", None, ["security.modulation_variance=-1"],
+     "config.security: V_A must be >= 0, got -1.0"),
+    ("keyrate-finite", None, ["security.sigma_phi=-0.1"],
+     "config.security: sigma_phi must be >= 0"),
+    ("keyrate-finite", None, ["security.discretization=0"],
+     "config.security: discretization must be >= 1"),
+    ("keyrate-finite", None, ["security.robustness=1"],
+     "config.security: robustness must be in [0, 1)"),
+    ("keyrate-finite", None, ["security.pe_fraction=0"],
+     "config.security: pe_fraction must be in (0, 1)"),
+    ("keyrate-finite", None, ["security.pe_radius_scale=0"],
+     "config.security: pe_radius_scale must be > 0"),
+    ("phase-exp", None, ["experiments.phase_exp.bpsk_phases=[0.0]"],
+     "config.experiments.phase_exp.bpsk_phases: expected 2 items, got 1"),
 ]
 
 

@@ -183,3 +183,26 @@ def test_any_override_parses_or_raises_config_error(overrides):
         assert str(exc).startswith("config")
     else:
         assert isinstance(cfg, RunConfig)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SecurityParams(modulation_variance=math.nan),
+        lambda: SecurityParams(sigma_phi=math.nan),
+        lambda: ChannelDetector(attenuation_db_per_km=math.nan),
+        lambda: ChannelDetector(fiber_length_km=math.nan),
+        lambda: ChannelDetector(electronic_noise_snu=math.nan),
+        lambda: PulseTrainConfig(20e-9, 100, math.nan, 1e5),
+        lambda: PulseTrainConfig(20e-9, 100, 1e5, math.nan),
+    ],
+    ids=[
+        "modulation_variance", "sigma_phi", "attenuation_db_per_km", "fiber_length_km",
+        "electronic_noise_snu", "signal_photons", "reference_photons",
+    ],
+)
+def test_nan_is_rejected_where_negatives_are(build):
+    # The parser rejects non-finite values first; a record built directly
+    # must reject NaN itself, with its ">= 0" message.
+    with pytest.raises(ConfigError, match=">= 0"):
+        build()

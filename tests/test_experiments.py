@@ -210,7 +210,7 @@ class TestLaserNoiseSweep:
 
     def test_series_layout(self):
         res = run_laser_noise_sweep(SMALL_NOISE, seed=23, threads=1)
-        assert res.series_columns == ("laser", "delay_s", "variance", "stderr")
+        assert list(res.series) == ["laser", "delay_s", "variance", "stderr"]
         assert len(res.series_rows) == 2 * len(SMALL_NOISE.delays_s)
 
     def test_noiseless_lasers(self):
@@ -307,6 +307,14 @@ class TestKeyRateSweeps:
         below_million = [r for n, r in res.series_rows if n <= 1e6]
         assert all(r <= 0.0 for r in below_million)
 
+    def test_finite_size_threshold_at_a_positive_first_point(self):
+        # The rate is already positive at 1e12 pulses: no bisection below the grid.
+        params = reference_security(10.0, eta=1.0, nu=0.0)
+        n_grid = NSweepConfig(log10_min=12.0, log10_max=13.0, points=3).grid()
+        res = run_finite_size_sweep(params, n_grid)
+        assert res.series["rate_bits_per_pulse"][0] > 0.0
+        assert res.scalar_metrics["n_threshold"].value == 1e12
+
 
 class TestSweepGrids:
     @pytest.mark.parametrize(
@@ -371,19 +379,18 @@ class TestSweepGrids:
 class TestResultIO:
     def test_numpy_cells_and_metadata(self):
         result = ExperimentResult(
-            name="np",
             scalar_metrics={
                 "a": Metric(np.float32(0.1), np.float64(0.5)),
                 "b": Metric(np.int64(7)),
             },
-            series_columns=("f32", "i64", "arr", "f64"),
-            series=(
-                [np.float32(0.1), np.float32(-np.inf)],
-                [np.int64(-3), np.int64(2**40)],
-                [np.array([1, 2]), np.array([0.5])],
-                [np.float64(2.5), np.float64(np.nan)],
-            ),
+            series={
+                "f32": [np.float32(0.1), np.float32(-np.inf)],
+                "i64": [np.int64(-3), np.int64(2**40)],
+                "arr": [np.array([1, 2]), np.array([0.5])],
+                "f64": [np.float64(2.5), np.float64(np.nan)],
+            },
             metadata={
+                "experiment": "np",
                 "seed": np.int64(0),
                 "f32": np.float32(1e-3),
                 "arr": np.array([[1.5, np.nan], [np.inf, -0.0]]),
@@ -403,6 +410,7 @@ class TestResultIO:
                 "b": {"value": 7, "stderr": None, "exact": True},
             },
             "metadata": {
+                "experiment": "np",
                 "seed": 0,
                 "f32": 0.0010000000474974513,
                 "arr": [[1.5, "nan"], ["inf", -0.0]],
@@ -431,8 +439,9 @@ class TestResultIO:
     )
     def test_csv_format(self, rows, expected):
         result = ExperimentResult(
-            name="csv", scalar_metrics={}, series_columns=("n", "label", "f", "g"),
-            series=tuple(zip(*rows)) or ((),) * 4, metadata={"seed": 0},
+            scalar_metrics={},
+            series=dict(zip(("n", "label", "f", "g"), tuple(zip(*rows)) or ((),) * 4)),
+            metadata={"experiment": "csv", "seed": 0},
         )
         assert result_to_csv(result) == expected
         assert result.series_rows == rows
@@ -450,9 +459,9 @@ class TestResultIO:
             [f"s{i % 3}" for i in range(n)],
         )
         result = ExperimentResult(
-            name="chunks", scalar_metrics={},
-            series_columns=("i", "f", "arr", "ints", "npf", "label"),
-            series=columns, metadata={"seed": 0},
+            scalar_metrics={},
+            series=dict(zip(("i", "f", "arr", "ints", "npf", "label"), columns)),
+            metadata={"experiment": "chunks", "seed": 0},
         )
         rows = result.series_rows
         assert rows[5] == (5, floats[5], columns[2][5], columns[3][5], floats[5], "s2")
@@ -464,11 +473,9 @@ class TestResultIO:
         _, csv_path = write_result(result, tmp_path)
         assert csv_path.read_text() == result_to_csv(result) == "i,f,arr,ints,npf,label\n" + row_wise
 
-    def test_series_columns_must_match_names_and_length(self):
+    def test_series_columns_must_share_one_length(self):
         with pytest.raises(ValueError):
-            ExperimentResult("bad", {}, ("a", "b"), ([1.0], [2.0, 3.0]), {"seed": 0})
-        with pytest.raises(ValueError):
-            ExperimentResult("bad", {}, ("a", "b"), ([1.0],), {"seed": 0})
+            ExperimentResult({}, {"a": [1.0], "b": [2.0, 3.0]}, {"experiment": "bad", "seed": 0})
 
     def test_write_result_files(self, tmp_path):
         res = run_laser_noise_sweep(SMALL_NOISE, seed=29, threads=1)

@@ -525,7 +525,8 @@ class TestPessimisticBounds:
         with pytest.raises(
             NumericalDomainError,
             match=re.escape(
-                f"bounds overflow at T = {t:g}, excess noise = {params.excess_noise:g} SNU"
+                f"bounds leave the float range at T = {t:g}, "
+                f"excess noise = {params.excess_noise:g} SNU"
             ),
         ):
             pessimistic_parameter_bounds(params, 10**11)
@@ -800,7 +801,7 @@ class TestFastPathOracle:
         # 401 pulse counts from 1e4, where the lower T bound sits at its floor,
         # to 1e14, and the distance sweep's 3,001 lengths.
         n_grid = NSweepConfig(log10_min=4.0, log10_max=14.0, points=401).grid()
-        rates = run_finite_size_sweep(params, n_grid).series[1]
+        rates = run_finite_size_sweep(params, n_grid).series["rate_bits_per_pulse"]
         assert rates == [_reference_finite_size_rate(params, int(n)) for n in n_grid]
         clamped = sum(
             pessimistic_parameter_bounds(params, int(n)).transmittance_low == _T_FLOOR
@@ -809,7 +810,8 @@ class TestFastPathOracle:
         assert clamped >= 40
 
         l_grid = DistanceSweepConfig(points=3001).grid()
-        lengths, rates = run_keyrate_distance_sweep(params, l_grid).series
+        series = run_keyrate_distance_sweep(params, l_grid).series
+        lengths, rates = series["fiber_length_km"], series["rate_bits_per_pulse"]
         alpha = params.channel.attenuation_db_per_km
         for length, rate in zip(lengths, rates):
             i_ab, chi = _reference_terms(
