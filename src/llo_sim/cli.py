@@ -155,7 +155,10 @@ def dispatch(command: str, config: RunConfig) -> int:
     if any(name not in _RUNNERS for name in names):
         raise ConfigError(f"unknown command {command!r}")
     for name in names:
-        result = _RUNNERS[name](config)
+        try:
+            result = _RUNNERS[name](config)
+        except MemoryError as exc:
+            raise ConfigError(f"{name}: the run does not fit in memory: {exc}") from exc
         try:
             write_result(result, config.output_dir)
         except OSError as exc:

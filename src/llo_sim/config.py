@@ -71,9 +71,17 @@ def batch_size(total: int, n_batches: int, i: int) -> int:
 
 def _check_batches(n_items: int, n_batches: int, minimum: int) -> None:
     """Every Monte Carlo metric needs >= 2 batches, and its estimator needs
-    ``minimum`` items in the smallest."""
+    ``minimum`` items in the smallest.  A batch builds float64 arrays of up
+    to two entries per item (a pulse pair; a sample and its end point), whose
+    bytes numpy indexes only up to ``sys.maxsize``."""
     if n_batches < 2:
         raise ConfigError(f"n_batches must be >= 2 for a standard error, got {n_batches}")
+    largest = batch_size(n_items, n_batches, 0)
+    if 2 * largest * 8 > sys.maxsize:
+        raise ConfigError(
+            f"{n_items} items in {n_batches} batches put {largest} in the largest, "
+            f"whose float64 arrays exceed numpy's limit of {sys.maxsize} bytes"
+        )
     smallest = batch_size(n_items, n_batches, n_batches - 1)
     if smallest < minimum:
         raise ConfigError(

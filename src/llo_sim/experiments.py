@@ -38,7 +38,7 @@ from .config import (
     batch_size,
 )
 from .errors import DomainError, EstimationError
-from .link_sim import PulseTrainConfig, RunSeeds, fiber_transmittance, simulate_run
+from .link_sim import PulseTrainConfig, detect_run, fiber_transmittance, launch_run, simulate_run
 from .noise_models import phase_noise_variance, simulate_self_interference
 from .phase_recovery import (
     RecoveredRun,
@@ -324,22 +324,26 @@ def _shot_noise_prediction(cfg) -> float:
     return per_signal + 0.5 * per_reference
 
 
-def _recovered_batch(
-    config, modulation, reference_photons: float, n_pairs: int, seeds
-) -> RecoveredRun:
-    """Simulate and recover one sub-batch of a train with ``modulation`` (a
-    :attr:`~llo_sim.link_sim.PulseTrainConfig.modulation`); the
-    :class:`RecoveredRun` carries the encoded phase of each usable signal from
-    the simulated block."""
-    train = PulseTrainConfig(
-        repetition_period_s=config.repetition_period_s,
-        n_pairs=n_pairs,
-        signal_photons=config.signal_photons,
-        reference_photons=reference_photons,
-        modulation=modulation,
+def _batch_train(config, modulation, i: int, reference_photons: float) -> PulseTrainConfig:
+    """Sub-batch ``i`` of ``config``'s train with ``modulation`` (a
+    :attr:`~llo_sim.link_sim.PulseTrainConfig.modulation`)."""
+    n_pairs = batch_size(config.n_pairs, config.n_batches, i)
+    return PulseTrainConfig(
+        config.repetition_period_s, n_pairs, config.signal_photons, reference_photons, modulation
     )
-    block = simulate_run(train, (config.laser_s, config.laser_l), config.detector, seeds)
-    return recover_run(block)
+
+
+def _recovered_batches(config, modulation, tag, seed: int, threads: int) -> list[RecoveredRun]:
+    """Simulate and recover the ``config.n_batches`` sub-batches of a train
+    with ``modulation``, batch ``i`` on the streams of path ``(tag, i)``; each
+    :class:`RecoveredRun` carries the encoded phase of each usable signal."""
+    lasers = (config.laser_s, config.laser_l)
+
+    def recovered(i: int) -> RecoveredRun:
+        train = _batch_train(config, modulation, i, config.reference_photons)
+        return recover_run(simulate_run(train, lasers, config.detector, seed, tag, i))
+
+    return _map_ordered(recovered, range(config.n_batches), threads)
 
 
 def run_bpsk_phase_experiment(
@@ -353,14 +357,7 @@ def run_bpsk_phase_experiment(
     variances, the closed-form prediction they should match, and the
     uniformity p-value of the raw phases.
     """
-    recs = _map_ordered(
-        lambda i: _recovered_batch(
-            config, config.bpsk_phases, config.reference_photons,
-            batch_size(config.n_pairs, config.n_batches, i),
-            RunSeeds.from_seed(seed, "bpsk", i),
-        ),
-        range(config.n_batches), threads,
-    )
+    recs = _recovered_batches(config, config.bpsk_phases, "bpsk", seed, threads)
     groups, pooled = zip(*map(_pooled_group_variance, recs))
 
     raw_all = np.concatenate([rec.raw_phases for rec in recs])
@@ -415,28 +412,26 @@ def run_weak_reference_sweep(
 ) -> ExperimentResult:
     """Residual phase variance vs reference photon number.
 
-    All sweep points of a batch share the laser trajectories and initial
-    phase (common random numbers): only the detection noise is redrawn.
-    That mirrors re-detecting one run at different reference powers and keeps
-    the sweep's monotonicity free of trajectory-to-trajectory noise.
+    Each batch is launched once and detected at every photon number (common
+    random numbers): only the detection noise is redrawn.  That mirrors
+    re-detecting one run at different reference powers and keeps the sweep's
+    monotonicity free of trajectory-to-trajectory noise.
     """
-    def pooled_variance(task) -> float:
-        point, i = task
-        seeds = replace(
-            RunSeeds.from_seed(seed, "weak-ref", i),
-            detector=seed_sequence(seed, "weak-ref", i, "detector", point),
-        )
-        rec = _recovered_batch(
-            config, config.bpsk_phases, config.photon_numbers[point],
-            batch_size(config.n_pairs, config.n_batches, i), seeds,
-        )
-        return _pooled_group_variance(rec)[1]
+    lasers = (config.laser_s, config.laser_l)
 
-    n_points = len(config.photon_numbers)
-    tasks = list(itertools.product(range(n_points), range(config.n_batches)))
-    pooled = np.reshape(
-        _map_ordered(pooled_variance, tasks, threads), (n_points, config.n_batches)
-    )
+    def pooled_variances(i: int) -> list[float]:
+        # The launch reads no reference photon number; detection takes each.
+        train = _batch_train(config, config.bpsk_phases, i, reference_photons=0.0)
+        launched = launch_run(train, lasers, seed, "weak-ref", i)
+        return [
+            _pooled_group_variance(recover_run(detect_run(
+                launched, photons, config.detector,
+                seed_sequence(seed, "weak-ref", i, "detector", point),
+            )))[1]
+            for point, photons in enumerate(config.photon_numbers)
+        ]
+
+    pooled = zip(*_map_ordered(pooled_variances, range(config.n_batches), threads))
     per_point = [batch_metric(values) for values in pooled]
 
     return ExperimentResult(
@@ -468,14 +463,7 @@ def run_quantum_remap_experiment(
     variances in shot-noise units, and the phase-noise variance estimated
     from the P/X variance asymmetry.
     """
-    recs = _map_ordered(
-        lambda i: _recovered_batch(
-            config, (0.0, 0.0), config.reference_photons,  # unmodulated
-            batch_size(config.n_pairs, config.n_batches, i),
-            RunSeeds.from_seed(seed, "remap", i),
-        ),
-        range(config.n_batches), threads,
-    )
+    recs = _recovered_batches(config, (0.0, 0.0), "remap", seed, threads)  # unmodulated
     p_uniform = uniformity_pvalue(
         np.concatenate([rec.raw_phases for rec in recs]),
         n_bins=config.uniformity_bins, stride=config.uniformity_stride,

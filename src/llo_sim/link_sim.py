@@ -46,31 +46,6 @@ MIN_SYMBOL_SIGNALS = 2
 MIN_REMAP_SIGNALS = 100
 
 
-class RunSeeds(Record):
-    """Per-purpose random streams of one simulated run; ``laser`` drives its
-    one relative-phase walk (:func:`llo_sim.noise_models.beat`).
-
-    Most callers pass a plain integer seed to :func:`simulate_run`; this type
-    exists for variance-reduction schemes that deliberately share some streams
-    between runs (e.g. re-detecting the same laser trajectory at a different
-    reference power) while keeping the rest independent.
-    """
-
-    laser: object
-    phase0: object
-    modulation: object
-    detector: object
-
-    @classmethod
-    def from_seed(cls, seed: int, *path) -> "RunSeeds":
-        return cls(
-            laser=seed_sequence(seed, *path, "laser"),
-            phase0=seed_sequence(seed, *path, "phase0"),
-            modulation=seed_sequence(seed, *path, "modulation"),
-            detector=seed_sequence(seed, *path, "detector"),
-        )
-
-
 class GaussianModulation(Record):
     """Bivariate Gaussian modulation of variance ``variance_snu`` (V_A)."""
 
@@ -287,40 +262,54 @@ def _measure_arrays(x_in, p_in, phi, det: ChannelDetector, rng):
     return x, p
 
 
-def simulate_run(
-    train: PulseTrainConfig,
-    lasers: tuple[LaserModel, LaserModel],
-    det: ChannelDetector,
-    seed,
-) -> PulseBlock:
-    """Simulate one interleaved run; returns its pulses in schedule order,
-    with Alice's encoded phase of each signal.
-
-    ``lasers`` is (signal laser, LO laser).  The per-pulse phase offset is one
-    trajectory of their :func:`~llo_sim.noise_models.beat` plus a uniform
-    random initial offset.  Sub-streams for the trajectory, the initial
-    offset, the modulation and the detector noise are derived independently
-    from ``seed``, so the run is reproducible and batch-order independent.
-    """
+def launch_run(train: PulseTrainConfig, lasers: tuple[LaserModel, LaserModel], seed, *path):
+    """A run up to detection: ``(phi, x_a, p_a, encoded)``.  ``phi`` is the
+    LO-vs-signal phase offset of each pulse, one trajectory of the
+    :func:`~llo_sim.noise_models.beat` of ``lasers`` (signal laser, LO laser)
+    plus a uniform initial offset; the rest are Alice's target quadratures and
+    encoded phase of each signal.  They come from the ``"laser"``,
+    ``"phase0"`` and ``"modulation"`` streams at ``(seed, *path)``.  The
+    reference photon number is :func:`detect_run`'s, so one launch can be
+    detected at several."""
     if train.n_pairs < 2:
         raise ScheduleError(f"need n_pairs >= 2, got {train.n_pairs}")
-    seeds = seed if isinstance(seed, RunSeeds) else RunSeeds.from_seed(int(seed))
-
     n = train.n_pairs
     times = np.arange(2 * n, dtype=float) * train.repetition_period_s
-    phi0 = as_generator(seeds.phase0).uniform(0.0, math.tau)
-    phi = phi0 + sample_phase_trajectory(beat(*lasers), times, seeds.laser)
-
-    x_a, p_a, encoded = _draw_symbols(
-        train.modulation, train.signal_photons, np.arange(n), as_generator(seeds.modulation)
+    phi0 = as_generator(seed_sequence(seed, *path, "phase0")).uniform(0.0, math.tau)
+    phi = phi0 + sample_phase_trajectory(
+        beat(*lasers), times, seed_sequence(seed, *path, "laser")
     )
-    ref_x, ref_p = coherent_amplitude(train.reference_photons)
+    x_a, p_a, encoded = _draw_symbols(
+        train.modulation, train.signal_photons, np.arange(n),
+        as_generator(seed_sequence(seed, *path, "modulation")),
+    )
+    return phi, x_a, p_a, encoded
 
-    x_in = np.empty(2 * n)
-    p_in = np.empty(2 * n)
+
+def detect_run(launched, reference_photons: float, det: ChannelDetector, seed) -> PulseBlock:
+    """Interleave references of ``reference_photons`` with the signals of a
+    :func:`launch_run` result and measure every pulse through ``det``, with
+    detector noise from ``seed`` (anything :func:`as_generator` takes)."""
+    phi, x_a, p_a, encoded = launched
+    ref_x, ref_p = coherent_amplitude(reference_photons)
+    x_in = np.empty(phi.size)
+    p_in = np.empty(phi.size)
     x_in[0::2], p_in[0::2] = ref_x, ref_p
     x_in[1::2], p_in[1::2] = x_a, p_a
 
-    x_out, p_out = _measure_arrays(x_in, p_in, phi, det, as_generator(seeds.detector))
+    x_out, p_out = _measure_arrays(x_in, p_in, phi, det, as_generator(seed))
     return PulseBlock(x_out, p_out, phi, encoded)
 
+
+def simulate_run(
+    train: PulseTrainConfig, lasers: tuple[LaserModel, LaserModel], det: ChannelDetector,
+    seed: int, *path: int | str,
+) -> PulseBlock:
+    """Simulate one interleaved run: its pulses in schedule order, with
+    Alice's encoded phase of each signal.  One :func:`launch_run`, detected
+    by :func:`detect_run` with the ``"detector"`` stream; every stream is
+    derived from ``seed`` and the label ``path``, so the run is reproducible
+    and batch-order independent."""
+    launched = launch_run(train, lasers, seed, *path)
+    detector = seed_sequence(seed, *path, "detector")
+    return detect_run(launched, train.reference_photons, det, detector)

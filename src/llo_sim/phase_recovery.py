@@ -149,8 +149,8 @@ class RecoveredRun(Record):
     """Vectorised result of recovering one simulated run.
 
     Arrays cover the usable signals only: the final signal of a run has no
-    following reference and is dropped.  The signal quadratures, true phases
-    and ``encoded_phases`` (Alice's encoded phase of each usable signal) are
+    following reference and is dropped.  The signal quadratures and
+    ``encoded_phases`` (Alice's encoded phase of each usable signal) are
     views into the recovered block.  ``n_antipodal_ties`` counts the
     reference pairs that :func:`_midpoints` found exactly antipodal.
     """
@@ -160,7 +160,6 @@ class RecoveredRun(Record):
     raw_phases: np.ndarray
     interpolated_phases: np.ndarray
     corrected_phases: np.ndarray
-    true_phases: np.ndarray
     encoded_phases: np.ndarray
     n_antipodal_ties: int
 
@@ -190,7 +189,6 @@ def recover_run(block: PulseBlock) -> RecoveredRun:
         raw_phases=raw,
         interpolated_phases=interpolated,
         corrected_phases=corrected,
-        true_phases=block.true_phase[1:-1:2],
         encoded_phases=block.encoded_phase[:-1],
         n_antipodal_ties=n_ties,
     )

@@ -11,6 +11,7 @@ import llo_sim
 from llo_sim.cli import main
 from llo_sim.config import parse_config
 from llo_sim.errors import ConfigError
+from llo_sim.experiments import CSV_CHUNK_ROWS
 
 
 class TestParseConfig:
@@ -130,6 +131,22 @@ class TestCliContract:
         code = main(["keyrate-asymptotic", "--set", "channel.bogus=1"])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_run_out_of_memory_exits_2_naming_the_command(self, tmp_path, capsys, monkeypatch):
+        # numpy raises MemoryError for an array it cannot allocate; raised
+        # here, so that no test asks the host for that memory.
+        def oversized(config):
+            raise MemoryError("Unable to allocate 1.42 PiB")
+
+        monkeypatch.setitem(llo_sim.cli._RUNNERS, "remap-exp", oversized)
+        code = main(["remap-exp", "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "config error: remap-exp: the run does not fit in memory: "
+            "Unable to allocate 1.42 PiB\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("target", ["a-file", "a-file/sub"])
     def test_unwritable_output_dir_exits_2(self, tmp_path, capsys, target):
@@ -324,7 +341,33 @@ SMALL_ALL_ARGS = [
 ]
 
 
+def _outputs(argv, out_dir, capsys) -> tuple[str, str, dict[str, bytes]]:
+    """Stdout, stderr and every file written by one in-process run of ``argv``."""
+    assert main([*argv, "--output-dir", str(out_dir)]) == 0
+    captured = capsys.readouterr()
+    return captured.out, captured.err, {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+
 class TestDeterminism:
+    def test_many_chunk_scatter_same_at_one_and_two_threads(self, tmp_path, capsys):
+        argv = ["remap-exp", "--seed", "7", "--set", "experiments.remap.n_pairs=10000",
+                "--set", "experiments.remap.scatter_rows=10000"]
+        one, two = (
+            _outputs([*argv, "--threads", t], tmp_path / t, capsys) for t in ("1", "2")
+        )
+        assert one == two
+        # One row per usable signal, 9,990, in more than two CSV chunks.
+        assert one[2]["remap-exp-7.csv"].count(b"\n") - 1 > 2 * CSV_CHUNK_ROWS
+
+    def test_noiseless_lasers_same_at_one_and_two_threads(self, tmp_path, capsys):
+        argv = ["all", "--seed", "7", *SMALL_ALL_ARGS,
+                "--set", "laser_s.linewidth_hz=0", "--set", "laser_l.linewidth_hz=0"]
+        one, two = (
+            _outputs([*argv, "--threads", t], tmp_path / t, capsys) for t in ("1", "2")
+        )
+        assert one == two
+        assert len(one[2]) == 16
+
     def test_all_twice_is_byte_identical(self, tmp_path, capsys):
         dir_a = tmp_path / "a"
         dir_b = tmp_path / "b"
@@ -669,6 +712,11 @@ BAD_CONFIGS = [
      "config.security: pe_radius_scale must be > 0"),
     ("phase-exp", None, ["experiments.phase_exp.bpsk_phases=[0.0]"],
      "config.experiments.phase_exp.bpsk_phases: expected 2 items, got 1"),
+    # Batches whose float64 arrays numpy cannot index.
+    ("phase-exp", None, ["train.n_pairs=100000000000000000000"],
+     "config.experiments.phase_exp: 100000000000000000000 items in 10 batches"),
+    ("laser-noise", None, ["experiments.laser_noise.n_samples=100000000000000000000"],
+     "config.experiments.laser_noise: 100000000000000000000 items in 10 batches"),
 ]
 
 

@@ -170,6 +170,26 @@ class TestWeakReferenceSweep:
         # Huge reference photon number converges to the laser-limited value.
         assert values[0] == pytest.approx(0.0395, rel=0.1)
 
+    def test_one_launch_per_batch_detected_at_every_point(self, monkeypatch):
+        calls = {"launch_run": 0, "detect_run": 0}
+
+        def counting(name):
+            run = getattr(experiments, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return run(*args)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(experiments, name, counting(name))
+        config = WeakReferenceSweepConfig(
+            photon_numbers=(1e4, 1e3, 100.0), n_pairs=2000, n_batches=4
+        )
+        run_weak_reference_sweep(config, seed=17, threads=1)
+        assert calls == {"launch_run": 4, "detect_run": 12}
+
 
 class TestRemapExperiment:
     def test_metrics(self):

@@ -5,9 +5,10 @@ The closed-form outputs use only ``math`` and ``json``, so they are checked on
 every host: those of the four ``keyrate-cli`` benchmark commands, and the
 files the closed-form commands write within ``all``.  The Monte Carlo outputs
 go through numpy ufuncs whose SIMD paths may differ in the last bit between
-numpy versions and CPUs, so they are checked only on a host with the numpy
-version and CPU feature set the manifest records; elsewhere the test skips
-and says why.
+numpy versions and CPUs.  They are compared on every host: a match passes,
+a mismatch fails on a host with the numpy version and CPU feature set the
+manifest records, and elsewhere the test skips and says why.  On any host,
+``all`` at 2 threads must write the bytes it writes at 1.
 
 A change that means to move output bytes regenerates the manifest with
 
@@ -53,11 +54,9 @@ def _sha256(data: bytes) -> str:
 
 
 @functools.cache
-def _run(name: str) -> tuple[dict[str, str], dict[str, str]]:
-    """``(closed_form, monte_carlo)``: the SHA-256 of stdout and of every file
-    that one in-process run of command ``name`` writes, split by whether a
-    closed-form command wrote it (stdout goes with the command)."""
-    argv = {**CLOSED_FORM, **MONTE_CARLO}[name]
+def _hashes(argv: tuple[str, ...]) -> dict[str, str]:
+    """The SHA-256 of stdout and of every file that one in-process run of
+    ``llo-sim argv`` writes."""
     with tempfile.TemporaryDirectory() as out:
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
@@ -66,6 +65,14 @@ def _run(name: str) -> tuple[dict[str, str], dict[str, str]]:
         hashes = {"stdout": _sha256(stdout.getvalue().encode())}
         for path in sorted(Path(out).iterdir()):
             hashes[path.name] = _sha256(path.read_bytes())
+    return hashes
+
+
+def _run(name: str) -> tuple[dict[str, str], dict[str, str]]:
+    """``(closed_form, monte_carlo)``: the hashes of command ``name``'s run,
+    split by whether a closed-form command wrote the file (stdout goes with
+    the command)."""
+    hashes = _hashes(tuple({**CLOSED_FORM, **MONTE_CARLO}[name]))
     if name in CLOSED_FORM:
         return hashes, {}
     closed = {k: v for k, v in hashes.items() if k.rsplit("-", 1)[0] in CLOSED_FORM}
@@ -108,10 +115,16 @@ def test_closed_form_outputs_match_the_manifest(golden, name):
 @pytest.mark.parametrize("name", MONTE_CARLO)
 def test_monte_carlo_outputs_match_the_manifest(golden, name):
     recorded, host = golden["monte_carlo_host"], _host()
-    if host != recorded:
+    hashes = _run(name)[1]
+    if hashes != golden["monte_carlo"][name] and host != recorded:
         moved = {k: (recorded.get(k), host[k]) for k in host if recorded.get(k) != host[k]}
-        pytest.skip(f"manifest recorded on another numpy or CPU: {moved}")
-    assert _run(name)[1] == golden["monte_carlo"][name]
+        pytest.skip(f"outputs differ; manifest recorded on another numpy or CPU: {moved}")
+    assert hashes == golden["monte_carlo"][name]
+
+
+def test_two_threads_write_the_bytes_of_one():
+    two = _hashes(("all", "--seed", "7", "--threads", "2"))
+    assert two == _hashes(tuple(MONTE_CARLO["all"]))
 
 
 if __name__ == "__main__":

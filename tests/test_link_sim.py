@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from llo_sim._seeding import substream
+from llo_sim._seeding import seed_sequence, substream
 from llo_sim.errors import ConfigError, DomainError, ScheduleError
 from llo_sim.link_sim import (
     ChannelDetector,
     GaussianModulation,
     PulseBlock,
     PulseTrainConfig,
-    RunSeeds,
     coherent_amplitude,
+    detect_run,
+    launch_run,
     simulate_run,
     _draw_symbols,
     _measure_arrays,
@@ -224,23 +225,21 @@ class TestSimulateRun:
         assert same(a, b)
         assert not same(a, c)
 
-    def test_run_seeds_shared_trajectories(self):
-        # Common laser streams, fresh detector stream: same true phases,
-        # different measured quadratures.
+    def test_one_launch_detected_twice(self):
+        # One launch, two detector streams: same true phases, different
+        # measured quadratures; on the run's own "detector" stream the
+        # detection is simulate_run's.
         train = PulseTrainConfig(20e-9, 20, 10.0, 10.0)
         lasers = (BENCH_LASER_S, BENCH_LASER_L)
         det = ChannelDetector()
-        base = RunSeeds.from_seed(21)
-        varied = RunSeeds(
-            laser=base.laser,
-            phase0=base.phase0,
-            modulation=base.modulation,
-            detector=substream(99, "other-detector"),
-        )
-        a = simulate_run(train, lasers, det, seed=RunSeeds.from_seed(21))
-        b = simulate_run(train, lasers, det, seed=varied)
-        assert [s.true_phase for s in a] == [s.true_phase for s in b]
-        assert [s.x for s in a] != [s.x for s in b]
+        launched = launch_run(train, lasers, 21, "batch", 3)
+        a = detect_run(launched, 10.0, det, seed_sequence(21, "batch", 3, "detector"))
+        b = detect_run(launched, 10.0, det, substream(99, "other-detector"))
+        assert np.array_equal(a.true_phase, b.true_phase)
+        assert not np.array_equal(a.x, b.x)
+        run = simulate_run(train, lasers, det, 21, "batch", 3)
+        for column in ("x", "p", "true_phase", "encoded_phase"):
+            assert np.array_equal(getattr(a, column), getattr(run, column)), column
 
     def test_bob_variance_identity(self):
         # Sample variance of Bob's quadratures on Gaussian modulation matches

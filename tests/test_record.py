@@ -35,7 +35,7 @@ def _records():
 
 def test_every_dataclass_is_a_record_without_generated_methods():
     records = _records()
-    assert len(records) == 18
+    assert len(records) == 17
     for cls in records:
         assert issubclass(cls, Record), cls
         own = set(_METHODS).intersection(vars(cls))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from llo_sim._seeding import as_generator
+from llo_sim._seeding import seed_sequence
 from llo_sim.config import BENCH_TRAIN, LO_LASER, SIGNAL_LASER, DistanceSweepConfig, NSweepConfig
 from llo_sim.errors import ConfigError, DomainError, LLOSimError, NumericalDomainError
 from llo_sim.experiments import run_finite_size_sweep, run_keyrate_distance_sweep
@@ -18,9 +18,8 @@ from llo_sim.link_sim import (
     ChannelDetector,
     GaussianModulation,
     PulseTrainConfig,
-    RunSeeds,
-    _draw_symbols,
-    simulate_run,
+    detect_run,
+    launch_run,
 )
 from llo_sim.noise_models import phase_noise_variance
 from llo_sim.phase_recovery import predicted_sigma_phi, recover_run, remap_quadratures
@@ -207,13 +206,11 @@ class TestExcessNoiseFromSimulation:
             BENCH_TRAIN.repetition_period_s, 250_000, 0.0, 1e5,
             modulation=GaussianModulation(v_a),
         )
-        seeds = RunSeeds.from_seed(seed)
-        rec = recover_run(simulate_run(train, (SIGNAL_LASER, LO_LASER), cls.DETECTOR, seeds))
-        # Alice's symbols, re-drawn from the run's modulation stream; recovery
-        # drops the last signal.
-        x_a, p_a, _ = _draw_symbols(
-            train.modulation, 0.0, np.arange(train.n_pairs), as_generator(seeds.modulation)
-        )
+        launched = launch_run(train, (SIGNAL_LASER, LO_LASER), seed)
+        detector = seed_sequence(seed, "detector")
+        rec = recover_run(detect_run(launched, train.reference_photons, cls.DETECTOR, detector))
+        # Alice's symbols from the launch; recovery drops the last signal.
+        _, x_a, p_a, _ = launched
         a = np.concatenate([x_a[:-1], p_a[:-1]])
         b = np.concatenate(
             remap_quadratures(rec.signal_x, rec.signal_p, rec.interpolated_phases)
