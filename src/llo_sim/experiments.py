@@ -146,34 +146,54 @@ def result_to_json(result: ExperimentResult) -> str:
 CSV_CHUNK_ROWS = 4096
 
 
-def _csv_chunks(result: ExperimentResult) -> Iterator[str]:
-    """The series as CSV text: the header line, then up to
+def _numeric(columns) -> bool:
+    """Whether every column is a numpy float64 or integer array or a
+    ``range``.  numpy is looked up, never imported: before its import no
+    array can exist, and a result of ranges alone takes the per-cell path."""
+    numpy = sys.modules.get("numpy")
+    return numpy is not None and all(
+        isinstance(c, range)
+        or (isinstance(c, numpy.ndarray) and (c.dtype == numpy.float64 or c.dtype.kind in "iu"))
+        for c in columns
+    )
+
+
+def _csv_chunks(result: ExperimentResult) -> Iterator[bytes]:
+    """The series as UTF-8 CSV: the header line, then up to
     :data:`CSV_CHUNK_ROWS` lines per chunk, each ending in a newline.
 
-    A chunk takes its slice of each column, as Python objects through
-    ``tolist`` where the column has one (a numpy array).  Each column takes
-    one ``%`` format from its cell in the first row: ``%.17g`` (round-trip
-    precision; ``nan``, ``inf``, ``-0``) for a Python float, or a numpy float
-    when numpy is loaded (without it no numpy cell can exist, so writing never
-    imports numpy), ``%s`` for anything else.
+    Each column takes one ``%`` format from its cell in the first row:
+    ``%.17g`` (round-trip precision; ``nan``, ``inf``, ``-0``) for a float,
+    ``%s`` for anything else.  A series whose columns are all numpy float64
+    or integer arrays or ranges is formatted by the vectorised kernel of
+    :mod:`llo_sim._csv_format`, imported only then, which gives the same
+    bytes.  Any other series (a list column, or no numpy loaded) is formatted
+    cell by cell: a chunk takes its slice of each column, as Python objects
+    through ``tolist`` where the column has one.  Writing never imports numpy.
     """
-    yield ",".join(result.series) + "\n"
+    yield (",".join(result.series) + "\n").encode()
     columns = list(result.series.values())
     n_rows = len(columns[0]) if columns else 0
+    if n_rows and _numeric(columns):
+        from ._csv_format import csv_lines
+
+        for start in range(0, n_rows, CSV_CHUNK_ROWS):
+            yield from csv_lines([column[start : start + CSV_CHUNK_ROWS] for column in columns])
+        return
     for start in range(0, n_rows, CSV_CHUNK_ROWS):
         chunk = [column[start : start + CSV_CHUNK_ROWS] for column in columns]
         chunk = [c.tolist() if hasattr(c, "tolist") else c for c in chunk]
         if start == 0:
             floats = _float_types()
             row_format = ",".join("%.17g" if isinstance(c[0], floats) else "%s" for c in chunk)
-        yield "\n".join([row_format % row for row in zip(*chunk)]) + "\n"
+        yield ("\n".join([row_format % row for row in zip(*chunk)]) + "\n").encode()
 
 
 def result_to_csv(result: ExperimentResult) -> str:
     """The series as CSV: a header of the column names, then one line per
     row, formatted as :func:`write_result` writes it.  No rows give the header
     only."""
-    return "".join(_csv_chunks(result))
+    return b"".join(_csv_chunks(result)).decode()
 
 
 def write_result(result: ExperimentResult, output_dir) -> tuple[Path, Path]:
@@ -188,7 +208,7 @@ def write_result(result: ExperimentResult, output_dir) -> tuple[Path, Path]:
     json_path = out / f"{stem}.json"
     csv_path = out / f"{stem}.csv"
     json_path.write_text(result_to_json(result), encoding="utf-8")
-    with csv_path.open("w", encoding="utf-8") as csv_file:
+    with csv_path.open("wb") as csv_file:
         csv_file.writelines(_csv_chunks(result))
     return json_path, csv_path
 

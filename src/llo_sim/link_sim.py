@@ -250,10 +250,17 @@ def rotate(x, p, c, s):
     return x * c - p * s, x * s + p * c
 
 
-def _measure_arrays(x_in, p_in, phi, det: ChannelDetector, rng):
-    """Vectorised heterodyne measurement; rng=None gives the noise-free mean."""
+def lo_frame(phi):
+    """``(cos phi, -sin phi)``: the rotation into the frame of an LO offset
+    by ``phi`` from the signal laser, for :func:`rotate`."""
+    return np.cos(phi), -np.sin(phi)
+
+
+def _measure_arrays(x_in, p_in, frame, det: ChannelDetector, rng):
+    """Vectorised heterodyne measurement in the :func:`lo_frame` ``frame``;
+    rng=None gives the noise-free mean."""
     scale = det.amplitude_gain
-    x, p = rotate(x_in, p_in, np.cos(phi), -np.sin(phi))
+    x, p = rotate(x_in, p_in, *frame)
     x, p = scale * x, scale * p
     if rng is not None:
         sigma = math.sqrt(det.noise_snu)
@@ -263,14 +270,15 @@ def _measure_arrays(x_in, p_in, phi, det: ChannelDetector, rng):
 
 
 def launch_run(train: PulseTrainConfig, lasers: tuple[LaserModel, LaserModel], seed, *path):
-    """A run up to detection: ``(phi, x_a, p_a, encoded)``.  ``phi`` is the
-    LO-vs-signal phase offset of each pulse, one trajectory of the
+    """A run up to detection: ``(phi, frame, x_a, p_a, encoded)``.  ``phi``
+    is the LO-vs-signal phase offset of each pulse, one trajectory of the
     :func:`~llo_sim.noise_models.beat` of ``lasers`` (signal laser, LO laser)
-    plus a uniform initial offset; the rest are Alice's target quadratures and
-    encoded phase of each signal.  They come from the ``"laser"``,
-    ``"phase0"`` and ``"modulation"`` streams at ``(seed, *path)``.  The
-    reference photon number is :func:`detect_run`'s, so one launch can be
-    detected at several."""
+    plus a uniform initial offset, and ``frame`` its :func:`lo_frame`,
+    computed once for every detection; the rest are Alice's target
+    quadratures and encoded phase of each signal.  They come from the
+    ``"laser"``, ``"phase0"`` and ``"modulation"`` streams at
+    ``(seed, *path)``.  The reference photon number is :func:`detect_run`'s,
+    so one launch can be detected at several."""
     if train.n_pairs < 2:
         raise ScheduleError(f"need n_pairs >= 2, got {train.n_pairs}")
     n = train.n_pairs
@@ -283,21 +291,21 @@ def launch_run(train: PulseTrainConfig, lasers: tuple[LaserModel, LaserModel], s
         train.modulation, train.signal_photons, np.arange(n),
         as_generator(seed_sequence(seed, *path, "modulation")),
     )
-    return phi, x_a, p_a, encoded
+    return phi, lo_frame(phi), x_a, p_a, encoded
 
 
 def detect_run(launched, reference_photons: float, det: ChannelDetector, seed) -> PulseBlock:
     """Interleave references of ``reference_photons`` with the signals of a
     :func:`launch_run` result and measure every pulse through ``det``, with
     detector noise from ``seed`` (anything :func:`as_generator` takes)."""
-    phi, x_a, p_a, encoded = launched
+    phi, frame, x_a, p_a, encoded = launched
     ref_x, ref_p = coherent_amplitude(reference_photons)
     x_in = np.empty(phi.size)
     p_in = np.empty(phi.size)
     x_in[0::2], p_in[0::2] = ref_x, ref_p
     x_in[1::2], p_in[1::2] = x_a, p_a
 
-    x_out, p_out = _measure_arrays(x_in, p_in, phi, det, as_generator(seed))
+    x_out, p_out = _measure_arrays(x_in, p_in, frame, det, as_generator(seed))
     return PulseBlock(x_out, p_out, phi, encoded)
 
 

@@ -102,8 +102,11 @@ def residual_variance(corrected, encoded) -> dict[float, float]:
         raise EstimationError("cannot estimate variance of an empty sequence")
 
     variances: dict[float, float] = {}
-    # sorted(set(...)) rather than np.unique, whose numpy 2.x path imports numpy.ma
-    for symbol in sorted(set(encoded.tolist())):
+    # The first of each run of equal values in a sort, rather than np.unique,
+    # whose numpy 2.x path imports numpy.ma.
+    ordered = np.sort(encoded)
+    symbols = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    for symbol in symbols.tolist():
         deviations = wrap_phase(corrected[encoded == symbol] - symbol)
         if deviations.size < MIN_SYMBOL_SIGNALS:
             raise EstimationError(

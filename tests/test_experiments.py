@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import replace
 from decimal import Context, Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +43,11 @@ from llo_sim.security import SecurityParams, asymptotic_key_rate
 SMALL_PHASE = PhaseExperimentConfig(n_pairs=4000, uniformity_stride=25)
 SMALL_REMAP = RemapExperimentConfig(n_pairs=4000, uniformity_stride=25)
 SMALL_NOISE = LaserNoiseSweepConfig(n_samples=20000)
+# Floats at and around the bounds of the CSV kernel's vectorised range.
+EDGE_FLOATS = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-4, 9.9999999999999991e-05,
+    0.99999999999999994, 9.999999999999999e15, 1e16, 2**52 + 0.5, 1e300,
+]
 
 
 def reference_security(length_km=0.0, eta=0.5, nu=0.1) -> SecurityParams:
@@ -470,28 +476,66 @@ class TestResultIO:
         n = 2 * CSV_CHUNK_ROWS + 7  # three chunks, the last one ragged
         specials = [math.nan, math.inf, -0.0, -math.inf]
         floats = [specials[i % 4] if i % 5 == 0 else i / 7.0 for i in range(n)]
-        columns = (
-            range(n),
-            floats,
-            np.arange(n, dtype=float) * 1e-3 - 1.0,
-            np.arange(n) - 3,
-            [np.float64(x) for x in floats],
-            [f"s{i % 3}" for i in range(n)],
-        )
-        result = ExperimentResult(
-            scalar_metrics={},
-            series=dict(zip(("i", "f", "arr", "ints", "npf", "label"), columns)),
-            metadata={"experiment": "chunks", "seed": 0},
-        )
-        rows = result.series_rows
-        assert rows[5] == (5, floats[5], columns[2][5], columns[3][5], floats[5], "s2")
-        assert len(rows) == n and all(len(row) == 6 for row in rows)
-        row_wise = "".join(
-            "%s,%.17g,%.17g,%s,%.17g,%s\n" % (i, f, float(a), int(k), g, s)
-            for i, f, a, k, g, s in rows
-        )
-        _, csv_path = write_result(result, tmp_path)
-        assert csv_path.read_text() == result_to_csv(result) == "i,f,arr,ints,npf,label\n" + row_wise
+        edges = np.arange(n, dtype=float) / 3.0 - 17.0
+        mid = CSV_CHUNK_ROWS + CSV_CHUNK_ROWS // 2  # in the middle of the second chunk
+        edges[mid : mid + len(EDGE_FLOATS)] = EDGE_FLOATS
+        columns = {
+            "i": range(n),
+            "f": floats,
+            "arr": np.arange(n, dtype=float) * 1e-3 - 1.0,
+            "ints": np.arange(n) - 3,
+            "npf": [np.float64(x) for x in floats],
+            "label": [f"s{i % 3}" for i in range(n)],
+            "edge": edges,
+        }
+        row_format = {"i": "%s", "ints": "%s", "label": "%s"}
+        # With list columns the series is formatted cell by cell; its numeric
+        # columns alone take the vectorised kernel.  Both give the same text.
+        numeric = ("i", "arr", "ints", "edge")
+        for names in (tuple(columns), numeric):
+            result = ExperimentResult(
+                scalar_metrics={},
+                series={name: columns[name] for name in names},
+                metadata={"experiment": "chunks", "seed": 0},
+            )
+            rows = result.series_rows
+            assert len(rows) == n and all(len(row) == len(names) for row in rows)
+            line = ",".join(row_format.get(name, "%.17g") for name in names) + "\n"
+            row_wise = "".join(line % row for row in rows)
+            _, csv_path = write_result(result, tmp_path)
+            text = csv_path.read_text()
+            assert text == result_to_csv(result) == ",".join(names) + "\n" + row_wise
+        assert text.splitlines()[1 + mid : 1 + mid + 5] == [
+            "%s,%.17g,%s,%s" % (mid + j, columns["arr"][mid + j], mid + j - 3, cell)
+            for j, cell in enumerate(("0", "-0", "nan", "inf", "-inf"))
+        ]
+        rows = ExperimentResult({}, columns, {"experiment": "c", "seed": 0}).series_rows
+        assert rows[5] == (5, floats[5], columns["arr"][5], 2, floats[5], "s2", edges[5])
+
+    @pytest.mark.parametrize(
+        "series,kernel",
+        [
+            ({"i": range(3), "x": np.array([0.5, -1e-5, 3.0]), "n": np.array([1, 0, -2])}, True),
+            ({"i": range(3), "x": [0.5, -1e-5, 3.0]}, False),
+            ({"i": range(3), "x": np.array([0.5, -1e-5, 3.0], dtype=np.float32)}, False),
+            ({"i": range(3), "b": np.array([True, False, True])}, False),
+        ],
+    )
+    def test_numeric_series_take_the_vectorised_kernel(self, monkeypatch, series, kernel):
+        from llo_sim import _csv_format
+
+        calls = []
+        csv_lines = _csv_format.csv_lines
+
+        def counted(columns):
+            calls.append(len(columns))
+            return csv_lines(columns)
+
+        result = ExperimentResult({}, series, {"experiment": "k", "seed": 0})
+        expected = result_to_csv(result)
+        monkeypatch.setattr(_csv_format, "csv_lines", counted)
+        assert result_to_csv(result) == expected
+        assert calls == ([len(series)] if kernel else [])
 
     def test_series_columns_must_share_one_length(self):
         with pytest.raises(ValueError):
@@ -510,3 +554,74 @@ class TestResultIO:
         assert res.metadata["seed"] == 31
         assert res.metadata["config"]["n_pairs"] == SMALL_PHASE.n_pairs
         assert res.metadata["dropped_boundary_pulses"] == SMALL_PHASE.n_batches
+
+
+class TestCsvKernel:
+    """The vectorised CSV kernel against Python's ``%`` formatting."""
+
+    @staticmethod
+    def kernel_cells(values) -> list[str]:
+        from llo_sim._csv_format import csv_lines
+
+        chunks = (
+            csv_lines([values[start : start + CSV_CHUNK_ROWS]])
+            for start in range(0, len(values), CSV_CHUNK_ROWS)
+        )
+        return b"".join(b for chunk in chunks for b in chunk).decode().splitlines()
+
+    @staticmethod
+    def ties(rng, per_decade: int) -> np.ndarray:
+        """Doubles halfway between two 17-digit decimals, at every decade
+        ``d`` of the kernel's range: ``q * 2**(d - 17)`` with ``q`` odd is
+        ``q * 5**(17 - d)`` (18 digits, the last a 5) times ``10**(d - 17)``.
+        The largest lie just under 2**51, where the doubles are quarters."""
+        ties = []
+        for d in range(-4, 16):
+            lo = math.ceil(Fraction(10) ** d * 2 ** (17 - d))
+            hi = min(math.ceil(Fraction(10) ** (d + 1) * 2 ** (17 - d)), 2**53)
+            q = 2 * rng.integers(lo // 2, (hi - 1) // 2, per_decade) + 1  # odd, in [lo, hi)
+            ties.append(np.ldexp(q.astype(float), d - 17))
+        return np.concatenate(ties)
+
+    def test_ties_are_ties(self):
+        ties = self.ties(np.random.default_rng(3), 50)
+        for x in ties.tolist():
+            digits = Decimal(x).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5, x
+
+    def test_matches_percent_format(self):
+        rng = np.random.default_rng(2024)
+        n = 1_000_000
+        log_uniform = 10.0 ** rng.uniform(-6.0, 18.0, n) * rng.choice([-1.0, 1.0], n)
+        ties = self.ties(rng, 2000)
+        values = np.concatenate([
+            EDGE_FLOATS, [-x for x in EDGE_FLOATS], log_uniform, ties, -ties,
+            np.nextafter(10.0 ** np.arange(-5, 18), 0.0), 10.0 ** np.arange(-5, 18),
+            np.nextafter(10.0 ** np.arange(-5, 18), math.inf),
+        ])
+        expected = ["%.17g" % x for x in values.tolist()]
+        got = self.kernel_cells(values)
+        assert len(got) == len(expected)
+        mismatches = [(e, g) for e, g in zip(expected, got) if e != g]
+        assert mismatches == []
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint64])
+    def test_integers_match_str(self, dtype):
+        info = np.iinfo(dtype)
+        lo, hi = max(int(info.min), -(2**60)), min(int(info.max), 2**60)
+        values = np.concatenate([
+            np.random.default_rng(5).integers(lo, hi, 20_000, dtype=dtype, endpoint=True),
+            np.array([info.min, info.max, 0, 1], dtype=dtype),
+        ])
+        if info.max >= 2**53:
+            values = np.concatenate([values, np.array([2**53 - 1, 2**53, 2**53 + 1], dtype=dtype)])
+        if info.min <= -(2**53):
+            values = np.concatenate([values, np.array([-(2**53) - 1, -(2**53)], dtype=dtype)])
+        assert self.kernel_cells(values) == ["%s" % v for v in values.tolist()]
+
+    def test_rows_join_columns(self):
+        from llo_sim._csv_format import csv_lines
+
+        columns = [range(3, 6), np.array([1.5, math.nan, -2e-5]), np.array([7, -8, 0])]
+        text = b"".join(csv_lines(columns)).decode()
+        assert text == "3,1.5,7\n4,nan,-8\n5,-2.0000000000000002e-05,0\n"

@@ -13,6 +13,7 @@ from llo_sim.link_sim import (
     coherent_amplitude,
     detect_run,
     launch_run,
+    lo_frame,
     simulate_run,
     _draw_symbols,
     _measure_arrays,
@@ -118,7 +119,7 @@ class TestHeterodyneMeasure:
         det = ChannelDetector(transmittance_override=1.0, detector_efficiency=1.0)
         rng = substream(5)
         n = 100_000
-        x, _ = _measure_arrays(np.zeros(n), np.zeros(n), 0.0, det, rng)
+        x, _ = _measure_arrays(np.zeros(n), np.zeros(n), lo_frame(0.0), det, rng)
         se = math.sqrt(2.0 / (n - 1))
         assert abs(x.var(ddof=1) - 1.0) < 3.0 * se
 
@@ -129,7 +130,7 @@ class TestHeterodyneMeasure:
         )
         rng = substream(6)
         n = 100_000
-        x, _ = _measure_arrays(np.zeros(n), np.zeros(n), 0.3, det, rng)
+        x, _ = _measure_arrays(np.zeros(n), np.zeros(n), lo_frame(0.3), det, rng)
         se = math.sqrt(2.0 / (n - 1))
         assert abs(x.var(ddof=1) - 1.0) < 3.0 * se
 
@@ -140,7 +141,7 @@ class TestHeterodyneMeasure:
         rng = substream(7)
         phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
         x_in, p_in = coherent_amplitude(1000.0)
-        x, p = _measure_arrays(np.full(n, x_in), np.full(n, p_in), phi, det, rng)
+        x, p = _measure_arrays(np.full(n, x_in), np.full(n, p_in), lo_frame(phi), det, rng)
         estimates = -np.arctan2(p, x)
         err = np.angle(np.exp(1j * (estimates - phi)))
         assert np.var(err) == pytest.approx(1.0 / (2.0 * 0.5 * 1000.0), rel=0.1)
@@ -149,7 +150,7 @@ class TestHeterodyneMeasure:
         det = ChannelDetector(
             attenuation_db_per_km=0.2, fiber_length_km=25.0, detector_efficiency=0.6
         )
-        x, p = _measure_arrays(3.0, -2.0, 0.0, det, rng=None)
+        x, p = _measure_arrays(3.0, -2.0, lo_frame(0.0), det, rng=None)
         scale = math.sqrt(det.transmittance * 0.6 / 2.0)
         assert x == pytest.approx(3.0 * scale, rel=1e-12)
         assert p == pytest.approx(-2.0 * scale, rel=1e-12)
@@ -160,7 +161,7 @@ class TestHeterodyneMeasure:
         det = ChannelDetector(transmittance_override=1.0, detector_efficiency=1.0)
         theta, phi = 0.9, 0.4
         x_in, p_in = 20.0 * math.cos(theta), 20.0 * math.sin(theta)  # 100 photons at theta
-        x, p = _measure_arrays(x_in, p_in, phi, det, rng=None)
+        x, p = _measure_arrays(x_in, p_in, lo_frame(phi), det, rng=None)
         assert math.atan2(p, x) == pytest.approx(theta - phi, rel=1e-9)
 
 

@@ -210,7 +210,7 @@ class TestExcessNoiseFromSimulation:
         detector = seed_sequence(seed, "detector")
         rec = recover_run(detect_run(launched, train.reference_photons, cls.DETECTOR, detector))
         # Alice's symbols from the launch; recovery drops the last signal.
-        _, x_a, p_a, _ = launched
+        _, _, x_a, p_a, _ = launched
         a = np.concatenate([x_a[:-1], p_a[:-1]])
         b = np.concatenate(
             remap_quadratures(rec.signal_x, rec.signal_p, rec.interpolated_phases)
