@@ -148,11 +148,12 @@ CSV_CHUNK_ROWS = 4096
 
 def _numeric(columns) -> bool:
     """Whether every column is a numpy float64 or integer array or a
-    ``range``.  numpy is looked up, never imported: before its import no
-    array can exist, and a result of ranges alone takes the per-cell path."""
+    ``range`` of int64 values.  numpy is looked up, never imported: before
+    its import no array can exist, and a result of ranges alone takes the
+    per-cell path."""
     numpy = sys.modules.get("numpy")
     return numpy is not None and all(
-        isinstance(c, range)
+        (isinstance(c, range) and max(abs(c.start), abs(c.stop)) < 2**63)
         or (isinstance(c, numpy.ndarray) and (c.dtype == numpy.float64 or c.dtype.kind in "iu"))
         for c in columns
     )

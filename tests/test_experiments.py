@@ -519,6 +519,7 @@ class TestResultIO:
             ({"i": range(3), "x": [0.5, -1e-5, 3.0]}, False),
             ({"i": range(3), "x": np.array([0.5, -1e-5, 3.0], dtype=np.float32)}, False),
             ({"i": range(3), "b": np.array([True, False, True])}, False),
+            ({"i": range(2**63, 2**63 + 3), "x": np.array([0.5, -1e-5, 3.0])}, False),
         ],
     )
     def test_numeric_series_take_the_vectorised_kernel(self, monkeypatch, series, kernel):
