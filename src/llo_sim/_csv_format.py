@@ -154,15 +154,13 @@ def _fill(column, words, text, keep) -> None:
 
 
 def csv_lines(columns) -> Iterator[bytes]:
-    """CSV lines of ``columns``: 1-d numpy float64 or integer arrays or
-    ``range`` objects, all of one length."""
+    """CSV lines of ``columns``: 1-d numpy float64 or integer arrays, all of
+    one length."""
     n_rows = len(columns[0])
     words = np.empty((n_rows, 5 * len(columns)), np.uint64)
     text = words.view(np.uint8)
     keep = np.empty(text.shape, bool)
     for c, column in enumerate(columns):
-        if isinstance(column, range):
-            column = np.arange(column.start, column.stop, column.step)
         cells = slice(_CELL * c, _CELL * (c + 1))
         _fill(column, words[:, 5 * c : 5 * (c + 1)], text[:, cells], keep[:, cells])
     text[:, _CELL - 1 :: _CELL] = ord(",")

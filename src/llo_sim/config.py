@@ -6,12 +6,18 @@ live on :class:`SecurityParams` and :class:`EpsilonBudget`.  A section is a
 values are checked against the annotations (numbers must be finite) and
 applied with ``dataclasses.replace``, so physical validation stays in
 ``__post_init__`` (a sweep's grid ends and a pulse train's photon numbers
-too).  Inherited fields are not keys: the experiment sections take the lasers
-from ``laser_s`` / ``laser_l``; all but ``laser_noise`` take ``detector`` from
-``experiments.detector`` and the pulse period from ``train``; ``phase_exp``
-and ``weak_ref`` take ``n_pairs`` and the photon numbers from ``train`` and
-``weak_ref`` takes ``bpsk_phases`` from ``phase_exp``.  A bad value raises
-:class:`ConfigError` naming its JSON path
+too).  Inherited fields are not keys:
+
+- ``phase_exp``, ``weak_ref`` and ``remap`` are pilot-aided trains, and
+  subclass :class:`_PilotRun`.  They take ``laser_s`` / ``laser_l`` from the
+  top-level lasers, ``detector`` from ``experiments.detector`` and
+  ``repetition_period_s`` from ``train``.
+- ``phase_exp`` and ``weak_ref`` also take ``n_pairs`` and ``signal_photons``
+  from ``train``; ``phase_exp`` takes ``reference_photons`` from it too, and
+  ``weak_ref`` takes ``bpsk_phases`` from ``phase_exp``.
+- ``laser_noise`` takes only the lasers.
+
+A bad value raises :class:`ConfigError` naming its JSON path
 (``config.channel.fiber_length_km: ...``); the CLI exits 2.
 """
 
@@ -174,54 +180,61 @@ def _check_pilot_aliasing(cfg) -> None:
 # Experiment sections
 
 
-class PhaseExperimentConfig(Record):
-    """``config.experiments.phase_exp``: the binary phase-encoding run.
-
-    Inherited, so not keys: ``n_pairs``, ``repetition_period_s``,
-    ``signal_photons`` and ``reference_photons`` from ``train``,
-    ``laser_s`` / ``laser_l`` from the top-level lasers and ``detector``
-    from ``experiments.detector``.
-    """
+class _PilotRun(Record):
+    """A pilot-aided train, the base of the ``phase_exp``, ``weak_ref`` and
+    ``remap`` sections: reference pulses interleaved with signals, from the
+    two free-running lasers, through one detector, run in ``n_batches``
+    sub-batches.  The defaults are the bench rig's."""
 
     n_pairs: int = BENCH_TRAIN.n_pairs
     repetition_period_s: float = BENCH_TRAIN.repetition_period_s
-    bpsk_phases: tuple[float, float] = BPSK_PHASES
     signal_photons: float = BENCH_TRAIN.signal_photons
-    reference_photons: float = BENCH_TRAIN.reference_photons
     laser_s: LaserModel = SIGNAL_LASER
     laser_l: LaserModel = LO_LASER
     detector: ChannelDetector = RIG_DETECTOR
     n_batches: int = 10
+
+    def _check_run(self, minimum: int, reference_photons, use: str) -> None:
+        """The train's checks in dependency order: the train at each of
+        ``reference_photons`` (the period the others divide by), then its
+        batches (``minimum`` pairs in the smallest), then the pilot aliasing
+        limit over the longest batch."""
+        for photons in reference_photons:
+            _check_train(self, photons, use)
+        _check_batches(self.n_pairs, self.n_batches, minimum)
+        _check_pilot_aliasing(self)
+
+    def batch_train(self, modulation, i: int, reference_photons: float) -> PulseTrainConfig:
+        """Sub-batch ``i`` of the train with ``modulation`` (a
+        :attr:`~llo_sim.link_sim.PulseTrainConfig.modulation`)."""
+        n_pairs = batch_size(self.n_pairs, self.n_batches, i)
+        return PulseTrainConfig(
+            self.repetition_period_s, n_pairs, self.signal_photons, reference_photons, modulation
+        )
+
+
+class PhaseExperimentConfig(_PilotRun):
+    """``config.experiments.phase_exp``: the binary phase-encoding run.
+    ``reference_photons`` is inherited from ``train`` too, so not a key."""
+
+    bpsk_phases: tuple[float, float] = BPSK_PHASES
+    reference_photons: float = BENCH_TRAIN.reference_photons
     histogram_bins: int = 100
     uniformity_bins: int = 10
     uniformity_stride: int = 100
 
     def __post_init__(self) -> None:
-        _check_batches(self.n_pairs, self.n_batches, _BPSK_MIN_PAIRS)
+        self._check_run(_BPSK_MIN_PAIRS, [self.reference_photons], "the shot-noise prediction")
         _check_at_least(1, histogram_bins=self.histogram_bins)
         _check_uniformity_test(self)
-        _check_pilot_aliasing(self)
-        _check_train(self, self.reference_photons, "the shot-noise prediction")
 
 
-class WeakReferenceSweepConfig(Record):
+class WeakReferenceSweepConfig(_PilotRun):
     """``config.experiments.weak_ref``: the weak-reference photon-number sweep.
-
-    Inherited, so not keys: ``n_pairs``, ``repetition_period_s`` and
-    ``signal_photons`` from ``train``, ``bpsk_phases`` from ``phase_exp``,
-    ``laser_s`` / ``laser_l`` from the top-level lasers and ``detector``
-    from ``experiments.detector``.
-    """
+    ``bpsk_phases`` is inherited from ``phase_exp``, so not a key."""
 
     photon_numbers: tuple[float, ...] = (10000.0, 1000.0, 100.0)
-    n_pairs: int = BENCH_TRAIN.n_pairs
-    repetition_period_s: float = BENCH_TRAIN.repetition_period_s
     bpsk_phases: tuple[float, float] = BPSK_PHASES
-    signal_photons: float = BENCH_TRAIN.signal_photons
-    laser_s: LaserModel = SIGNAL_LASER
-    laser_l: LaserModel = LO_LASER
-    detector: ChannelDetector = RIG_DETECTOR
-    n_batches: int = 10
 
     @staticmethod
     def label(photons: float) -> str:
@@ -232,46 +245,31 @@ class WeakReferenceSweepConfig(Record):
         if not self.photon_numbers:
             raise ConfigError("photon_numbers must not be empty")
         _check_sweep_points("photon_numbers", self.photon_numbers, self.label)
-        _check_batches(self.n_pairs, self.n_batches, _BPSK_MIN_PAIRS)
-        _check_pilot_aliasing(self)
-        for photons in self.photon_numbers:
-            _check_train(self, photons, "the weak-reference sweep")
+        self._check_run(_BPSK_MIN_PAIRS, self.photon_numbers, "the weak-reference sweep")
 
 
-class RemapExperimentConfig(Record):
-    """``config.experiments.remap``: the quantum-signal remapping run.
-
-    Inherited, so not keys: ``repetition_period_s`` from ``train``,
-    ``laser_s`` / ``laser_l`` from the top-level lasers and ``detector``
-    from ``experiments.detector``.
-    """
+class RemapExperimentConfig(_PilotRun):
+    """``config.experiments.remap``: the quantum-signal remapping run.  Its
+    ``n_pairs`` and ``signal_photons`` are keys of its own, not ``train``'s."""
 
     n_pairs: int = 24000
-    repetition_period_s: float = BENCH_TRAIN.repetition_period_s
     signal_photons: float = 66.0
     reference_photons: float = 1000.0
-    laser_s: LaserModel = SIGNAL_LASER
-    laser_l: LaserModel = LO_LASER
-    detector: ChannelDetector = RIG_DETECTOR
-    n_batches: int = 10
     scatter_rows: int = 24000
     uniformity_bins: int = 10
     uniformity_stride: int = 100
 
     def __post_init__(self) -> None:
-        _check_batches(self.n_pairs, self.n_batches, _REMAP_MIN_PAIRS)
+        self._check_run(
+            _REMAP_MIN_PAIRS, [self.reference_photons], "the remap estimate of sigma_phi"
+        )
         _check_at_least(0, scatter_rows=self.scatter_rows)
         _check_uniformity_test(self)
-        _check_pilot_aliasing(self)
-        _check_train(self, self.reference_photons, "the remap estimate of sigma_phi")
 
 
 class LaserNoiseSweepConfig(Record):
     """``config.experiments.laser_noise``: the delayed self-interference sweep.
-
-    Inherited, so not keys: ``laser_s`` / ``laser_l`` from the top-level
-    lasers.
-    """
+    It is not a pilot-aided train and inherits only the lasers."""
 
     delays_s: tuple[float, ...] = (5e-9, 20e-9, 25e-9)
     n_samples: int = 100000

@@ -38,7 +38,7 @@ from .config import (
     batch_size,
 )
 from .errors import DomainError, EstimationError
-from .link_sim import PulseTrainConfig, detect_run, fiber_transmittance, launch_run, simulate_run
+from .link_sim import detect_run, fiber_transmittance, launch_run, simulate_run
 from .noise_models import phase_noise_variance, simulate_self_interference
 from .phase_recovery import (
     RecoveredRun,
@@ -75,9 +75,9 @@ class Metric(Record):
 class ExperimentResult(Record):
     """One experiment's scalar metrics, series and metadata.
 
-    ``series`` maps each column name to its column, in CSV order: a list, a
-    ``range`` or a 1-d numpy array, all of one length.  Columns are kept as
-    built, never copied into rows, so the writer can stream them to disk.
+    ``series`` maps each column name to its column, in CSV order: a list or
+    a 1-d numpy array, all of one length.  Columns are kept as built, never
+    copied into rows, so the writer can stream them to disk.
     The experiment's name is ``metadata["experiment"]``.
     """
 
@@ -147,14 +147,11 @@ CSV_CHUNK_ROWS = 4096
 
 
 def _numeric(columns) -> bool:
-    """Whether every column is a numpy float64 or integer array or a
-    ``range`` of int64 values.  numpy is looked up, never imported: before
-    its import no array can exist, and a result of ranges alone takes the
-    per-cell path."""
+    """Whether every column is a numpy float64 or integer array.  numpy is
+    looked up, never imported: before its import no array can exist."""
     numpy = sys.modules.get("numpy")
     return numpy is not None and all(
-        (isinstance(c, range) and max(abs(c.start), abs(c.stop)) < 2**63)
-        or (isinstance(c, numpy.ndarray) and (c.dtype == numpy.float64 or c.dtype.kind in "iu"))
+        isinstance(c, numpy.ndarray) and (c.dtype == numpy.float64 or c.dtype.kind in "iu")
         for c in columns
     )
 
@@ -166,7 +163,7 @@ def _csv_chunks(result: ExperimentResult) -> Iterator[bytes]:
     Each column takes one ``%`` format from its cell in the first row:
     ``%.17g`` (round-trip precision; ``nan``, ``inf``, ``-0``) for a float,
     ``%s`` for anything else.  A series whose columns are all numpy float64
-    or integer arrays or ranges is formatted by the vectorised kernel of
+    or integer arrays is formatted by the vectorised kernel of
     :mod:`llo_sim._csv_format`, imported only then, which gives the same
     bytes.  Any other series (a list column, or no numpy loaded) is formatted
     cell by cell: a chunk takes its slice of each column, as Python objects
@@ -345,15 +342,6 @@ def _shot_noise_prediction(cfg) -> float:
     return per_signal + 0.5 * per_reference
 
 
-def _batch_train(config, modulation, i: int, reference_photons: float) -> PulseTrainConfig:
-    """Sub-batch ``i`` of ``config``'s train with ``modulation`` (a
-    :attr:`~llo_sim.link_sim.PulseTrainConfig.modulation`)."""
-    n_pairs = batch_size(config.n_pairs, config.n_batches, i)
-    return PulseTrainConfig(
-        config.repetition_period_s, n_pairs, config.signal_photons, reference_photons, modulation
-    )
-
-
 def _recovered_batches(config, modulation, tag, seed: int, threads: int) -> list[RecoveredRun]:
     """Simulate and recover the ``config.n_batches`` sub-batches of a train
     with ``modulation``, batch ``i`` on the streams of path ``(tag, i)``; each
@@ -361,7 +349,7 @@ def _recovered_batches(config, modulation, tag, seed: int, threads: int) -> list
     lasers = (config.laser_s, config.laser_l)
 
     def recovered(i: int) -> RecoveredRun:
-        train = _batch_train(config, modulation, i, config.reference_photons)
+        train = config.batch_train(modulation, i, config.reference_photons)
         return recover_run(simulate_run(train, lasers, config.detector, seed, tag, i))
 
     return _map_ordered(recovered, range(config.n_batches), threads)
@@ -442,7 +430,7 @@ def run_weak_reference_sweep(
 
     def pooled_variances(i: int) -> list[float]:
         # The launch reads no reference photon number; detection takes each.
-        train = _batch_train(config, config.bpsk_phases, i, reference_photons=0.0)
+        train = config.batch_train(config.bpsk_phases, i, reference_photons=0.0)
         launched = launch_run(train, lasers, seed, "weak-ref", i)
         return [
             _pooled_group_variance(recover_run(detect_run(
@@ -501,7 +489,7 @@ def run_quantum_remap_experiment(
             "raw_phase_uniformity_pvalue": Metric(p_uniform),
         },
         series={
-            "index": range(scatter.shape[1]),
+            "index": np.arange(scatter.shape[1]),
             "x_raw": scatter[0], "p_raw": scatter[1],
             "x_remapped": scatter[2], "p_remapped": scatter[3],
         },

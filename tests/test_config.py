@@ -206,3 +206,15 @@ def test_nan_is_rejected_where_negatives_are(build):
     # must reject NaN itself, with its ">= 0" message.
     with pytest.raises(ConfigError, match=">= 0"):
         build()
+
+
+@pytest.mark.parametrize("period", [0.0, -2e-8])
+@pytest.mark.parametrize(
+    "section", [PhaseExperimentConfig, WeakReferenceSweepConfig, RemapExperimentConfig]
+)
+def test_pilot_trains_check_the_period_before_dividing_by_it(section, period):
+    # The pilot aliasing limit is 1/(4*period); a train section must reject the
+    # period itself first, also when built without the parser (which checks
+    # ``train`` before any section that inherits its period).
+    with pytest.raises(ConfigError, match=r"repetition period must be > 0 s"):
+        section(repetition_period_s=period)

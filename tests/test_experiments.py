@@ -480,7 +480,7 @@ class TestResultIO:
         mid = CSV_CHUNK_ROWS + CSV_CHUNK_ROWS // 2  # in the middle of the second chunk
         edges[mid : mid + len(EDGE_FLOATS)] = EDGE_FLOATS
         columns = {
-            "i": range(n),
+            "i": np.arange(n),
             "f": floats,
             "arr": np.arange(n, dtype=float) * 1e-3 - 1.0,
             "ints": np.arange(n) - 3,
@@ -515,10 +515,12 @@ class TestResultIO:
     @pytest.mark.parametrize(
         "series,kernel",
         [
-            ({"i": range(3), "x": np.array([0.5, -1e-5, 3.0]), "n": np.array([1, 0, -2])}, True),
-            ({"i": range(3), "x": [0.5, -1e-5, 3.0]}, False),
-            ({"i": range(3), "x": np.array([0.5, -1e-5, 3.0], dtype=np.float32)}, False),
-            ({"i": range(3), "b": np.array([True, False, True])}, False),
+            ({"i": np.arange(3), "x": np.array([0.5, -1e-5, 3.0]), "n": np.array([1, 0, -2])},
+             True),
+            ({"i": np.arange(3), "x": [0.5, -1e-5, 3.0]}, False),
+            ({"i": np.arange(3), "x": np.array([0.5, -1e-5, 3.0], dtype=np.float32)}, False),
+            ({"i": np.arange(3), "b": np.array([True, False, True])}, False),
+            # A range is not an array: it takes the per-cell path, at any size.
             ({"i": range(2**63, 2**63 + 3), "x": np.array([0.5, -1e-5, 3.0])}, False),
         ],
     )
@@ -623,6 +625,6 @@ class TestCsvKernel:
     def test_rows_join_columns(self):
         from llo_sim._csv_format import csv_lines
 
-        columns = [range(3, 6), np.array([1.5, math.nan, -2e-5]), np.array([7, -8, 0])]
+        columns = [np.arange(3, 6), np.array([1.5, math.nan, -2e-5]), np.array([7, -8, 0])]
         text = b"".join(csv_lines(columns)).decode()
         assert text == "3,1.5,7\n4,nan,-8\n5,-2.0000000000000002e-05,0\n"

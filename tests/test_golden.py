@@ -14,7 +14,8 @@ A change that means to move output bytes regenerates the manifest with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and the diff of ``golden.json`` shows which outputs moved.
+which prints on stderr every entry whose hash moved from the committed
+manifest, and any change of ``monte_carlo_host``, before it overwrites it.
 """
 
 import contextlib
@@ -127,6 +128,42 @@ def test_two_threads_write_the_bytes_of_one():
     assert two == _hashes(tuple(MONTE_CARLO["all"]))
 
 
+def _moved(old: dict, new: dict) -> list[str]:
+    """One line per manifest entry that differs from ``old`` to ``new``: a
+    file's or stdout's hash, by group and command, or a ``monte_carlo_host``
+    field."""
+
+    def entries(manifest: dict) -> dict:
+        host = manifest.get("monte_carlo_host", {})
+        flat = {f"monte_carlo_host.{key}": value for key, value in host.items()}
+        for group in ("closed_form", "monte_carlo"):
+            for command, hashes in manifest.get(group, {}).items():
+                flat.update({f"{group}.{command}.{name}": h for name, h in hashes.items()})
+        return flat
+
+    was, now = entries(old), entries(new)
+    return [
+        f"{key}: {was.get(key)} -> {now.get(key)}"
+        for key in sorted(was.keys() | now.keys()) if was.get(key) != now.get(key)
+    ]
+
+
+def test_regeneration_names_each_moved_entry(golden):
+    moved = json.loads(json.dumps(golden))
+    moved["monte_carlo"]["all"]["remap-exp-7.json"] = "new"
+    moved["monte_carlo_host"]["numpy"] = "0.0"
+    was = golden["monte_carlo"]["all"]["remap-exp-7.json"]
+    assert _moved(golden, golden) == []
+    assert _moved(golden, moved) == [
+        f"monte_carlo.all.remap-exp-7.json: {was} -> new",
+        f"monte_carlo_host.numpy: {golden['monte_carlo_host']['numpy']} -> 0.0",
+    ]
+
+
 if __name__ == "__main__":
-    MANIFEST.write_text(json.dumps(_manifest(), indent=2) + "\n")
+    committed = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
+    manifest = _manifest()
+    for line in _moved(committed, manifest):
+        print(f"moved: {line}", file=sys.stderr)
+    MANIFEST.write_text(json.dumps(manifest, indent=2) + "\n")
     print(f"wrote {MANIFEST}", file=sys.stderr)
