@@ -204,13 +204,18 @@ class _PilotRun(Record):
         _check_batches(self.n_pairs, self.n_batches, minimum)
         _check_pilot_aliasing(self)
 
-    def batch_train(self, modulation, i: int, reference_photons: float) -> PulseTrainConfig:
-        """Sub-batch ``i`` of the train with ``modulation`` (a
-        :attr:`~llo_sim.link_sim.PulseTrainConfig.modulation`)."""
-        n_pairs = batch_size(self.n_pairs, self.n_batches, i)
-        return PulseTrainConfig(
-            self.repetition_period_s, n_pairs, self.signal_photons, reference_photons, modulation
+    def block_train(
+        self, modulation, batches: range, reference_photons: float
+    ) -> tuple[PulseTrainConfig, list[int]]:
+        """The sub-batches ``batches`` of the train with ``modulation`` (a
+        :attr:`~llo_sim.link_sim.PulseTrainConfig.modulation`) laid end to
+        end: their train, and the pairs of each, for ``batch_pairs``."""
+        pairs = [batch_size(self.n_pairs, self.n_batches, i) for i in batches]
+        train = PulseTrainConfig(
+            self.repetition_period_s, sum(pairs), self.signal_photons, reference_photons,
+            modulation,
         )
+        return train, pairs
 
 
 class PhaseExperimentConfig(_PilotRun):

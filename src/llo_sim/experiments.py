@@ -8,9 +8,11 @@ key-rate sweeps (distance and pulse count).
 Every Monte Carlo experiment runs as independent sub-batches with sub-seeds
 derived from the master seed, so results are bit-identical for a given seed
 regardless of thread count; metric standard errors come from the batch
-spread.  Results are written as JSON (metadata + metrics) and CSV (series),
-named ``<experiment>-<seed>.{json,csv}``.  The sections each runner takes,
-and their defaults, live in :mod:`llo_sim.config`.
+spread.  Contiguous sub-batches are laid end to end in blocks, each
+simulated and recovered in one array pass (:func:`_map_ordered`).  Results
+are written as JSON (metadata + metrics) and CSV (series), named
+``<experiment>-<seed>.{json,csv}``.  The sections each runner takes, and
+their defaults, live in :mod:`llo_sim.config`.
 """
 
 from __future__ import annotations
@@ -292,8 +294,7 @@ def uniformity_pvalue(phases, *, n_bins: int, stride: int) -> float:
     """
     if n_bins < 2:
         raise DomainError(f"a chi-square test needs >= 2 bins, got {n_bins}")
-    ph = np.mod(np.asarray(phases, dtype=float), math.tau)
-    thinned = ph[::stride]
+    thinned = np.mod(np.asarray(phases, dtype=float)[::stride], math.tau)
     if thinned.size < 5 * n_bins:
         raise DomainError(
             f"too few decorrelated samples ({thinned.size}) for {n_bins} bins"
@@ -304,22 +305,70 @@ def uniformity_pvalue(phases, *, n_bins: int, stride: int) -> float:
     return _chi2_sf(stat, n_bins - 1)
 
 
-def _map_ordered(fn: Callable, args: Sequence, threads: int) -> list:
-    """Apply ``fn`` over ``args`` preserving order on up to ``threads``
-    threads.  Results are identical at any thread count."""
-    if threads <= 1:
-        return [fn(a) for a in args]
+#: Pulses (for the laser-noise sweep, trajectory samples) that one block of
+#: batches holds at most.  A block's array pass makes a fixed number of numpy
+#: calls, each a hand-off of the GIL when two threads run, so long blocks let
+#: threads overlap; but a block's arrays, and the process's peak memory, grow
+#: with it.  A batch above the budget is a block of its own.  Chosen from a
+#: grid of 12.5k to 100k pulses (CHANGES.md).
+BLOCK_PULSES = 50_000
+
+
+def _map_ordered(fn: Callable[[range], object], sizes: Sequence[int], threads: int,
+                 group: int = 0) -> list:
+    """``fn`` of each block of batches, in order, on up to ``threads`` threads.
+
+    Batch ``i`` holds ``sizes[i]`` pulses.  The batches are cut into at most
+    ``threads`` contiguous ranges of near-equal count (:func:`batch_size`),
+    one per worker, so two threads run two long streams of array calls.  A
+    worker walks its range in blocks, ranges of batch indices holding at most
+    :data:`BLOCK_PULSES` pulses that start a new block at each multiple of
+    ``group`` (if nonzero), and calls ``fn`` once per block.  Every batch
+    draws from its own streams, so results are identical at any thread
+    count.
+    """
+    workers = max(1, min(threads, len(sizes)))
+    bounds = list(itertools.accumulate(
+        (batch_size(len(sizes), workers, w) for w in range(workers)), initial=0
+    ))
+
+    def walk(span: range) -> list:
+        results = []
+        start = span.start
+        pulses = 0
+        for i in span:
+            if i > start and (pulses + sizes[i] > BLOCK_PULSES or (group and i % group == 0)):
+                results.append(fn(range(start, i)))
+                start, pulses = i, 0
+            pulses += sizes[i]
+        results.append(fn(range(start, span.stop)))
+        return results
+
+    first, *rest = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    if not rest:
+        return walk(first)
     from concurrent.futures import ThreadPoolExecutor  # imported only where a pool runs
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, args))
+    # The calling thread walks the first range while the pool walks the rest.
+    with ThreadPoolExecutor(max_workers=len(rest)) as pool:
+        later = pool.map(walk, rest)
+        return walk(first) + [result for results in later for result in results]
 
 
-def _pooled_group_variance(rec: RecoveredRun) -> tuple[dict[float, float], float]:
-    """Per-symbol circular residual variances of one recovered run plus their
-    pooled value."""
-    encoded = rec.encoded_phases
-    groups = residual_variance(rec.corrected_phases, encoded)
+def _batch_pulses(config) -> list[int]:
+    """The pulses of each sub-batch of a pilot-aided train."""
+    return [2 * batch_size(config.n_pairs, config.n_batches, i) for i in range(config.n_batches)]
+
+
+def _joined(recs: Sequence[RecoveredRun], name: str):
+    """Field ``name`` of the blocks ``recs``, end to end."""
+    return np.concatenate([getattr(rec, name) for rec in recs])
+
+
+def _pooled_group_variance(corrected, encoded) -> tuple[dict[float, float], float]:
+    """Per-symbol circular residual variances of one recovered batch plus
+    their pooled value."""
+    groups = residual_variance(corrected, encoded)
     num = 0.0
     dof = 0
     for symbol, var in groups.items():
@@ -342,17 +391,21 @@ def _shot_noise_prediction(cfg) -> float:
     return per_signal + 0.5 * per_reference
 
 
-def _recovered_batches(config, modulation, tag, seed: int, threads: int) -> list[RecoveredRun]:
+def _recovered_blocks(config, modulation, tag, seed: int, threads: int) -> list[RecoveredRun]:
     """Simulate and recover the ``config.n_batches`` sub-batches of a train
-    with ``modulation``, batch ``i`` on the streams of path ``(tag, i)``; each
-    :class:`RecoveredRun` carries the encoded phase of each usable signal."""
+    with ``modulation``, batch ``i`` on the streams of path ``(tag, i)``, one
+    block of batches at a time (:func:`_map_ordered`): one
+    :class:`RecoveredRun` per block, in batch order, which carries the
+    encoded phase of each usable signal."""
     lasers = (config.laser_s, config.laser_l)
 
-    def recovered(i: int) -> RecoveredRun:
-        train = config.batch_train(modulation, i, config.reference_photons)
-        return recover_run(simulate_run(train, lasers, config.detector, seed, tag, i))
+    def recovered(batches: range) -> RecoveredRun:
+        train, pairs = config.block_train(modulation, batches, config.reference_photons)
+        return recover_run(simulate_run(
+            train, lasers, config.detector, seed, tag, batches.start, batch_pairs=pairs
+        ))
 
-    return _map_ordered(recovered, range(config.n_batches), threads)
+    return _map_ordered(recovered, _batch_pulses(config), threads)
 
 
 def run_bpsk_phase_experiment(
@@ -366,12 +419,15 @@ def run_bpsk_phase_experiment(
     variances, the closed-form prediction they should match, and the
     uniformity p-value of the raw phases.
     """
-    recs = _recovered_batches(config, config.bpsk_phases, "bpsk", seed, threads)
-    groups, pooled = zip(*map(_pooled_group_variance, recs))
+    recs = _recovered_blocks(config, config.bpsk_phases, "bpsk", seed, threads)
+    groups, pooled = zip(*(
+        _pooled_group_variance(rec.corrected_phases[s], rec.encoded_phases[s])
+        for rec in recs for s in rec.batch_slices
+    ))
 
-    raw_all = np.concatenate([rec.raw_phases for rec in recs])
-    corrected_all = np.concatenate([rec.corrected_phases for rec in recs])
-    encoded_all = np.concatenate([rec.encoded_phases for rec in recs])
+    raw_all = _joined(recs, "raw_phases")
+    corrected_all = _joined(recs, "corrected_phases")
+    encoded_all = _joined(recs, "encoded_phases")
 
     p_uniform = uniformity_pvalue(
         raw_all, n_bins=config.uniformity_bins, stride=config.uniformity_stride
@@ -384,8 +440,10 @@ def run_bpsk_phase_experiment(
     bit0, bit1 = config.bpsk_phases
     edges = np.linspace(0.0, math.tau, config.histogram_bins + 1)
 
+    masks = {bit: encoded_all == bit for bit in config.bpsk_phases}
+
     def histogram(phases, bit):
-        return np.histogram(np.mod(phases[encoded_all == bit], math.tau), bins=edges)[0]
+        return np.histogram(np.mod(phases[masks[bit]], math.tau), bins=edges)[0]
 
     return ExperimentResult(
         scalar_metrics={
@@ -428,20 +486,32 @@ def run_weak_reference_sweep(
     """
     lasers = (config.laser_s, config.laser_l)
 
-    def pooled_variances(i: int) -> list[float]:
+    def recovered(batches: range) -> tuple:
         # The launch reads no reference photon number; detection takes each.
-        train = config.batch_train(config.bpsk_phases, i, reference_photons=0.0)
-        launched = launch_run(train, lasers, seed, "weak-ref", i)
-        return [
-            _pooled_group_variance(recover_run(detect_run(
+        train, pairs = config.block_train(config.bpsk_phases, batches, reference_photons=0.0)
+        launched = launch_run(train, lasers, seed, "weak-ref", batches.start, batch_pairs=pairs)
+        corrected = []
+        for point, photons in enumerate(config.photon_numbers):
+            rec = recover_run(detect_run(
                 launched, photons, config.detector,
-                seed_sequence(seed, "weak-ref", i, "detector", point),
-            )))[1]
-            for point, photons in enumerate(config.photon_numbers)
-        ]
+                [seed_sequence(seed, "weak-ref", i, "detector", point) for i in batches],
+                batch_pairs=pairs,
+            ))
+            # Every detection recovers the launch's encoded phases; only what the
+            # statistics read outlives the detection.
+            corrected.append(rec.corrected_phases)
+            encoded, slices = rec.encoded_phases, rec.batch_slices
+            del rec
+        return encoded, slices, corrected
 
-    pooled = zip(*_map_ordered(pooled_variances, range(config.n_batches), threads))
-    per_point = [batch_metric(values) for values in pooled]
+    blocks = _map_ordered(recovered, _batch_pulses(config), threads)
+    per_point = [
+        batch_metric([
+            _pooled_group_variance(corrected[point][s], encoded[s])[1]
+            for encoded, slices, corrected in blocks for s in slices
+        ])
+        for point in range(len(config.photon_numbers))
+    ]
 
     return ExperimentResult(
         scalar_metrics={
@@ -472,20 +542,23 @@ def run_quantum_remap_experiment(
     variances in shot-noise units, and the phase-noise variance estimated
     from the P/X variance asymmetry.
     """
-    recs = _recovered_batches(config, (0.0, 0.0), "remap", seed, threads)  # unmodulated
+    recs = _recovered_blocks(config, (0.0, 0.0), "remap", seed, threads)  # unmodulated
     p_uniform = uniformity_pvalue(
-        np.concatenate([rec.raw_phases for rec in recs]),
+        _joined(recs, "raw_phases"),
         n_bins=config.uniformity_bins, stride=config.uniformity_stride,
     )
     remapped = [remap_quadratures(r.signal_x, r.signal_p, r.interpolated_phases) for r in recs]
     scatter = np.concatenate(
         [(rec.signal_x, rec.signal_p, *xp) for rec, xp in zip(recs, remapped)], axis=1
     )[:, : config.scatter_rows]
+    batches = [
+        (x[s], p[s]) for rec, (x, p) in zip(recs, remapped) for s in rec.batch_slices
+    ]
     return ExperimentResult(
         scalar_metrics={
-            "x_noise_variance_snu": batch_metric([np.var(x, ddof=1) for x, _ in remapped]),
-            "p_noise_variance_snu": batch_metric([np.var(p, ddof=1) for _, p in remapped]),
-            "sigma_phi_estimate": batch_metric(list(map(sigma_phi_from_quadratures, remapped))),
+            "x_noise_variance_snu": batch_metric([np.var(x, ddof=1) for x, _ in batches]),
+            "p_noise_variance_snu": batch_metric([np.var(p, ddof=1) for _, p in batches]),
+            "sigma_phi_estimate": batch_metric(list(map(sigma_phi_from_quadratures, batches))),
             "raw_phase_uniformity_pvalue": Metric(p_uniform),
         },
         series={
@@ -515,16 +588,22 @@ def run_laser_noise_sweep(
     n_delays = len(config.delays_s)
     tasks = list(itertools.product(lasers, range(n_delays), range(config.n_batches)))
 
-    def worker(task):
-        label, d_idx, i = task
+    samples = [batch_size(config.n_samples, config.n_batches, i) for _, _, i in tasks]
+
+    def worker(batches: range) -> list[float]:
+        # A block never spans two (laser, delay) points: they share one time grid.
+        label, d_idx, _ = tasks[batches.start]
+        block_samples = samples[batches.start : batches.stop]
         return simulate_self_interference(
-            lasers[label], config.delays_s[d_idx],
-            batch_size(config.n_samples, config.n_batches, i),
-            seed_sequence(seed, "laser-noise", *task),
+            lasers[label], config.delays_s[d_idx], sum(block_samples),
+            [seed_sequence(seed, "laser-noise", *tasks[k]) for k in batches],
+            batch_samples=block_samples,
         )
 
+    # A batch of n samples is a trajectory of n + 1 points.
+    blocks = _map_ordered(worker, [n + 1 for n in samples], threads, group=config.n_batches)
     variances = np.reshape(
-        _map_ordered(worker, tasks, threads), (len(lasers), n_delays, config.n_batches)
+        [v for block in blocks for v in block], (len(lasers), n_delays, config.n_batches)
     )
 
     metrics: dict[str, Metric] = {}

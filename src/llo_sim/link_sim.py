@@ -190,12 +190,18 @@ class PulseBlock(Record):
     is as in :class:`QuadratureSample`.  ``encoded_phase`` has one entry per
     R S pair: Alice's encoded phase of signal ``i`` (pulse ``2*i + 1``).
     Iterating yields one :class:`QuadratureSample` per pulse.
+
+    A block may hold several independent batches of a run laid end to end:
+    ``batch_pairs`` gives the R S pairs of each, in order, and defaults to one
+    batch of every pair.  Each batch is a schedule of its own, so no pilot
+    interpolation spans two of them.
     """
 
     x: np.ndarray
     p: np.ndarray
     true_phase: np.ndarray
     encoded_phase: np.ndarray
+    batch_pairs: tuple[int, ...] | None = None
 
     # Arrays have no single truth value, so blocks compare by identity.
     __eq__ = object.__eq__
@@ -211,6 +217,15 @@ class PulseBlock(Record):
                 f"an R S schedule of {self.x.size} pulses needs an even pulse count and "
                 f"one encoded phase per pair, got {self.encoded_phase.shape}"
             )
+        pairs = (self.x.size // 2,) if self.batch_pairs is None else tuple(self.batch_pairs)
+        if self.batch_pairs is not None and (
+            sum(pairs) != self.x.size // 2 or min(pairs, default=0) < 1
+        ):
+            raise ScheduleError(
+                f"batch_pairs {list(pairs)} must be >= 1 each and sum to the "
+                f"block's {self.x.size // 2} pairs"
+            )
+        object.__setattr__(self, "batch_pairs", pairs)
         if not (np.isfinite(self.x).all() and np.isfinite(self.p).all()):
             raise DomainError("non-finite quadratures in pulse block")
 
@@ -242,34 +257,73 @@ def _draw_symbols(modulation, photons: float, indices: np.ndarray, rng):
         return x_a, p_a, np.arctan2(p_a, x_a)
     phases = np.where(indices % 2 == 0, *modulation)
     r = coherent_amplitude(photons)[0]
-    return r * np.cos(phases), r * np.sin(phases), phases
+    x_a = np.cos(phases)
+    x_a *= r
+    p_a = np.sin(phases)
+    p_a *= r
+    return x_a, p_a, phases
 
 
 def rotate(x, p, c, s):
-    """``(x, p)`` rotated by the angle whose cosine and sine are ``c`` and ``s``."""
-    return x * c - p * s, x * s + p * c
+    """``(x, p)`` rotated by the angle whose cosine and sine are ``c`` and ``s``:
+    ``(x*c - p*s, x*s + p*c)``, built in place to hold fewer temporaries."""
+    x_out = x * c
+    x_out -= p * s
+    p_out = x * s
+    p_out += p * c
+    return x_out, p_out
 
 
 def lo_frame(phi):
     """``(cos phi, -sin phi)``: the rotation into the frame of an LO offset
     by ``phi`` from the signal laser, for :func:`rotate`."""
-    return np.cos(phi), -np.sin(phi)
+    sin = np.sin(phi)
+    sin *= -1.0  # negates in place, bit for bit
+    return np.cos(phi), sin
 
 
-def _measure_arrays(x_in, p_in, frame, det: ChannelDetector, rng):
+def _measure_arrays(x_in, p_in, frame, det: ChannelDetector, rng, batch_sizes=None):
     """Vectorised heterodyne measurement in the :func:`lo_frame` ``frame``;
-    rng=None gives the noise-free mean."""
-    scale = det.amplitude_gain
+    rng=None gives the noise-free mean.  With ``batch_sizes``, the pulses are
+    that many batches end to end and ``rng`` is one generator per batch."""
     x, p = rotate(x_in, p_in, *frame)
-    x, p = scale * x, scale * p
+    del x_in, p_in  # detect_run's interleaved inputs go before the noise is drawn
+    x *= det.amplitude_gain
+    p *= det.amplitude_gain
     if rng is not None:
+        sizes, rngs = ((np.size(x),), (rng,)) if batch_sizes is None else (batch_sizes, rng)
+        # Each batch draws its x noise, then its p noise, as rng.normal(0, sigma)
+        # would: that is 0.0 + sigma*z, hence the + 0.0.
         sigma = math.sqrt(det.noise_snu)
-        x = x + rng.normal(0.0, sigma, size=np.shape(x))
-        p = p + rng.normal(0.0, sigma, size=np.shape(p))
+        noise = np.empty(np.shape(x))
+        for quadrature in (x, p):
+            start = 0
+            for size, batch_rng in zip(sizes, rngs):
+                batch_rng.standard_normal(out=noise[start : start + size])
+                start += size
+            noise *= sigma
+            noise += 0.0
+            quadrature += noise
     return x, p
 
 
-def launch_run(train: PulseTrainConfig, lasers: tuple[LaserModel, LaserModel], seed, *path):
+def _batch_paths(path, batch_pairs, n_pairs: int) -> tuple[tuple[int, ...], list[tuple]]:
+    """``(pairs, paths)``: each batch's R S pairs and stream path for
+    :func:`launch_run`'s ``batch_pairs``."""
+    if batch_pairs is None:
+        return (n_pairs,), [path]
+    pairs = tuple(batch_pairs)
+    if sum(pairs) != n_pairs:
+        raise ScheduleError(f"batch_pairs {list(pairs)} do not sum to n_pairs = {n_pairs}")
+    if not (path and isinstance(path[-1], int)):
+        raise ScheduleError(f"a block's stream path must end in its first batch index, got {path}")
+    *prefix, first = path
+    return pairs, [(*prefix, first + b) for b in range(len(pairs))]
+
+
+def launch_run(
+    train: PulseTrainConfig, lasers: tuple[LaserModel, LaserModel], seed, *path, batch_pairs=None
+):
     """A run up to detection: ``(phi, frame, x_a, p_a, encoded)``.  ``phi``
     is the LO-vs-signal phase offset of each pulse, one trajectory of the
     :func:`~llo_sim.noise_models.beat` of ``lasers`` (signal laser, LO laser)
@@ -278,46 +332,88 @@ def launch_run(train: PulseTrainConfig, lasers: tuple[LaserModel, LaserModel], s
     quadratures and encoded phase of each signal.  They come from the
     ``"laser"``, ``"phase0"`` and ``"modulation"`` streams at
     ``(seed, *path)``.  The reference photon number is :func:`detect_run`'s,
-    so one launch can be detected at several."""
-    if train.n_pairs < 2:
-        raise ScheduleError(f"need n_pairs >= 2, got {train.n_pairs}")
-    n = train.n_pairs
-    times = np.arange(2 * n, dtype=float) * train.repetition_period_s
-    phi0 = as_generator(seed_sequence(seed, *path, "phase0")).uniform(0.0, math.tau)
-    phi = phi0 + sample_phase_trajectory(
-        beat(*lasers), times, seed_sequence(seed, *path, "laser")
+    so one launch can be detected at several.
+
+    With ``batch_pairs``, the ``train.n_pairs`` pairs are that many batches
+    of the run laid end to end, one block: the last part of ``path`` is the
+    first batch's index, and batch ``b`` draws from the streams at
+    ``path`` with ``b`` added to it, as its own call would.  Only the draws,
+    running sums and initial offsets go batch by batch; every other stage
+    runs once over the block."""
+    pairs, paths = _batch_paths(path, batch_pairs, train.n_pairs)
+    if min(pairs) < 2:
+        raise ScheduleError(f"need n_pairs >= 2, got {min(pairs)}")
+    # Every batch's timestamps 0, T, 2T, ... begin one grid.
+    grid = np.arange(2 * max(pairs), dtype=float) * train.repetition_period_s
+    times = grid if len(pairs) == 1 else np.concatenate([grid[: 2 * n] for n in pairs])
+    phi = sample_phase_trajectory(
+        beat(*lasers), times, [seed_sequence(seed, *p, "laser") for p in paths],
+        batch_sizes=[2 * n for n in pairs],
     )
-    x_a, p_a, encoded = _draw_symbols(
-        train.modulation, train.signal_photons, np.arange(n),
-        as_generator(seed_sequence(seed, *path, "modulation")),
-    )
+    start = 0
+    for n, p in zip(pairs, paths):
+        phi[start : start + 2 * n] += as_generator(seed_sequence(seed, *p, "phase0")).uniform(
+            0.0, math.tau
+        )
+        start += 2 * n
+    modulation = [seed_sequence(seed, *p, "modulation") for p in paths]
+    if isinstance(train.modulation, GaussianModulation):
+        x_a, p_a, encoded = (np.concatenate(column) for column in zip(*(
+            _draw_symbols(train.modulation, train.signal_photons, np.arange(n), as_generator(s))
+            for n, s in zip(pairs, modulation)
+        )))
+    else:  # a phase pair draws nothing; a signal's phase follows its index in its batch
+        indices = np.arange(max(pairs))
+        if len(pairs) > 1:
+            indices = np.concatenate([indices[:n] for n in pairs])
+        x_a, p_a, encoded = _draw_symbols(train.modulation, train.signal_photons, indices, None)
     return phi, lo_frame(phi), x_a, p_a, encoded
 
 
-def detect_run(launched, reference_photons: float, det: ChannelDetector, seed) -> PulseBlock:
+def detect_run(
+    launched, reference_photons: float, det: ChannelDetector, seed, *, batch_pairs=None
+) -> PulseBlock:
     """Interleave references of ``reference_photons`` with the signals of a
     :func:`launch_run` result and measure every pulse through ``det``, with
-    detector noise from ``seed`` (anything :func:`as_generator` takes)."""
+    detector noise from ``seed`` (anything :func:`as_generator` takes).
+    With ``batch_pairs``, as given to :func:`launch_run`, ``seed`` holds one
+    seed per batch and the result is a block of those batches."""
     phi, frame, x_a, p_a, encoded = launched
     ref_x, ref_p = coherent_amplitude(reference_photons)
-    x_in = np.empty(phi.size)
-    p_in = np.empty(phi.size)
-    x_in[0::2], p_in[0::2] = ref_x, ref_p
-    x_in[1::2], p_in[1::2] = x_a, p_a
+    if batch_pairs is None:
+        rng, sizes = as_generator(seed), None
+    else:
+        rng, sizes = [as_generator(s) for s in seed], [2 * n for n in batch_pairs]
+    x_out, p_out = _measure_arrays(
+        _interleave(ref_x, x_a), _interleave(ref_p, p_a), frame, det, rng, sizes
+    )
+    return PulseBlock(x_out, p_out, phi, encoded, batch_pairs)
 
-    x_out, p_out = _measure_arrays(x_in, p_in, frame, det, as_generator(seed))
-    return PulseBlock(x_out, p_out, phi, encoded)
+
+def _interleave(reference, signals):
+    """One quadrature of an R S schedule: ``reference`` at every even
+    position, ``signals`` at the odd ones."""
+    pulses = np.empty(2 * signals.size)
+    pulses[0::2] = reference
+    pulses[1::2] = signals
+    return pulses
 
 
 def simulate_run(
     train: PulseTrainConfig, lasers: tuple[LaserModel, LaserModel], det: ChannelDetector,
-    seed: int, *path: int | str,
+    seed: int, *path: int | str, batch_pairs=None,
 ) -> PulseBlock:
     """Simulate one interleaved run: its pulses in schedule order, with
     Alice's encoded phase of each signal.  One :func:`launch_run`, detected
     by :func:`detect_run` with the ``"detector"`` stream; every stream is
     derived from ``seed`` and the label ``path``, so the run is reproducible
-    and batch-order independent."""
-    launched = launch_run(train, lasers, seed, *path)
-    detector = seed_sequence(seed, *path, "detector")
-    return detect_run(launched, train.reference_photons, det, detector)
+    and batch-order independent.  ``batch_pairs`` makes the run a block of
+    batches, as in :func:`launch_run`; each batch's pulses are those its own
+    call gives."""
+    launched = launch_run(train, lasers, seed, *path, batch_pairs=batch_pairs)
+    _, paths = _batch_paths(path, batch_pairs, train.n_pairs)
+    detectors = [seed_sequence(seed, *p, "detector") for p in paths]
+    return detect_run(
+        launched, train.reference_photons, det,
+        detectors[0] if batch_pairs is None else detectors, batch_pairs=batch_pairs,
+    )

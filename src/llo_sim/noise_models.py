@@ -17,6 +17,7 @@ parallel callers must derive per-trial sub-streams via
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from ._lazy_numpy import np
@@ -104,7 +105,7 @@ def phase_noise_variance(t, laser: LaserModel):
     return 2.0 * t / laser.coherence_time_s
 
 
-def sample_phase_trajectory(laser: LaserModel, times, seed) -> np.ndarray:
+def sample_phase_trajectory(laser: LaserModel, times, seed, *, batch_sizes=None) -> np.ndarray:
     """Accumulated phase deviation (rad) of ``laser`` at the given timestamps,
     one entry per timestamp.
 
@@ -113,29 +114,58 @@ def sample_phase_trajectory(laser: LaserModel, times, seed) -> np.ndarray:
     and scaled to 0, at ``tau_c = inf``); on top of that walk the phase
     advances deterministically by ``2*pi*(f0 + r*t)*t`` from the detuning
     and drift.  Timestamps must start at 0 and be strictly increasing.
+
+    With ``batch_sizes``, ``times`` holds that many independent batches end
+    to end and ``seed`` is a sequence of one seed per batch.  The batches
+    share one time grid: each batch's timestamps begin the longest batch's,
+    whose step scales and deterministic phase are computed once.  Each
+    batch's entries are those its own call returns, bit for bit.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise DomainError("times must be a non-empty 1-d sequence")
-    if times[0] != 0.0:
-        raise DomainError(f"times must start at 0, got {times[0]}")
-    dts = np.diff(times)
+    sizes = (times.size,) if batch_sizes is None else tuple(batch_sizes)
+    seeds = (seed,) if batch_sizes is None else tuple(seed)
+    if len(seeds) != len(sizes) or min(sizes) < 1 or sum(sizes) != times.size:
+        raise DomainError(
+            f"need one seed per batch and batch sizes >= 1 summing to {times.size}, "
+            f"got {len(seeds)} seeds for sizes {list(sizes)}"
+        )
+    starts = list(itertools.accumulate(sizes[:-1], initial=0))
+    longest = max(range(len(sizes)), key=sizes.__getitem__)
+    grid = times[starts[longest] : starts[longest] + sizes[longest]]
+    if grid[0] != 0.0:
+        raise DomainError(f"times must start at 0, got {grid[0]}")
+    dts = np.diff(grid)
     if np.any(dts <= 0):
         raise DomainError("times must be strictly increasing")
+    if len(sizes) > 1 and not all(
+        np.array_equal(times[start : start + size], grid[:size])
+        for start, size in zip(starts, sizes)
+    ):
+        raise DomainError("every batch's timestamps must begin the longest batch's")
 
-    increments = as_generator(seed).standard_normal(dts.size) * np.sqrt(
-        phase_noise_variance(dts, laser)
-    )
-    wiener = np.concatenate(([0.0], np.cumsum(increments)))
-    deterministic = math.tau * (
-        laser.center_detuning_hz + laser.drift_rate_hz_per_s * times
-    ) * times
-    return wiener + deterministic
+    steps = phase_noise_variance(dts, laser)
+    np.sqrt(steps, out=steps)
+    drift = laser.drift_rate_hz_per_s * grid
+    drift += laser.center_detuning_hz
+    drift *= math.tau
+    drift *= grid
+    trajectories = np.empty(times.size)
+    for start, size, batch_seed in zip(starts, sizes, seeds):
+        walk = trajectories[start : start + size]
+        increments = walk[1:]
+        as_generator(batch_seed).standard_normal(out=increments)
+        increments *= steps[: size - 1]
+        np.cumsum(increments, out=increments)
+        walk[0] = 0.0
+        walk += drift[:size]
+    return trajectories
 
 
 def simulate_self_interference(
-    laser: LaserModel, delay_s: float, n_samples: int, seed
-) -> float:
+    laser: LaserModel, delay_s: float, n_samples: int, seed, *, batch_samples=None
+) -> float | list[float]:
     """Sample variance (rad^2) of a delayed self-interference measurement.
 
     The laser beats against itself delayed by ``delay_s``; each sample is the
@@ -144,19 +174,39 @@ def simulate_self_interference(
     measurement is treated as fringe-tracked (no 2*pi wrapping), which is
     accurate for variances well below pi^2.  A phase or variance beyond the
     float range raises :class:`NumericalDomainError`.
+
+    With ``batch_samples`` (summing to ``n_samples``), ``seed`` is a sequence
+    of one seed per batch, the batches share one time grid and one
+    :func:`sample_phase_trajectory` call, and the result is the list of the
+    batches' variances, each that of its own call.
     """
+    sizes = (n_samples,) if batch_samples is None else tuple(batch_samples)
     if delay_s < 0:
         raise DomainError(f"delay must be >= 0 s, got {delay_s}")
-    if n_samples < 2:
-        raise DomainError(f"need at least 2 samples, got {n_samples}")
+    if min(sizes) < 2:
+        raise DomainError(f"need at least 2 samples, got {min(sizes)}")
+    if sum(sizes) != n_samples:
+        raise DomainError(f"batch samples {list(sizes)} do not sum to {n_samples}")
     if delay_s == 0.0:
-        return 0.0
-    times = np.arange(n_samples + 1, dtype=float) * delay_s
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            diffs = np.diff(sample_phase_trajectory(laser, times, seed))
-            return float(np.var(diffs, ddof=1))
-    except FloatingPointError as exc:
-        raise NumericalDomainError(
-            f"self-interference variance at delay {delay_s:g} s leaves the float range"
-        ) from exc
+        variances = [0.0] * len(sizes)
+    else:
+        # Each batch's window ends 0, delay, 2*delay, ... start one grid.
+        grid = np.arange(max(sizes) + 1, dtype=float) * delay_s
+        times = np.concatenate([grid[: size + 1] for size in sizes])
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                trajectories = sample_phase_trajectory(
+                    laser, times, [seed] if batch_samples is None else seed,
+                    batch_sizes=[size + 1 for size in sizes],
+                )
+                variances = []
+                start = 0
+                for size in sizes:
+                    diffs = np.diff(trajectories[start : start + size + 1])
+                    variances.append(float(np.var(diffs, ddof=1)))
+                    start += size + 1
+        except FloatingPointError as exc:
+            raise NumericalDomainError(
+                f"self-interference variance at delay {delay_s:g} s leaves the float range"
+            ) from exc
+    return variances if batch_samples is not None else variances[0]

@@ -21,6 +21,7 @@ All angles live in the principal range (-pi, pi].
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 
@@ -40,12 +41,15 @@ def wrap_phase(phi):
     phi = np.asarray(phi, dtype=float)
     if phi.size and -math.tau < phi.min() and phi.max() < math.tau:
         # fmod is the identity for |phi| < tau, so np.mod's result is phi + tau
-        # below 0 and phi + 0.0 (+0 for -0) otherwise: the same bits at about
-        # half the cost.  NaN fails the test and takes np.mod.
-        wrapped = np.where(phi < 0.0, phi + math.tau, phi + 0.0)
+        # below 0 and phi + 0.0 (+0 for -0) otherwise: adding tau or 0.0 as
+        # the sign picks gives the same bits, with no np.mod and no branch per
+        # element.  NaN fails the test and takes np.mod.
+        wrapped = (phi < 0.0) * math.tau
+        wrapped += phi
     else:
         wrapped = np.mod(phi, math.tau)
-    wrapped = np.where(wrapped > math.pi, wrapped - math.tau, wrapped)
+    # x - 0.0 is x for every x, so this subtracts tau exactly where x > pi.
+    wrapped -= (wrapped > math.pi) * math.tau
     if wrapped.ndim == 0:
         return float(wrapped)
     return wrapped
@@ -58,17 +62,20 @@ def _reference_phases(x_r, p_r):
     return wrap_phase(-np.arctan2(p_r, x_r))
 
 
-def _midpoints(ref_phases: np.ndarray) -> tuple[np.ndarray, int]:
+def _midpoints(ref_phases: np.ndarray, keep=None) -> tuple[np.ndarray, int]:
     """Shorter-arc midpoint of each pair of consecutive reference phases.
 
     This adds half the unwrapped reference-to-reference advance, valid while
     the true advance per reference gap stays below pi (beat frequency below
     ``1/(4*T_d)``).  Also returns how many pairs were exactly antipodal; such
-    a pair is broken towards the positive direction.
+    a pair is broken towards the positive direction.  ``keep``, a boolean
+    mask over the pairs, drops those that straddle two batches of a block.
     """
     deltas = wrap_phase(np.diff(ref_phases))
-    n_ties = int(np.count_nonzero(deltas == math.pi))
-    return wrap_phase(ref_phases[:-1] + 0.5 * deltas), n_ties
+    midpoints = wrap_phase(ref_phases[:-1] + 0.5 * deltas)
+    if keep is not None:
+        deltas, midpoints = deltas[keep], midpoints[keep]
+    return midpoints, int(np.count_nonzero(deltas == math.pi))
 
 
 def remap_quadratures(x_b, p_b, phi):
@@ -149,13 +156,15 @@ def sigma_phi_from_quadratures(samples) -> float:
 
 
 class RecoveredRun(Record):
-    """Vectorised result of recovering one simulated run.
+    """Vectorised result of recovering one :class:`~llo_sim.link_sim.PulseBlock`.
 
-    Arrays cover the usable signals only: the final signal of a run has no
-    following reference and is dropped.  The signal quadratures and
-    ``encoded_phases`` (Alice's encoded phase of each usable signal) are
-    views into the recovered block.  ``n_antipodal_ties`` counts the
-    reference pairs that :func:`_midpoints` found exactly antipodal.
+    Arrays cover the usable signals only: the final signal of each batch has
+    no following reference of its batch and is dropped.  The arrays hold the
+    block's batches in order, ``batch_signals`` usable signals each, and
+    :attr:`batch_slices` cuts them into batches; a one-batch block's signal
+    quadratures and ``encoded_phases`` (Alice's encoded phase of each usable
+    signal) are views into it.  ``n_antipodal_ties`` counts the reference
+    pairs that :func:`_midpoints` found exactly antipodal.
     """
 
     signal_x: np.ndarray
@@ -165,6 +174,13 @@ class RecoveredRun(Record):
     corrected_phases: np.ndarray
     encoded_phases: np.ndarray
     n_antipodal_ties: int
+    batch_signals: tuple[int, ...]
+
+    @property
+    def batch_slices(self) -> list[slice]:
+        """One slice of the arrays per batch, in order."""
+        ends = itertools.accumulate(self.batch_signals)
+        return [slice(end - size, end) for size, end in zip(self.batch_signals, ends)]
 
 
 def recover_run(block: PulseBlock) -> RecoveredRun:
@@ -173,25 +189,35 @@ def recover_run(block: PulseBlock) -> RecoveredRun:
     Takes a :class:`PulseBlock` from :func:`llo_sim.link_sim.simulate_run`,
     whose constructor has checked the R S R S ... schedule.  Signal ``i`` is
     interpolated from references ``i`` and ``i+1``; the last signal is
-    dropped for lack of a following reference.
+    dropped for lack of a following reference.  A block of several batches
+    is recovered in one pass, each batch as its own block would be: the last
+    signal of every batch is dropped and no midpoint spans two batches.
     """
-    if len(block) < 4:
-        raise ScheduleError(f"need >= 2 R S pairs, got {len(block)} pulses")
+    pairs = block.batch_pairs
+    if min(pairs) < 2:
+        raise ScheduleError(f"need >= 2 R S pairs, got {2 * min(pairs)} pulses")
 
-    ref_phases = _reference_phases(block.x[0::2], block.p[0::2])
-    interpolated, n_ties = _midpoints(ref_phases)
+    keep = None
+    if len(pairs) > 1:  # drop the signal at each batch's end, with its midpoint
+        keep = np.ones(len(block) // 2 - 1, dtype=bool)
+        keep[np.cumsum(pairs[:-1]) - 1] = False
 
+    def usable(values):
+        return values if keep is None else values[keep]
+
+    interpolated, n_ties = _midpoints(_reference_phases(block.x[0::2], block.p[0::2]), keep)
     sig_x = block.x[1:-1:2]
     sig_p = block.p[1:-1:2]
-    raw = np.arctan2(sig_p, sig_x)
+    raw = usable(np.arctan2(sig_p, sig_x))
     corrected = wrap_phase(raw + interpolated)
 
     return RecoveredRun(
-        signal_x=sig_x,
-        signal_p=sig_p,
+        signal_x=usable(sig_x),
+        signal_p=usable(sig_p),
         raw_phases=raw,
         interpolated_phases=interpolated,
         corrected_phases=corrected,
-        encoded_phases=block.encoded_phase[:-1],
+        encoded_phases=usable(block.encoded_phase[:-1]),
         n_antipodal_ties=n_ties,
+        batch_signals=tuple(n - 1 for n in pairs),
     )

@@ -440,13 +440,14 @@ class TestWithoutNumpy:
     )
     def test_closed_form_run_needs_neither_numpy_nor_hashlib(self, tmp_path, args):
         # Large grids, a clamped PE corner and a near-double root: no path of
-        # the closed forms imports numpy or hashlib, loads the CSV kernel, or
-        # warns.
+        # the closed forms imports numpy or hashlib, loads the CSV kernel or
+        # the thread pool, or warns.
         code = (
             "import sys\n" + BLOCK_NUMPY + BLOCK_HASHLIB
             + "from llo_sim.cli import main\n"
             "status = main(sys.argv[1:])\n"
             "assert 'llo_sim._csv_format' not in sys.modules\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
             "sys.exit(status)\n"
         )
         child = _run_child(

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 from dataclasses import replace
@@ -7,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from llo_sim import experiments
+from llo_sim import experiments, link_sim
 from llo_sim._seeding import substream
 from llo_sim.config import (
     DistanceSweepConfig,
@@ -177,24 +178,32 @@ class TestWeakReferenceSweep:
         assert values[0] == pytest.approx(0.0395, rel=0.1)
 
     def test_one_launch_per_batch_detected_at_every_point(self, monkeypatch):
-        calls = {"launch_run": 0, "detect_run": 0}
+        """However batches group into blocks, each batch's launch streams are
+        derived exactly once and its detector stream once per photon number."""
+        paths = collections.Counter()
 
-        def counting(name):
-            run = getattr(experiments, name)
-
-            def counted(*args):
-                calls[name] += 1
-                return run(*args)
+        def counting(derive):
+            def counted(seed, *path):
+                paths[path] += 1
+                return derive(seed, *path)
 
             return counted
 
-        for name in calls:
-            monkeypatch.setattr(experiments, name, counting(name))
+        for module in (experiments, link_sim):
+            monkeypatch.setattr(module, "seed_sequence", counting(module.seed_sequence))
         config = WeakReferenceSweepConfig(
             photon_numbers=(1e4, 1e3, 100.0), n_pairs=2000, n_batches=4
         )
-        run_weak_reference_sweep(config, seed=17, threads=1)
-        assert calls == {"launch_run": 4, "detect_run": 12}
+        expected = collections.Counter()
+        for i in range(4):
+            expected.update(("weak-ref", i, name) for name in ("phase0", "laser", "modulation"))
+            expected.update(("weak-ref", i, "detector", point) for point in range(3))
+        # One block, two blocks on two workers, and one block per batch.
+        for threads, block_pulses in [(1, 50_000), (2, 50_000), (1, 1_000)]:
+            monkeypatch.setattr(experiments, "BLOCK_PULSES", block_pulses)
+            paths.clear()
+            run_weak_reference_sweep(config, seed=17, threads=threads)
+            assert paths == expected, (threads, block_pulses)
 
 
 class TestRemapExperiment:
@@ -260,9 +269,10 @@ class TestLaserNoiseSweep:
         sizes = []
         simulate = experiments.simulate_self_interference
 
-        def recording(laser, delay_s, n_samples, seed):
-            sizes.append(n_samples)
-            return simulate(laser, delay_s, n_samples, seed)
+        def recording(laser, delay_s, n_samples, seed, *, batch_samples):
+            assert sum(batch_samples) == n_samples
+            sizes.extend(batch_samples)
+            return simulate(laser, delay_s, n_samples, seed, batch_samples=batch_samples)
 
         monkeypatch.setattr(experiments, "simulate_self_interference", recording)
         config = replace(SMALL_NOISE, n_samples=20005)
