@@ -495,7 +495,6 @@ def run_weak_reference_sweep(
             rec = recover_run(detect_run(
                 launched, photons, config.detector,
                 [seed_sequence(seed, "weak-ref", i, "detector", point) for i in batches],
-                batch_pairs=pairs,
             ))
             # Every detection recovers the launch's encoded phases; only what the
             # statistics read outlives the detection.

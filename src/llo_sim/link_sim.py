@@ -282,28 +282,25 @@ def lo_frame(phi):
     return np.cos(phi), sin
 
 
-def _measure_arrays(x_in, p_in, frame, det: ChannelDetector, rng, batch_sizes=None):
-    """Vectorised heterodyne measurement in the :func:`lo_frame` ``frame``;
-    rng=None gives the noise-free mean.  With ``batch_sizes``, the pulses are
-    that many batches end to end and ``rng`` is one generator per batch."""
+def _measure_arrays(x_in, p_in, frame, det: ChannelDetector, rngs, batch_sizes):
+    """Vectorised heterodyne measurement in the :func:`lo_frame` ``frame`` of
+    pulses that are ``batch_sizes`` batches end to end, with detector noise
+    from ``rngs``, one generator per batch."""
     x, p = rotate(x_in, p_in, *frame)
     del x_in, p_in  # detect_run's interleaved inputs go before the noise is drawn
     x *= det.amplitude_gain
     p *= det.amplitude_gain
-    if rng is not None:
-        sizes, rngs = ((np.size(x),), (rng,)) if batch_sizes is None else (batch_sizes, rng)
-        # Each batch draws its x noise, then its p noise, as rng.normal(0, sigma)
-        # would: that is 0.0 + sigma*z, hence the + 0.0.
-        sigma = math.sqrt(det.noise_snu)
-        noise = np.empty(np.shape(x))
-        for quadrature in (x, p):
-            start = 0
-            for size, batch_rng in zip(sizes, rngs):
-                batch_rng.standard_normal(out=noise[start : start + size])
-                start += size
-            noise *= sigma
-            noise += 0.0
-            quadrature += noise
+    # Each batch draws its x noise, then its p noise, as rng.normal(0, sigma)
+    # would: that is 0.0 + sigma*z, hence the + 0.0.
+    sigma = math.sqrt(det.noise_snu)
+    noise = np.empty(x.shape)
+    parts = np.split(noise, np.cumsum(batch_sizes[:-1], dtype=int))
+    for quadrature in (x, p):
+        for part, rng in zip(parts, rngs):
+            rng.standard_normal(out=part)
+        noise *= sigma
+        noise += 0.0
+        quadrature += noise
     return x, p
 
 
@@ -321,18 +318,32 @@ def _batch_paths(path, batch_pairs, n_pairs: int) -> tuple[tuple[int, ...], list
     return pairs, [(*prefix, first + b) for b in range(len(pairs))]
 
 
+class Launch(NamedTuple):
+    """A run up to detection (:func:`launch_run`).  ``phi`` is the
+    LO-vs-signal phase offset of each pulse and ``frame`` its
+    :func:`lo_frame`, computed once for every detection; ``x_a``, ``p_a`` and
+    ``encoded`` are Alice's target quadratures and encoded phase of each
+    signal.  ``batch_pairs`` and ``paths``, each batch's R S pairs and stream
+    path, are the one statement of the run's batch layout."""
+
+    phi: np.ndarray
+    frame: tuple[np.ndarray, np.ndarray]
+    x_a: np.ndarray
+    p_a: np.ndarray
+    encoded: np.ndarray
+    batch_pairs: tuple[int, ...]
+    paths: list[tuple]
+
+
 def launch_run(
     train: PulseTrainConfig, lasers: tuple[LaserModel, LaserModel], seed, *path, batch_pairs=None
-):
-    """A run up to detection: ``(phi, frame, x_a, p_a, encoded)``.  ``phi``
-    is the LO-vs-signal phase offset of each pulse, one trajectory of the
+) -> Launch:
+    """A run up to detection.  ``phi`` is one trajectory of the
     :func:`~llo_sim.noise_models.beat` of ``lasers`` (signal laser, LO laser)
-    plus a uniform initial offset, and ``frame`` its :func:`lo_frame`,
-    computed once for every detection; the rest are Alice's target
-    quadratures and encoded phase of each signal.  They come from the
-    ``"laser"``, ``"phase0"`` and ``"modulation"`` streams at
-    ``(seed, *path)``.  The reference photon number is :func:`detect_run`'s,
-    so one launch can be detected at several.
+    plus a uniform initial offset, from the ``"laser"`` and ``"phase0"``
+    streams at ``(seed, *path)``; a Gaussian modulation draws Alice's symbols
+    from its ``"modulation"`` stream.  The reference photon number is
+    :func:`detect_run`'s, so one launch can be detected at several.
 
     With ``batch_pairs``, the ``train.n_pairs`` pairs are that many batches
     of the run laid end to end, one block: the last part of ``path`` is the
@@ -343,51 +354,47 @@ def launch_run(
     pairs, paths = _batch_paths(path, batch_pairs, train.n_pairs)
     if min(pairs) < 2:
         raise ScheduleError(f"need n_pairs >= 2, got {min(pairs)}")
+    pulses = [2 * n for n in pairs]
     # Every batch's timestamps 0, T, 2T, ... begin one grid.
-    grid = np.arange(2 * max(pairs), dtype=float) * train.repetition_period_s
-    times = grid if len(pairs) == 1 else np.concatenate([grid[: 2 * n] for n in pairs])
+    times = np.concatenate([np.arange(n, dtype=float) for n in pulses])
+    times *= train.repetition_period_s
     phi = sample_phase_trajectory(
         beat(*lasers), times, [seed_sequence(seed, *p, "laser") for p in paths],
-        batch_sizes=[2 * n for n in pairs],
+        batch_sizes=pulses,
     )
-    start = 0
-    for n, p in zip(pairs, paths):
-        phi[start : start + 2 * n] += as_generator(seed_sequence(seed, *p, "phase0")).uniform(
-            0.0, math.tau
-        )
-        start += 2 * n
-    modulation = [seed_sequence(seed, *p, "modulation") for p in paths]
+    phi += np.repeat([
+        as_generator(seed_sequence(seed, *p, "phase0")).uniform(0.0, math.tau) for p in paths
+    ], pulses)
     if isinstance(train.modulation, GaussianModulation):
+        rngs = [as_generator(seed_sequence(seed, *p, "modulation")) for p in paths]
         x_a, p_a, encoded = (np.concatenate(column) for column in zip(*(
-            _draw_symbols(train.modulation, train.signal_photons, np.arange(n), as_generator(s))
-            for n, s in zip(pairs, modulation)
+            _draw_symbols(train.modulation, train.signal_photons, np.arange(n), rng)
+            for n, rng in zip(pairs, rngs)
         )))
     else:  # a phase pair draws nothing; a signal's phase follows its index in its batch
-        indices = np.arange(max(pairs))
-        if len(pairs) > 1:
-            indices = np.concatenate([indices[:n] for n in pairs])
+        indices = np.concatenate([np.arange(n) for n in pairs])
         x_a, p_a, encoded = _draw_symbols(train.modulation, train.signal_photons, indices, None)
-    return phi, lo_frame(phi), x_a, p_a, encoded
+    return Launch(phi, lo_frame(phi), x_a, p_a, encoded, pairs, paths)
 
 
 def detect_run(
-    launched, reference_photons: float, det: ChannelDetector, seed, *, batch_pairs=None
+    launched: Launch, reference_photons: float, det: ChannelDetector, seeds
 ) -> PulseBlock:
     """Interleave references of ``reference_photons`` with the signals of a
-    :func:`launch_run` result and measure every pulse through ``det``, with
-    detector noise from ``seed`` (anything :func:`as_generator` takes).
-    With ``batch_pairs``, as given to :func:`launch_run`, ``seed`` holds one
-    seed per batch and the result is a block of those batches."""
-    phi, frame, x_a, p_a, encoded = launched
+    :func:`launch_run` result and measure every pulse through ``det``: a
+    block of the launch's batches.  ``seeds`` holds one detector seed
+    (anything :func:`as_generator` takes) per batch."""
+    pairs = launched.batch_pairs
+    if len(seeds) != len(pairs):
+        raise ScheduleError(
+            f"need one detector seed per batch: {len(pairs)} batches, got {len(seeds)} seeds"
+        )
     ref_x, ref_p = coherent_amplitude(reference_photons)
-    if batch_pairs is None:
-        rng, sizes = as_generator(seed), None
-    else:
-        rng, sizes = [as_generator(s) for s in seed], [2 * n for n in batch_pairs]
     x_out, p_out = _measure_arrays(
-        _interleave(ref_x, x_a), _interleave(ref_p, p_a), frame, det, rng, sizes
+        _interleave(ref_x, launched.x_a), _interleave(ref_p, launched.p_a), launched.frame, det,
+        [as_generator(s) for s in seeds], [2 * n for n in pairs],
     )
-    return PulseBlock(x_out, p_out, phi, encoded, batch_pairs)
+    return PulseBlock(x_out, p_out, launched.phi, launched.encoded, pairs)
 
 
 def _interleave(reference, signals):
@@ -411,9 +418,5 @@ def simulate_run(
     batches, as in :func:`launch_run`; each batch's pulses are those its own
     call gives."""
     launched = launch_run(train, lasers, seed, *path, batch_pairs=batch_pairs)
-    _, paths = _batch_paths(path, batch_pairs, train.n_pairs)
-    detectors = [seed_sequence(seed, *p, "detector") for p in paths]
-    return detect_run(
-        launched, train.reference_photons, det,
-        detectors[0] if batch_pairs is None else detectors, batch_pairs=batch_pairs,
-    )
+    detectors = [seed_sequence(seed, *p, "detector") for p in launched.paths]
+    return detect_run(launched, train.reference_photons, det, detectors)

@@ -180,7 +180,7 @@ def simulate_self_interference(
     :func:`sample_phase_trajectory` call, and the result is the list of the
     batches' variances, each that of its own call.
     """
-    sizes = (n_samples,) if batch_samples is None else tuple(batch_samples)
+    sizes, seeds = ((n_samples,), [seed]) if batch_samples is None else (tuple(batch_samples), seed)
     if delay_s < 0:
         raise DomainError(f"delay must be >= 0 s, got {delay_s}")
     if min(sizes) < 2:
@@ -193,18 +193,18 @@ def simulate_self_interference(
         # Each batch's window ends 0, delay, 2*delay, ... start one grid.
         grid = np.arange(max(sizes) + 1, dtype=float) * delay_s
         times = np.concatenate([grid[: size + 1] for size in sizes])
+        # Batch b's differences begin where its trajectory does, so the one
+        # difference that spans two batches is never read.
+        starts = itertools.accumulate((size + 1 for size in sizes), initial=0)
         try:
             with np.errstate(over="raise", invalid="raise"):
-                trajectories = sample_phase_trajectory(
-                    laser, times, [seed] if batch_samples is None else seed,
-                    batch_sizes=[size + 1 for size in sizes],
-                )
-                variances = []
-                start = 0
-                for size in sizes:
-                    diffs = np.diff(trajectories[start : start + size + 1])
-                    variances.append(float(np.var(diffs, ddof=1)))
-                    start += size + 1
+                diffs = np.diff(sample_phase_trajectory(
+                    laser, times, seeds, batch_sizes=[size + 1 for size in sizes]
+                ))
+                variances = [
+                    float(np.var(diffs[start : start + size], ddof=1))
+                    for start, size in zip(starts, sizes)
+                ]
         except FloatingPointError as exc:
             raise NumericalDomainError(
                 f"self-interference variance at delay {delay_s:g} s leaves the float range"

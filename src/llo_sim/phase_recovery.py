@@ -62,7 +62,7 @@ def _reference_phases(x_r, p_r):
     return wrap_phase(-np.arctan2(p_r, x_r))
 
 
-def _midpoints(ref_phases: np.ndarray, keep=None) -> tuple[np.ndarray, int]:
+def _midpoints(ref_phases: np.ndarray, keep=slice(None)) -> tuple[np.ndarray, int]:
     """Shorter-arc midpoint of each pair of consecutive reference phases.
 
     This adds half the unwrapped reference-to-reference advance, valid while
@@ -73,9 +73,7 @@ def _midpoints(ref_phases: np.ndarray, keep=None) -> tuple[np.ndarray, int]:
     """
     deltas = wrap_phase(np.diff(ref_phases))
     midpoints = wrap_phase(ref_phases[:-1] + 0.5 * deltas)
-    if keep is not None:
-        deltas, midpoints = deltas[keep], midpoints[keep]
-    return midpoints, int(np.count_nonzero(deltas == math.pi))
+    return midpoints[keep], int(np.count_nonzero(deltas[keep] == math.pi))
 
 
 def remap_quadratures(x_b, p_b, phi):
@@ -161,10 +159,10 @@ class RecoveredRun(Record):
     Arrays cover the usable signals only: the final signal of each batch has
     no following reference of its batch and is dropped.  The arrays hold the
     block's batches in order, ``batch_signals`` usable signals each, and
-    :attr:`batch_slices` cuts them into batches; a one-batch block's signal
-    quadratures and ``encoded_phases`` (Alice's encoded phase of each usable
-    signal) are views into it.  ``n_antipodal_ties`` counts the reference
-    pairs that :func:`_midpoints` found exactly antipodal.
+    :attr:`batch_slices` cuts them into batches.  ``encoded_phases`` is
+    Alice's encoded phase of each usable signal, and ``n_antipodal_ties``
+    counts the reference pairs that :func:`_midpoints` found exactly
+    antipodal.
     """
 
     signal_x: np.ndarray
@@ -197,27 +195,22 @@ def recover_run(block: PulseBlock) -> RecoveredRun:
     if min(pairs) < 2:
         raise ScheduleError(f"need >= 2 R S pairs, got {2 * min(pairs)} pulses")
 
-    keep = None
-    if len(pairs) > 1:  # drop the signal at each batch's end, with its midpoint
-        keep = np.ones(len(block) // 2 - 1, dtype=bool)
-        keep[np.cumsum(pairs[:-1]) - 1] = False
-
-    def usable(values):
-        return values if keep is None else values[keep]
-
+    # Drop the signal at each batch's end, with its midpoint.
+    keep = np.ones(len(block) // 2 - 1, dtype=bool)
+    keep[np.cumsum(pairs[:-1], dtype=int) - 1] = False
     interpolated, n_ties = _midpoints(_reference_phases(block.x[0::2], block.p[0::2]), keep)
     sig_x = block.x[1:-1:2]
     sig_p = block.p[1:-1:2]
-    raw = usable(np.arctan2(sig_p, sig_x))
+    raw = np.arctan2(sig_p, sig_x)[keep]
     corrected = wrap_phase(raw + interpolated)
 
     return RecoveredRun(
-        signal_x=usable(sig_x),
-        signal_p=usable(sig_p),
+        signal_x=sig_x[keep],
+        signal_p=sig_p[keep],
         raw_phases=raw,
         interpolated_phases=interpolated,
         corrected_phases=corrected,
-        encoded_phases=usable(block.encoded_phase[:-1]),
+        encoded_phases=block.encoded_phase[:-1][keep],
         n_antipodal_ties=n_ties,
         batch_signals=tuple(n - 1 for n in pairs),
     )

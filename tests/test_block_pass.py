@@ -102,9 +102,9 @@ def test_one_launch_block_detected_at_several_photon_numbers():
     launches = [launch_run(train(n), LASERS, 5, "weak-ref", i) for i, n in enumerate(PAIRS)]
     for point, photons in enumerate((1e4, 100.0)):
         seeds = [seed_sequence(5, "weak-ref", i, "detector", point) for i in range(len(PAIRS))]
-        block = detect_run(launched, photons, RIG_DETECTOR, seeds, batch_pairs=PAIRS)
+        block = detect_run(launched, photons, RIG_DETECTOR, seeds)
         per_batch = [
-            detect_run(one, photons, RIG_DETECTOR, s) for one, s in zip(launches, seeds)
+            detect_run(one, photons, RIG_DETECTOR, [s]) for one, s in zip(launches, seeds)
         ]
         assert_recovered_per_batch(block, per_batch)
 
@@ -164,6 +164,10 @@ def test_block_layouts_are_checked():
         simulate_run(train(8), LASERS, RIG_DETECTOR, 1, "b", batch_pairs=[4, 4])
     with pytest.raises(ScheduleError, match="need n_pairs >= 2"):
         simulate_run(train(8), LASERS, RIG_DETECTOR, 1, "b", 0, batch_pairs=[7, 1])
+    launched = launch_run(train(8), LASERS, 1, "b", 0, batch_pairs=[4, 4])
+    with pytest.raises(ScheduleError, match="one detector seed per batch"):
+        detect_run(launched, 10.0, RIG_DETECTOR, [seed_sequence(1, "b", 0, "detector")])
+    assert detect_run(launched, 10.0, RIG_DETECTOR, [1, 2]).batch_pairs == launched.batch_pairs
     with pytest.raises(ScheduleError, match="batch_pairs"):
         PulseBlock(np.zeros(8), np.zeros(8), np.zeros(8), np.zeros(4), batch_pairs=(3, 2))
     block = PulseBlock(np.ones(8), np.ones(8), np.zeros(8), np.zeros(4), batch_pairs=(3, 1))

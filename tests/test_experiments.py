@@ -38,7 +38,7 @@ from llo_sim.experiments import (
     uniformity_pvalue,
     write_result,
 )
-from llo_sim.link_sim import ChannelDetector
+from llo_sim.link_sim import ChannelDetector, GaussianModulation, PulseTrainConfig
 from llo_sim.security import SecurityParams, asymptotic_key_rate
 
 SMALL_PHASE = PhaseExperimentConfig(n_pairs=4000, uniformity_stride=25)
@@ -196,7 +196,8 @@ class TestWeakReferenceSweep:
         )
         expected = collections.Counter()
         for i in range(4):
-            expected.update(("weak-ref", i, name) for name in ("phase0", "laser", "modulation"))
+            # A binary-phase train draws no symbols, so it derives no "modulation" stream.
+            expected.update(("weak-ref", i, name) for name in ("phase0", "laser"))
             expected.update(("weak-ref", i, "detector", point) for point in range(3))
         # One block, two blocks on two workers, and one block per batch.
         for threads, block_pulses in [(1, 50_000), (2, 50_000), (1, 1_000)]:
@@ -204,6 +205,11 @@ class TestWeakReferenceSweep:
             paths.clear()
             run_weak_reference_sweep(config, seed=17, threads=threads)
             assert paths == expected, (threads, block_pulses)
+        # A Gaussian-modulated launch derives it once per batch.
+        paths.clear()
+        train = PulseTrainConfig(20e-9, 7, 0.0, 1e3, GaussianModulation(4.0))
+        link_sim.launch_run(train, (config.laser_s, config.laser_l), 17, "g", 2, batch_pairs=[3, 4])
+        assert [paths["g", b, "modulation"] for b in (2, 3)] == [1, 1]
 
 
 class TestRemapExperiment:

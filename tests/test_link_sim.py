@@ -14,6 +14,7 @@ from llo_sim.link_sim import (
     detect_run,
     launch_run,
     lo_frame,
+    rotate,
     simulate_run,
     _draw_symbols,
     _measure_arrays,
@@ -119,7 +120,7 @@ class TestHeterodyneMeasure:
         det = ChannelDetector(transmittance_override=1.0, detector_efficiency=1.0)
         rng = substream(5)
         n = 100_000
-        x, _ = _measure_arrays(np.zeros(n), np.zeros(n), lo_frame(0.0), det, rng)
+        x, _ = _measure_arrays(np.zeros(n), np.zeros(n), lo_frame(0.0), det, [rng], [n])
         se = math.sqrt(2.0 / (n - 1))
         assert abs(x.var(ddof=1) - 1.0) < 3.0 * se
 
@@ -130,7 +131,7 @@ class TestHeterodyneMeasure:
         )
         rng = substream(6)
         n = 100_000
-        x, _ = _measure_arrays(np.zeros(n), np.zeros(n), lo_frame(0.3), det, rng)
+        x, _ = _measure_arrays(np.zeros(n), np.zeros(n), lo_frame(0.3), det, [rng], [n])
         se = math.sqrt(2.0 / (n - 1))
         assert abs(x.var(ddof=1) - 1.0) < 3.0 * se
 
@@ -141,7 +142,9 @@ class TestHeterodyneMeasure:
         rng = substream(7)
         phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
         x_in, p_in = coherent_amplitude(1000.0)
-        x, p = _measure_arrays(np.full(n, x_in), np.full(n, p_in), lo_frame(phi), det, rng)
+        x, p = _measure_arrays(
+            np.full(n, x_in), np.full(n, p_in), lo_frame(phi), det, [rng], [n]
+        )
         estimates = -np.arctan2(p, x)
         err = np.angle(np.exp(1j * (estimates - phi)))
         assert np.var(err) == pytest.approx(1.0 / (2.0 * 0.5 * 1000.0), rel=0.1)
@@ -150,7 +153,9 @@ class TestHeterodyneMeasure:
         det = ChannelDetector(
             attenuation_db_per_km=0.2, fiber_length_km=25.0, detector_efficiency=0.6
         )
-        x, p = _measure_arrays(3.0, -2.0, lo_frame(0.0), det, rng=None)
+        # The noise-free mean of a detection: the rotation into the LO frame
+        # times the amplitude gain.
+        x, p = (det.amplitude_gain * q for q in rotate(3.0, -2.0, *lo_frame(0.0)))
         scale = math.sqrt(det.transmittance * 0.6 / 2.0)
         assert x == pytest.approx(3.0 * scale, rel=1e-12)
         assert p == pytest.approx(-2.0 * scale, rel=1e-12)
@@ -161,7 +166,7 @@ class TestHeterodyneMeasure:
         det = ChannelDetector(transmittance_override=1.0, detector_efficiency=1.0)
         theta, phi = 0.9, 0.4
         x_in, p_in = 20.0 * math.cos(theta), 20.0 * math.sin(theta)  # 100 photons at theta
-        x, p = _measure_arrays(x_in, p_in, lo_frame(phi), det, rng=None)
+        x, p = (det.amplitude_gain * q for q in rotate(x_in, p_in, *lo_frame(phi)))
         assert math.atan2(p, x) == pytest.approx(theta - phi, rel=1e-9)
 
 
@@ -234,8 +239,8 @@ class TestSimulateRun:
         lasers = (BENCH_LASER_S, BENCH_LASER_L)
         det = ChannelDetector()
         launched = launch_run(train, lasers, 21, "batch", 3)
-        a = detect_run(launched, 10.0, det, seed_sequence(21, "batch", 3, "detector"))
-        b = detect_run(launched, 10.0, det, substream(99, "other-detector"))
+        a = detect_run(launched, 10.0, det, [seed_sequence(21, "batch", 3, "detector")])
+        b = detect_run(launched, 10.0, det, [substream(99, "other-detector")])
         assert np.array_equal(a.true_phase, b.true_phase)
         assert not np.array_equal(a.x, b.x)
         run = simulate_run(train, lasers, det, 21, "batch", 3)
