@@ -41,7 +41,7 @@ from .config import (
 )
 from .errors import DomainError, EstimationError
 from .link_sim import detect_run, fiber_transmittance, launch_run, simulate_run
-from .noise_models import phase_noise_variance, simulate_self_interference
+from .noise_models import batch_bounds, phase_noise_variance, simulate_self_interference
 from .phase_recovery import (
     RecoveredRun,
     predicted_sigma_phi,
@@ -328,9 +328,7 @@ def _map_ordered(fn: Callable[[range], object], sizes: Sequence[int], threads: i
     count.
     """
     workers = max(1, min(threads, len(sizes)))
-    bounds = list(itertools.accumulate(
-        (batch_size(len(sizes), workers, w) for w in range(workers)), initial=0
-    ))
+    counts = [batch_size(len(sizes), workers, w) for w in range(workers)]
 
     def walk(span: range) -> list:
         results = []
@@ -344,7 +342,7 @@ def _map_ordered(fn: Callable[[range], object], sizes: Sequence[int], threads: i
         results.append(fn(range(start, span.stop)))
         return results
 
-    first, *rest = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    first, *rest = [range(part.start, part.stop) for part in batch_bounds(counts)]
     if not rest:
         return walk(first)
     from concurrent.futures import ThreadPoolExecutor  # imported only where a pool runs
@@ -592,11 +590,9 @@ def run_laser_noise_sweep(
     def worker(batches: range) -> list[float]:
         # A block never spans two (laser, delay) points: they share one time grid.
         label, d_idx, _ = tasks[batches.start]
-        block_samples = samples[batches.start : batches.stop]
         return simulate_self_interference(
-            lasers[label], config.delays_s[d_idx], sum(block_samples),
+            lasers[label], config.delays_s[d_idx], samples[batches.start : batches.stop],
             [seed_sequence(seed, "laser-noise", *tasks[k]) for k in batches],
-            batch_samples=block_samples,
         )
 
     # A batch of n samples is a trajectory of n + 1 points.

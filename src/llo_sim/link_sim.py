@@ -35,7 +35,7 @@ from ._lazy_numpy import np
 from ._record import Record
 from ._seeding import as_generator, seed_sequence
 from .errors import ConfigError, DomainError, ScheduleError
-from .noise_models import LaserModel, beat, sample_phase_trajectory
+from .noise_models import LaserModel, batch_bounds, beat, sample_phase_trajectory
 
 # The smallest inputs of two phase-recovery estimators, stated below both
 # phase_recovery and config so that a config can size its batches without
@@ -294,10 +294,9 @@ def _measure_arrays(x_in, p_in, frame, det: ChannelDetector, rngs, batch_sizes):
     # would: that is 0.0 + sigma*z, hence the + 0.0.
     sigma = math.sqrt(det.noise_snu)
     noise = np.empty(x.shape)
-    parts = np.split(noise, np.cumsum(batch_sizes[:-1], dtype=int))
     for quadrature in (x, p):
-        for part, rng in zip(parts, rngs):
-            rng.standard_normal(out=part)
+        for part, rng in zip(batch_bounds(batch_sizes), rngs):
+            rng.standard_normal(out=noise[part])
         noise *= sigma
         noise += 0.0
         quadrature += noise
@@ -359,8 +358,7 @@ def launch_run(
     times = np.concatenate([np.arange(n, dtype=float) for n in pulses])
     times *= train.repetition_period_s
     phi = sample_phase_trajectory(
-        beat(*lasers), times, [seed_sequence(seed, *p, "laser") for p in paths],
-        batch_sizes=pulses,
+        beat(*lasers), times, [seed_sequence(seed, *p, "laser") for p in paths], pulses
     )
     phi += np.repeat([
         as_generator(seed_sequence(seed, *p, "phase0")).uniform(0.0, math.tau) for p in paths

@@ -105,43 +105,46 @@ def phase_noise_variance(t, laser: LaserModel):
     return 2.0 * t / laser.coherence_time_s
 
 
-def sample_phase_trajectory(laser: LaserModel, times, seed, *, batch_sizes=None) -> np.ndarray:
+def batch_bounds(sizes) -> list[slice]:
+    """One slice per batch of a block that holds batches of ``sizes`` items
+    end to end, in order.  Every Monte Carlo stage locates a batch by it."""
+    starts = itertools.accumulate(sizes, initial=0)
+    return [slice(start, start + size) for start, size in zip(starts, sizes)]
+
+
+def sample_phase_trajectory(laser: LaserModel, times, seeds, batch_sizes) -> np.ndarray:
     """Accumulated phase deviation (rad) of ``laser`` at the given timestamps,
     one entry per timestamp.
 
-    Increments between consecutive timestamps are independent zero-mean
-    Gaussians of variance :func:`phase_noise_variance` over each gap (drawn,
-    and scaled to 0, at ``tau_c = inf``); on top of that walk the phase
-    advances deterministically by ``2*pi*(f0 + r*t)*t`` from the detuning
-    and drift.  Timestamps must start at 0 and be strictly increasing.
+    ``times`` holds independent batches of ``batch_sizes`` timestamps end to
+    end, and ``seeds`` one seed per batch.  Within a batch, increments
+    between consecutive timestamps are independent zero-mean Gaussians of
+    variance :func:`phase_noise_variance` over each gap (drawn, and scaled
+    to 0, at ``tau_c = inf``); on top of that walk the phase advances
+    deterministically by ``2*pi*(f0 + r*t)*t`` from the detuning and drift.
 
-    With ``batch_sizes``, ``times`` holds that many independent batches end
-    to end and ``seed`` is a sequence of one seed per batch.  The batches
-    share one time grid: each batch's timestamps begin the longest batch's,
-    whose step scales and deterministic phase are computed once.  Each
-    batch's entries are those its own call returns, bit for bit.
+    The batches share one time grid: each batch's timestamps begin the
+    longest batch's, which must start at 0 and increase strictly, and whose
+    step scales and deterministic phase are computed once.  A batch's
+    entries depend only on its own timestamps and seed, bit for bit.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise DomainError("times must be a non-empty 1-d sequence")
-    sizes = (times.size,) if batch_sizes is None else tuple(batch_sizes)
-    seeds = (seed,) if batch_sizes is None else tuple(seed)
-    if len(seeds) != len(sizes) or min(sizes) < 1 or sum(sizes) != times.size:
+    parts = batch_bounds(batch_sizes)
+    if len(seeds) != len(parts) or min(batch_sizes) < 1 or parts[-1].stop != times.size:
         raise DomainError(
             f"need one seed per batch and batch sizes >= 1 summing to {times.size}, "
-            f"got {len(seeds)} seeds for sizes {list(sizes)}"
+            f"got {len(seeds)} seeds for sizes {list(batch_sizes)}"
         )
-    starts = list(itertools.accumulate(sizes[:-1], initial=0))
-    longest = max(range(len(sizes)), key=sizes.__getitem__)
-    grid = times[starts[longest] : starts[longest] + sizes[longest]]
+    grid = times[max(parts, key=lambda part: part.stop - part.start)]
     if grid[0] != 0.0:
         raise DomainError(f"times must start at 0, got {grid[0]}")
     dts = np.diff(grid)
     if np.any(dts <= 0):
         raise DomainError("times must be strictly increasing")
-    if len(sizes) > 1 and not all(
-        np.array_equal(times[start : start + size], grid[:size])
-        for start, size in zip(starts, sizes)
+    if len(parts) > 1 and not all(
+        np.array_equal(times[part], grid[: part.stop - part.start]) for part in parts
     ):
         raise DomainError("every batch's timestamps must begin the longest batch's")
 
@@ -152,20 +155,20 @@ def sample_phase_trajectory(laser: LaserModel, times, seed, *, batch_sizes=None)
     drift *= math.tau
     drift *= grid
     trajectories = np.empty(times.size)
-    for start, size, batch_seed in zip(starts, sizes, seeds):
-        walk = trajectories[start : start + size]
+    for part, seed in zip(parts, seeds):
+        walk = trajectories[part]
         increments = walk[1:]
-        as_generator(batch_seed).standard_normal(out=increments)
-        increments *= steps[: size - 1]
+        as_generator(seed).standard_normal(out=increments)
+        increments *= steps[: increments.size]
         np.cumsum(increments, out=increments)
         walk[0] = 0.0
-        walk += drift[:size]
+        walk += drift[: walk.size]
     return trajectories
 
 
 def simulate_self_interference(
-    laser: LaserModel, delay_s: float, n_samples: int, seed, *, batch_samples=None
-) -> float | list[float]:
+    laser: LaserModel, delay_s: float, batch_samples, seeds
+) -> list[float]:
     """Sample variance (rad^2) of a delayed self-interference measurement.
 
     The laser beats against itself delayed by ``delay_s``; each sample is the
@@ -175,38 +178,31 @@ def simulate_self_interference(
     accurate for variances well below pi^2.  A phase or variance beyond the
     float range raises :class:`NumericalDomainError`.
 
-    With ``batch_samples`` (summing to ``n_samples``), ``seed`` is a sequence
-    of one seed per batch, the batches share one time grid and one
-    :func:`sample_phase_trajectory` call, and the result is the list of the
-    batches' variances, each that of its own call.
+    ``batch_samples`` holds each batch's sample count and ``seeds`` one seed
+    per batch.  The batches share one time grid and one
+    :func:`sample_phase_trajectory` call, and the result lists the batches'
+    variances, each that of a block of its own.
     """
-    sizes, seeds = ((n_samples,), [seed]) if batch_samples is None else (tuple(batch_samples), seed)
     if delay_s < 0:
         raise DomainError(f"delay must be >= 0 s, got {delay_s}")
-    if min(sizes) < 2:
-        raise DomainError(f"need at least 2 samples, got {min(sizes)}")
-    if sum(sizes) != n_samples:
-        raise DomainError(f"batch samples {list(sizes)} do not sum to {n_samples}")
+    if min(batch_samples) < 2:
+        raise DomainError(f"need at least 2 samples, got {min(batch_samples)}")
     if delay_s == 0.0:
-        variances = [0.0] * len(sizes)
-    else:
-        # Each batch's window ends 0, delay, 2*delay, ... start one grid.
-        grid = np.arange(max(sizes) + 1, dtype=float) * delay_s
-        times = np.concatenate([grid[: size + 1] for size in sizes])
-        # Batch b's differences begin where its trajectory does, so the one
-        # difference that spans two batches is never read.
-        starts = itertools.accumulate((size + 1 for size in sizes), initial=0)
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                diffs = np.diff(sample_phase_trajectory(
-                    laser, times, seeds, batch_sizes=[size + 1 for size in sizes]
-                ))
-                variances = [
-                    float(np.var(diffs[start : start + size], ddof=1))
-                    for start, size in zip(starts, sizes)
-                ]
-        except FloatingPointError as exc:
-            raise NumericalDomainError(
-                f"self-interference variance at delay {delay_s:g} s leaves the float range"
-            ) from exc
-    return variances if batch_samples is not None else variances[0]
+        return [0.0] * len(batch_samples)
+    # Each batch's window ends 0, delay, 2*delay, ... begin one grid.
+    points = [n + 1 for n in batch_samples]
+    grid = np.arange(max(points), dtype=float) * delay_s
+    times = np.concatenate([grid[:n] for n in points])
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            diffs = np.diff(sample_phase_trajectory(laser, times, seeds, points))
+            # Batch b's differences begin where its trajectory does, so the
+            # one difference that spans two batches is never read.
+            return [
+                float(np.var(diffs[part.start : part.stop - 1], ddof=1))
+                for part in batch_bounds(points)
+            ]
+    except FloatingPointError as exc:
+        raise NumericalDomainError(
+            f"self-interference variance at delay {delay_s:g} s leaves the float range"
+        ) from exc

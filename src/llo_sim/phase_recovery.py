@@ -21,7 +21,6 @@ All angles live in the principal range (-pi, pi].
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 
@@ -29,6 +28,7 @@ from ._lazy_numpy import np
 from ._record import Record
 from .errors import DomainError, EstimationError, ScheduleError
 from .link_sim import MIN_REMAP_SIGNALS, MIN_SYMBOL_SIGNALS, PulseBlock, rotate
+from .noise_models import batch_bounds
 
 
 #: Above this residual variance (rad^2) the linearised circular statistics
@@ -62,18 +62,17 @@ def _reference_phases(x_r, p_r):
     return wrap_phase(-np.arctan2(p_r, x_r))
 
 
-def _midpoints(ref_phases: np.ndarray, keep=slice(None)) -> tuple[np.ndarray, int]:
-    """Shorter-arc midpoint of each pair of consecutive reference phases.
+def _midpoints(ref_phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shorter-arc midpoint of each pair of consecutive reference phases,
+    and the wrapped advance from the first to the second.
 
-    This adds half the unwrapped reference-to-reference advance, valid while
-    the true advance per reference gap stays below pi (beat frequency below
-    ``1/(4*T_d)``).  Also returns how many pairs were exactly antipodal; such
-    a pair is broken towards the positive direction.  ``keep``, a boolean
-    mask over the pairs, drops those that straddle two batches of a block.
+    The midpoint adds half the unwrapped reference-to-reference advance,
+    valid while the true advance per reference gap stays below pi (beat
+    frequency below ``1/(4*T_d)``).  An advance of exactly pi is an
+    antipodal pair, broken towards the positive direction.
     """
     deltas = wrap_phase(np.diff(ref_phases))
-    midpoints = wrap_phase(ref_phases[:-1] + 0.5 * deltas)
-    return midpoints[keep], int(np.count_nonzero(deltas[keep] == math.pi))
+    return wrap_phase(ref_phases[:-1] + 0.5 * deltas), deltas
 
 
 def remap_quadratures(x_b, p_b, phi):
@@ -177,8 +176,7 @@ class RecoveredRun(Record):
     @property
     def batch_slices(self) -> list[slice]:
         """One slice of the arrays per batch, in order."""
-        ends = itertools.accumulate(self.batch_signals)
-        return [slice(end - size, end) for size, end in zip(self.batch_signals, ends)]
+        return batch_bounds(self.batch_signals)
 
 
 def recover_run(block: PulseBlock) -> RecoveredRun:
@@ -195,22 +193,27 @@ def recover_run(block: PulseBlock) -> RecoveredRun:
     if min(pairs) < 2:
         raise ScheduleError(f"need >= 2 R S pairs, got {2 * min(pairs)} pulses")
 
-    # Drop the signal at each batch's end, with its midpoint.
-    keep = np.ones(len(block) // 2 - 1, dtype=bool)
-    keep[np.cumsum(pairs[:-1], dtype=int) - 1] = False
-    interpolated, n_ties = _midpoints(_reference_phases(block.x[0::2], block.p[0::2]), keep)
+    def cut(values):
+        # A batch's usable pairs are all but its last, whose signal has no
+        # following reference of its batch.
+        return np.concatenate([values[part.start : part.stop - 1] for part in batch_bounds(pairs)])
+
+    interpolated, deltas = _midpoints(_reference_phases(block.x[0::2], block.p[0::2]))
+    n_ties = int(np.count_nonzero(cut(deltas) == math.pi))
+    del deltas  # each full-length array goes as soon as it is cut
+    interpolated = cut(interpolated)
     sig_x = block.x[1:-1:2]
     sig_p = block.p[1:-1:2]
-    raw = np.arctan2(sig_p, sig_x)[keep]
+    raw = cut(np.arctan2(sig_p, sig_x))
     corrected = wrap_phase(raw + interpolated)
 
     return RecoveredRun(
-        signal_x=sig_x[keep],
-        signal_p=sig_p[keep],
+        signal_x=cut(sig_x),
+        signal_p=cut(sig_p),
         raw_phases=raw,
         interpolated_phases=interpolated,
         corrected_phases=corrected,
-        encoded_phases=block.encoded_phase[:-1][keep],
+        encoded_phases=cut(block.encoded_phase),
         n_antipodal_ties=n_ties,
         batch_signals=tuple(n - 1 for n in pairs),
     )

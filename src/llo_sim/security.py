@@ -477,6 +477,12 @@ def pessimistic_parameter_bounds(params: SecurityParams, n: int) -> PessimisticB
             f"parameter-estimation bounds leave the float range at T = {k.transmittance:g}, "
             f"excess noise = {k.excess_noise:g} SNU, over {m} estimation samples"
         )
+    if t_low > t_high:  # the floor lifted T_low past a T_high below it
+        raise NumericalDomainError(
+            f"parameter-estimation bounds invert at T = {k.transmittance:g}, "
+            f"excess noise = {k.excess_noise:g} SNU, over {m} estimation samples: "
+            f"T_low floored to {t_low:g} exceeds T_high = {t_high:g}"
+        )
     return PessimisticBounds(t_low, t_high, eps_low, eps_high, m)
 
 

@@ -31,7 +31,12 @@ from llo_sim.link_sim import (
     launch_run,
     simulate_run,
 )
-from llo_sim.noise_models import LaserModel, sample_phase_trajectory, simulate_self_interference
+from llo_sim.noise_models import (
+    LaserModel,
+    batch_bounds,
+    sample_phase_trajectory,
+    simulate_self_interference,
+)
 from llo_sim.phase_recovery import recover_run
 
 LASERS = (SIGNAL_LASER, LO_LASER)
@@ -97,6 +102,25 @@ def test_block_simulates_and_recovers_every_batch_as_its_own_run(modulation):
     assert_recovered_per_batch(block, per_batch)
 
 
+def test_a_block_of_two_pair_batches_recovers_each_batch():
+    # Each batch of two pairs has one usable signal; the 3-pair batch has two.
+    pairs = [2, 2, 3, 2]
+    block = simulate_run(train(sum(pairs)), LASERS, RIG_DETECTOR, 19, "min", 0, batch_pairs=pairs)
+    per_batch = [
+        simulate_run(train(n), LASERS, RIG_DETECTOR, 19, "min", i) for i, n in enumerate(pairs)
+    ]
+    assert_recovered_per_batch(block, per_batch)
+
+
+@pytest.mark.parametrize("sizes", [[7], [3, 1, 4, 1, 5], [2, 2, 2]])
+def test_batch_bounds_tile_the_block_in_order(sizes):
+    parts = batch_bounds(sizes)
+    items = np.arange(sum(sizes))
+    assert np.array_equal(np.concatenate([items[part] for part in parts]), items)
+    split = np.split(items, np.cumsum(sizes[:-1]))
+    assert [items[part].tolist() for part in parts] == [s.tolist() for s in split]
+
+
 def test_one_launch_block_detected_at_several_photon_numbers():
     launched = launch_run(train(sum(PAIRS)), LASERS, 5, "weak-ref", 0, batch_pairs=PAIRS)
     launches = [launch_run(train(n), LASERS, 5, "weak-ref", i) for i, n in enumerate(PAIRS)]
@@ -118,12 +142,10 @@ def test_trajectories_of_a_block_are_those_of_each_batch(laser):
     sizes = [7, 5, 1, 7, 6]
     grid = np.arange(max(sizes), dtype=float) * 20e-9
     seeds = [seed_sequence(11, "traj", b) for b in range(len(sizes))]
-    block = sample_phase_trajectory(
-        laser, np.concatenate([grid[:n] for n in sizes]), seeds, batch_sizes=sizes
-    )
+    block = sample_phase_trajectory(laser, np.concatenate([grid[:n] for n in sizes]), seeds, sizes)
     start = 0
     for size, seed in zip(sizes, seeds):
-        own = sample_phase_trajectory(laser, grid[:size], seed)
+        own = sample_phase_trajectory(laser, grid[:size], [seed], [size])
         assert_same_bits(block[start : start + size], own, size)
         start += size
 
@@ -131,24 +153,24 @@ def test_trajectories_of_a_block_are_those_of_each_batch(laser):
 def test_self_interference_of_a_block_is_that_of_each_batch():
     sizes = [2001, 2001, 2000, 1999]
     seeds = [seed_sequence(13, "sif", b) for b in range(len(sizes))]
-    block = simulate_self_interference(LO_LASER, 25e-9, sum(sizes), seeds, batch_samples=sizes)
-    own = [simulate_self_interference(LO_LASER, 25e-9, n, s) for n, s in zip(sizes, seeds)]
+    block = simulate_self_interference(LO_LASER, 25e-9, sizes, seeds)
+    own = [simulate_self_interference(LO_LASER, 25e-9, [n], [s])[0] for n, s in zip(sizes, seeds)]
     assert_same_bits(block, own, "variances")
-    zero = simulate_self_interference(LO_LASER, 0.0, sum(sizes), seeds, batch_samples=sizes)
+    zero = simulate_self_interference(LO_LASER, 0.0, sizes, seeds)
     assert zero == [0.0] * len(sizes)
 
 
 @pytest.mark.parametrize(
     "call,match",
     [
-        (lambda: sample_phase_trajectory(
-            LO_LASER, [0.0, 1.0, 0.0, 2.0], [1, 2], batch_sizes=[2, 2]), "begin the longest"),
-        (lambda: sample_phase_trajectory(
-            LO_LASER, [0.0, 1.0, 0.0], [1, 2], batch_sizes=[2, 2]), "summing to 3"),
-        (lambda: sample_phase_trajectory(
-            LO_LASER, [0.0, 1.0, 0.0], [1], batch_sizes=[2, 1]), "one seed per batch"),
-        (lambda: simulate_self_interference(LO_LASER, 1e-9, 10, [1, 2], batch_samples=[4, 4]),
-         "sum to 10"),
+        (lambda: sample_phase_trajectory(LO_LASER, [0.0, 1.0, 0.0, 2.0], [1, 2], [2, 2]),
+         "begin the longest"),
+        (lambda: sample_phase_trajectory(LO_LASER, [0.0, 1.0, 0.0], [1, 2], [2, 2]),
+         "summing to 3"),
+        (lambda: sample_phase_trajectory(LO_LASER, [0.0, 1.0, 0.0], [1], [2, 1]),
+         "one seed per batch"),
+        (lambda: simulate_self_interference(LO_LASER, 1e-9, [4, 1], [1, 2]),
+         "at least 2 samples, got 1"),
     ],
     ids=["not-a-prefix", "sizes-short", "seeds-short", "samples-short"],
 )

@@ -228,6 +228,19 @@ class TestCliContract:
         assert code == 1
         assert "numerical error:" in capsys.readouterr().err
 
+    def test_inverted_pe_rectangle_exits_1_naming_the_point(self, tmp_path, capsys):
+        # At 700 km T is 1e-14; over 1e20 pulses the upper T bound falls
+        # below the 1e-12 floor that lifts the lower one.
+        code = main(["keyrate-finite", "--fiber-length", "700", "--n-pulses", str(10**20),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert (
+            "numerical error: parameter-estimation bounds invert at T = 1e-14, "
+            "excess noise = 0.04 SNU, over 50000000000000000000 estimation samples: "
+            "T_low floored to 1e-12 exceeds T_high = 7.44348e-13"
+        ) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "args, message",
         [

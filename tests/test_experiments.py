@@ -275,10 +275,9 @@ class TestLaserNoiseSweep:
         sizes = []
         simulate = experiments.simulate_self_interference
 
-        def recording(laser, delay_s, n_samples, seed, *, batch_samples):
-            assert sum(batch_samples) == n_samples
+        def recording(laser, delay_s, batch_samples, seeds):
             sizes.extend(batch_samples)
-            return simulate(laser, delay_s, n_samples, seed, batch_samples=batch_samples)
+            return simulate(laser, delay_s, batch_samples, seeds)
 
         monkeypatch.setattr(experiments, "simulate_self_interference", recording)
         config = replace(SMALL_NOISE, n_samples=20005)

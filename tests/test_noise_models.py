@@ -17,6 +17,17 @@ from llo_sim.noise_models import (
 TAU_C = 2.0 * 20e-9 / 0.035
 
 
+def trajectory(laser, times, seed):
+    """A one-batch :func:`sample_phase_trajectory`."""
+    return sample_phase_trajectory(laser, times, [seed], [len(times)])
+
+
+def self_interference(laser, delay_s, n_samples, seed):
+    """A one-batch :func:`simulate_self_interference`."""
+    (variance,) = simulate_self_interference(laser, delay_s, [n_samples], [seed])
+    return variance
+
+
 class TestCoherenceTime:
     def test_unit_case(self):
         assert LaserModel.from_linewidth(1.0 / math.pi).coherence_time_s == pytest.approx(
@@ -127,24 +138,22 @@ class TestPhaseNoiseVariance:
 
 class TestPhaseTrajectory:
     def test_single_time_is_zero(self):
-        traj = sample_phase_trajectory(
-            LaserModel(coherence_time_s=TAU_C), [0.0], seed=substream(1)
-        )
+        traj = trajectory(LaserModel(coherence_time_s=TAU_C), [0.0], substream(1))
         assert traj.tolist() == [0.0]
 
     def test_determinism(self):
         laser = LaserModel(coherence_time_s=TAU_C)
         times = np.linspace(0.0, 1e-6, 64)
-        a = sample_phase_trajectory(laser, times, seed=substream(7, "traj"))
-        b = sample_phase_trajectory(laser, times, seed=substream(7, "traj"))
+        a = trajectory(laser, times, substream(7, "traj"))
+        b = trajectory(laser, times, substream(7, "traj"))
         assert np.array_equal(a, b)
 
     def test_unordered_times_rejected(self):
         laser = LaserModel(coherence_time_s=TAU_C)
         with pytest.raises(DomainError):
-            sample_phase_trajectory(laser, [0.0, 2e-9, 1e-9], seed=substream(1))
+            trajectory(laser, [0.0, 2e-9, 1e-9], substream(1))
         with pytest.raises(DomainError):
-            sample_phase_trajectory(laser, [1e-9, 2e-9], seed=substream(1))
+            trajectory(laser, [1e-9, 2e-9], substream(1))
 
     def test_increment_variance_monte_carlo(self):
         # Increments of one long trajectory over equal windows are iid copies
@@ -152,7 +161,7 @@ class TestPhaseTrajectory:
         laser = LaserModel(coherence_time_s=TAU_C)
         n = 100_000
         times = np.arange(n + 1) * 20e-9
-        traj = sample_phase_trajectory(laser, times, seed=substream(11))
+        traj = trajectory(laser, times, substream(11))
         increments = np.diff(traj)
         expected = phase_noise_variance(20e-9, laser)
         sample_var = increments.var(ddof=1)
@@ -164,7 +173,7 @@ class TestPhaseTrajectory:
         n = 2000
         finals = np.array(
             [
-                sample_phase_trajectory(laser, [0.0, 20e-9], substream(3, i))[-1]
+                trajectory(laser, [0.0, 20e-9], substream(3, i))[-1]
                 for i in range(n)
             ]
         )
@@ -180,7 +189,7 @@ class TestPhaseTrajectory:
         steps = np.empty(2 * n)
         steps[0::2], steps[1::2] = t1, t2
         times = np.concatenate(([0.0], np.cumsum(steps)))
-        traj = sample_phase_trajectory(laser, times, seed=substream(13))
+        traj = trajectory(laser, times, substream(13))
         inc = np.diff(traj)
         var1 = inc[0::2].var(ddof=1)
         var2 = inc[1::2].var(ddof=1)
@@ -192,7 +201,7 @@ class TestPhaseTrajectory:
         laser = LaserModel(coherence_time_s=TAU_C)
         n = 100_000
         times = np.arange(n + 1) * 20e-9
-        inc = np.diff(sample_phase_trajectory(laser, times, substream(17)))
+        inc = np.diff(trajectory(laser, times, substream(17)))
         z = (inc - inc.mean()) / inc.std()
         skew = np.mean(z**3)
         kurt = np.mean(z**4) - 3.0
@@ -203,13 +212,13 @@ class TestPhaseTrajectory:
         f_d = 2.5e6
         laser = LaserModel.noiseless(center_detuning_hz=f_d)
         times = np.linspace(0.0, 1e-6, 33)
-        traj = sample_phase_trajectory(laser, times, seed=substream(1))
+        traj = trajectory(laser, times, substream(1))
         np.testing.assert_allclose(traj, 2.0 * math.pi * f_d * times, rtol=1e-12)
 
     def test_drift_term(self):
         laser = LaserModel.noiseless(center_detuning_hz=1e6, drift_rate_hz_per_s=1e12)
         times = np.array([0.0, 1e-6])
-        traj = sample_phase_trajectory(laser, times, seed=substream(1))
+        traj = trajectory(laser, times, substream(1))
         expected = 2.0 * math.pi * (1e6 + 1e12 * 1e-6) * 1e-6
         assert traj[1] == pytest.approx(expected, rel=1e-12)
 
@@ -217,12 +226,12 @@ class TestPhaseTrajectory:
 class TestSelfInterference:
     def test_zero_delay_exact(self):
         laser = LaserModel(coherence_time_s=TAU_C)
-        assert simulate_self_interference(laser, 0.0, 1000, substream(1)) == 0.0
+        assert self_interference(laser, 0.0, 1000, substream(1)) == 0.0
 
     def test_measured_value_at_20ns(self):
         laser = LaserModel.from_delay_variance(0.035, 20e-9)
         n = 100_000
-        var = simulate_self_interference(laser, 20e-9, n, substream(23))
+        var = self_interference(laser, 20e-9, n, substream(23))
         se = 0.035 * math.sqrt(2.0 / (n - 1))
         assert abs(var - 0.035) < 3.0 * se
 
@@ -231,7 +240,7 @@ class TestSelfInterference:
         delays = np.array([5e-9, 20e-9, 25e-9])
         variances = np.array(
             [
-                simulate_self_interference(laser, d, 20_000, substream(29, i))
+                self_interference(laser, d, 20_000, substream(29, i))
                 for i, d in enumerate(delays)
             ]
         )
@@ -247,9 +256,9 @@ class TestSelfInterference:
     def test_preconditions(self):
         laser = LaserModel(coherence_time_s=TAU_C)
         with pytest.raises(DomainError):
-            simulate_self_interference(laser, -1e-9, 100, substream(1))
+            self_interference(laser, -1e-9, 100, substream(1))
         with pytest.raises(DomainError):
-            simulate_self_interference(laser, 1e-9, 1, substream(1))
+            self_interference(laser, 1e-9, 1, substream(1))
 
 
 class TestSeeding:

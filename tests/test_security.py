@@ -527,6 +527,29 @@ class TestPessimisticBounds:
         ):
             pessimistic_parameter_bounds(params, 10**11)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        length=st.floats(0.0, 1500.0),
+        eta=st.floats(-300.0, 0.0).map(lambda y: 10.0**y),
+        v_a=st.floats(-2.0, 3.0).map(lambda y: 10.0**y),
+        sigma_phi=st.just(0.0) | st.floats(-4.0, 0.0).map(lambda y: 10.0**y),
+        n=st.floats(3.0, 200.0).map(lambda y: int(10.0**y)),
+    )
+    @example(length=700.0, eta=1.0, v_a=1.0, sigma_phi=0.04, n=10**20)
+    def test_returned_rectangles_are_not_inverted(self, length, eta, v_a, sigma_phi, n):
+        # Where the floor would lift T_low above T_high, the bounds raise.
+        params = SecurityParams(
+            modulation_variance=v_a,
+            sigma_phi=sigma_phi,
+            channel=ChannelDetector(fiber_length_km=length, detector_efficiency=eta),
+        )
+        try:
+            bounds = pessimistic_parameter_bounds(params, n)
+        except NumericalDomainError as exc:
+            assert str(exc).startswith("parameter-estimation bounds"), exc
+        else:
+            assert bounds.transmittance_low <= bounds.transmittance_high
+
     @pytest.mark.parametrize("n", [10**6, 10**9, 10**12])
     def test_worst_case_is_largest_corner(self, n):
         # Each corner read through the public nominal path: a channel fixed at
